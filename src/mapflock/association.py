@@ -1,11 +1,17 @@
 """User-to-access-point matching and coverage accounting.
 
-Each ground user connects to the in-range aerial agent offering the best
-received power ``rho * dist^(-eta)`` over the 3-D distance (horizontal
-offset plus the fixed flight height). Since the score is strictly
-decreasing in distance this is the nearest in-range agent; ties break to
-the lowest agent id so reruns are identical. No capacity limit is applied
-at matching time -- overload is handled by the control forces.
+Each ground user connects to the nearest alive aerial agent, by the
+horizontal distance, provided that agent lies within communication range
+over the 3-D distance (horizontal offset plus the fixed flight height).
+Ties break to the lowest agent id so reruns are identical. No capacity
+limit is applied at matching time -- overload is handled by the control
+forces.
+
+The model's received power ``rho * dist^(-eta)`` is strictly decreasing
+in distance, so its best in-range agent is this nearest one; the matcher
+compares squared distances and never evaluates the power. ``rho`` and
+``eta`` are still validated and echoed in the run summary, but they do
+not affect the dynamics.
 """
 
 from dataclasses import dataclass
@@ -23,7 +29,7 @@ class Assignment:
 
 
 def assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
-    """Match every user to its best in-range alive agent."""
+    """Match every user to its nearest alive agent, if that one is in range."""
     if rho <= 0 or eta <= 0 or comm_range <= 0:
         raise ValueError("rho, eta and comm_range must be positive")
     n_msds = len(msd_pos)
@@ -32,11 +38,11 @@ def assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
     alive_ids = np.flatnonzero(alive)
     if alive_ids.size and n_msds:
         diff = msd_pos[:, None, :] - map_pos[None, alive_ids, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + map_height * map_height)
-        score = rho * dist ** (-eta)
-        score[dist > comm_range] = -np.inf
-        best = np.argmax(score, axis=1)          # first index wins ties -> lowest id
-        reachable = np.isfinite(score[np.arange(n_msds), best])
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        best = np.argmin(d2, axis=1)             # first index wins ties -> lowest id
+        # the nearest agent is out of range only if every agent is
+        nearest = d2[np.arange(n_msds), best]
+        reachable = np.sqrt(nearest + map_height * map_height) <= comm_range
         owner[reachable] = alive_ids[best[reachable]]
     loads = np.bincount(owner[owner >= 0], minlength=n_maps)
     coverage = float(np.count_nonzero(owner >= 0)) / n_msds if n_msds else 0.0

@@ -7,8 +7,8 @@ Subcommands:
 * ``sweep-failure <config>``  -- failure-ratio sweep at a fixed injection time
 * ``plot <csv>``              -- SVG line chart of selected CSV columns
 
-Exit codes: 0 success, 1 config/IO error (one-line diagnostic on stderr),
-2 usage error.
+Exit codes: 0 success, 1 config/IO error or a diverged simulation
+(one-line diagnostic on stderr), 2 usage error.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from .outputs import (
     write_run_outputs,
     write_summary,
 )
-from .sim import run
+from .sim import SimulationDiverged, run
 from .world import ConfigError, load_config
 
 DEFAULT_REPLICATES = 5
@@ -158,7 +158,7 @@ def cli_main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError, SimulationDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -50,6 +50,8 @@ class ControlParams:
     c1: float = 0.3          # goal position gain
     c2: float = 0.6          # goal velocity gain
     k: float = 10.0          # connectivity (bridge) gain
+    # received power rho * dist^-eta: validated and echoed in the summary,
+    # but matching picks the nearest agent, so neither affects the dynamics
     rho: float = 1.0         # transmit power [W]
     eta: float = 3.5         # path-loss exponent
 

@@ -52,12 +52,14 @@ def connected_components(adjacency):
     return labels
 
 
-def fiedler_value(adjacency, tol=1e-9):
+def fiedler_value(adjacency, tol=1e-9, labels=None):
     """Second-smallest Laplacian eigenvalue; exactly 0 when disconnected.
 
     Graphs with fewer than two nodes are defined to have value 0.
     Disconnectedness is decided combinatorially (component count), not by
-    eigenvalue thresholding, so the zero is exact.
+    eigenvalue thresholding, so the zero is exact. `labels`, if given, are
+    the graph's :func:`connected_components` labels, which are then not
+    computed again.
     """
     adjacency = np.asarray(adjacency, dtype=float)
     n = len(adjacency)
@@ -65,7 +67,8 @@ def fiedler_value(adjacency, tol=1e-9):
         return 0.0
     if not np.allclose(adjacency, adjacency.T):
         raise ValueError("adjacency matrix must be symmetric")
-    labels = connected_components(adjacency)
+    if labels is None:
+        labels = connected_components(adjacency)
     if labels.max() > 0:
         return 0.0
     eigvals = np.linalg.eigvalsh(laplacian(adjacency))

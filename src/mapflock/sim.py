@@ -1,8 +1,12 @@
-"""Discrete-time simulation loop: match, share, switch, steer, integrate.
+"""Discrete-time simulation loop: observe, share, switch, steer, integrate.
 
 One step executes, in order:
 
-1. user-to-agent matching on the pre-step state,
+1. the observation of the pre-step state: user-to-agent matching,
+   per-cluster coverage, the aerial graph and its connected components.
+   It is the observation the previous step made of its post-step state,
+   carried forward; a failure injection invalidates it, and the step
+   then observes the state afresh,
 2. idealized information sharing: achieved-goal sets are unioned across
    each connected component of the aerial graph (the protocol-level
    message passing is emulated centrally),
@@ -10,7 +14,8 @@ One step executes, in order:
 4. control forces for every alive agent from the common pre-step
    position/velocity/load snapshot,
 5. forward-Euler integration ``p += u*dt; q += p*dt``,
-6. metrics captured on the post-step state.
+6. the observation of the post-step state, from which the step's metrics
+   are taken and which the next step starts from.
 
 Dead agents are frozen and invisible to every phase. Runs are
 deterministic given the seed: randomness is consumed only by scenario
@@ -18,12 +23,12 @@ generation and failure injection, in that order.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import control as ctl
-from .association import assign_msds, cluster_coverages
+from .association import Assignment, assign_msds, cluster_coverages
 from .netgraph import cluster_mst, connected_components, fiedler_value
 from .world import ScenarioConfig, World, adjacency_matrix, generate_scenario
 
@@ -70,33 +75,61 @@ class RunResult:
                 np.array([s.fiedler for s in self.samples]))
 
 
-def measure(world: World, params: ctl.ControlParams, t: float) -> MetricsSample:
-    """Omniscient metrics of a world snapshot (fresh matching pass)."""
+@dataclass
+class Observation:
+    """What one world state shows, computed once per state: it serves the
+    metrics of the step that reached the state and the next step's phases."""
+
+    assignment: Assignment
+    cluster_coverage: np.ndarray   # (K,) per-cluster coverage
+    adjacency: np.ndarray          # (L, L) bool, alive and within range
+    labels: np.ndarray | None      # component label per alive agent, in id order
+
+
+def observe(world: World, params: ctl.ControlParams) -> Observation:
+    """Match users to agents and build the aerial graph and its components."""
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
                       params.rho, params.eta, params.r)
     adj = adjacency_matrix(world.map_pos, world.alive, params.r)
-    alive_adj = adj[np.ix_(world.alive, world.alive)].astype(float)
-    lam2 = fiedler_value(alive_adj) if world.alive.any() else 0.0
-    modes = world.mode[world.alive]
+    ids = np.flatnonzero(world.alive)
+    return Observation(
+        assignment=asg,
+        cluster_coverage=cluster_coverages(asg, world.clusters),
+        adjacency=adj,
+        labels=connected_components(adj[np.ix_(ids, ids)]),
+    )
+
+
+def metrics_sample(world: World, obs: Observation, t: float) -> MetricsSample:
+    """Metrics of the world state that `obs` observed."""
+    alive = world.alive
+    alive_adj = obs.adjacency[np.ix_(alive, alive)].astype(float)
+    modes = world.mode[alive]
     counts = tuple(int(np.count_nonzero(modes == m)) for m in
                    (ctl.MODE_DYNAMIC, ctl.MODE_BRIDGE, ctl.MODE_STATIC))
     return MetricsSample(
         t=t,
-        coverage_ratio=asg.coverage_ratio,
-        fiedler=lam2,
-        cluster_coverage=cluster_coverages(asg, world.clusters),
-        alive_count=int(np.count_nonzero(world.alive)),
+        coverage_ratio=obs.assignment.coverage_ratio,
+        fiedler=fiedler_value(alive_adj, labels=obs.labels),
+        cluster_coverage=obs.cluster_coverage,
+        alive_count=int(np.count_nonzero(alive)),
         mode_counts=counts,
     )
 
 
-def share_achieved_goals(world: World, adjacency):
-    """Union achieved-goal knowledge within each connected alive component."""
+def measure(world: World, params: ctl.ControlParams, t: float) -> MetricsSample:
+    """Omniscient metrics of a world snapshot (fresh observation)."""
+    return metrics_sample(world, observe(world, params), t)
+
+
+def share_achieved_goals(world: World, labels):
+    """Union achieved-goal knowledge within each connected alive component.
+
+    `labels` holds the component label of each alive agent, in id order.
+    """
     ids = np.flatnonzero(world.alive)
     if ids.size == 0:
         return
-    sub = adjacency[np.ix_(ids, ids)]
-    labels = connected_components(sub.astype(float))
     for comp in range(labels.max() + 1):
         members = ids[labels == comp]
         union = set().union(*(world.achieved[i] for i in members))
@@ -111,16 +144,24 @@ def euler_update(pos, vel, accel, alive, dt):
 
 
 def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds,
-         dt: float, t_next: float):
-    """Advance the world by one step; returns (sample, mode_change_count)."""
-    # 1: matching on the pre-step state
-    asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                      params.rho, params.eta, params.r)
-    cov = cluster_coverages(asg, world.clusters)
+         dt: float, t_next: float, obs: Observation | None = None):
+    """Advance the world by one step.
 
-    # 2: idealized information sharing per connected component
-    adj = adjacency_matrix(world.map_pos, world.alive, params.r)
-    share_achieved_goals(world, adj)
+    `obs` is the observation of the current state, as the previous step
+    returned it; None observes the state afresh. The step takes `obs` over
+    and drops its component labels once it has used them. Returns (sample,
+    mode_change_count, observation of the new state).
+    """
+    # 1: observation of the pre-step state
+    if obs is None:
+        obs = observe(world, params)
+    loads, cov = obs.assignment.loads, obs.cluster_coverage
+
+    # 2: idealized information sharing per connected component; the labels
+    # have no later use, so they are released before the force phase, where
+    # the step's memory use peaks
+    share_achieved_goals(world, obs.labels)
+    obs.labels = None
 
     # 3: mode machine, deterministic id order; bridge staffing counts are
     # updated as agents adopt edges so simultaneous switchers spread out
@@ -139,23 +180,24 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     for i in np.flatnonzero(world.alive):
         new_mode, ga, gb = ctl.mode_switch(
             int(world.mode[i]), int(world.goal_a[i]), int(world.goal_b[i]),
-            int(asg.loads[i]), world.achieved[i], cov, world.centroids,
+            int(loads[i]), world.achieved[i], cov, world.centroids,
             world.map_pos[i], mst_lookup, bridge_counts, thresholds, params.r)
         if new_mode != world.mode[i]:
             changes += 1
         world.mode[i], world.goal_a[i], world.goal_b[i] = new_mode, ga, gb
 
     # 4-5: forces from the shared pre-step snapshot, then integration
-    accel = ctl.flock_accelerations(world.map_pos, world.map_vel, asg.loads,
+    accel = ctl.flock_accelerations(world.map_pos, world.map_vel, loads,
                                     world.alive, world.mode, world.goal_a,
-                                    world.goal_b, world.centroids, adj, params)
+                                    world.goal_b, world.centroids, obs.adjacency, params)
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     if not (np.all(np.isfinite(world.map_pos[world.alive]))
             and np.all(np.isfinite(world.map_vel[world.alive]))):
         raise SimulationDiverged(f"non-finite state at t={t_next:.3f}")
 
-    # 6: metrics on the post-step state
-    return measure(world, params, t_next), changes
+    # 6: observation of the post-step state, and its metrics
+    obs = observe(world, params)
+    return metrics_sample(world, obs, t_next), changes, obs
 
 
 def inject_failures(world: World, fraction: float, rng: np.random.Generator):
@@ -198,15 +240,17 @@ def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
                                world.map_vel[i, 0], world.map_vel[i, 1],
                                int(world.mode[i]), int(world.alive[i])))
 
-    samples = [measure(world, params, 0.0)]
+    obs = observe(world, params)
+    samples = [metrics_sample(world, obs, 0.0)]
     record(0.0)
     mode_changes = []
     for k in range(1, n_steps + 1):
         t_pre = (k - 1) * dt
         while pending and pending[0][0] <= t_pre + 1e-9:
             inject_failures(world, pending.pop(0)[1], rng)
+            obs = None             # the observation no longer matches the world
         try:
-            sample, changed = step(world, params, thresholds, dt, k * dt)
+            sample, changed, obs = step(world, params, thresholds, dt, k * dt, obs)
         except SimulationDiverged as exc:
             raise SimulationDiverged(f"step {k}: {exc}") from None
         samples.append(sample)

@@ -106,9 +106,15 @@ class ScenarioConfig:
                  self.map_height, self.dt, self.t_end]
         if not np.all(np.isfinite(flat)):
             raise ConfigError("configuration values must be finite")
+        if not self.cluster_centers:
+            raise ConfigError("cluster_centers must list at least one centre")
+        if len({tuple(center) for center in self.cluster_centers}) < len(self.cluster_centers):
+            raise ConfigError("cluster_centers must not repeat a centre")
         for t, frac in self.failures:
             if not (0.0 <= frac <= 1.0):
                 raise ConfigError(f"failure fraction {frac} outside [0, 1]")
+            if not np.isfinite(t):
+                raise ConfigError(f"failure time {t} is not finite")
             if t < 0:
                 raise ConfigError("failure times must be non-negative")
 

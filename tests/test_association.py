@@ -3,6 +3,7 @@ import pytest
 
 from mapflock.association import Assignment, assign_msds, cluster_coverages, goal_coverage
 from mapflock.world import Cluster
+from oracles import power_score_assign
 
 H = 20.0   # flight height
 R = 24.0   # communication range
@@ -110,6 +111,61 @@ class TestAssignMsds:
         with pytest.raises(ValueError):
             assign_msds(np.zeros((1, 2)), np.zeros((1, 2)), H, np.ones(1, bool),
                         0.0, 3.5, R)
+
+
+class TestPowerScoreOracle:
+    """The squared-distance matcher against the received-power matcher it replaced."""
+
+    def check(self, msd, maps, alive, height, comm_range):
+        got = assign_msds(msd, maps, height, alive, 1.0, 3.5, comm_range)
+        want = power_score_assign(msd, maps, height, alive, 1.0, 3.5, comm_range)
+        np.testing.assert_array_equal(got.owner, want.owner)
+        np.testing.assert_array_equal(got.loads, want.loads)
+        assert got.coverage_ratio == want.coverage_ratio
+        return got
+
+    def test_random_snapshots(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n_map = int(rng.integers(1, 30))
+            msd = rng.uniform(-60, 60, (int(rng.integers(1, 200)), 2))
+            maps = rng.uniform(-60, 60, (n_map, 2))
+            alive = rng.random(n_map) > 0.2
+            self.check(msd, maps, alive, H, R)
+
+    def test_grid_aligned_exact_ties(self):
+        # users and agents on a 1 m lattice: many users sit at exactly the same
+        # squared distance from two or more agents, and agents may coincide
+        rng = np.random.default_rng(22)
+        ties = 0
+        for _ in range(100):
+            n_map = int(rng.integers(2, 12))
+            maps = rng.integers(-12, 13, (n_map, 2)).astype(float)
+            msd = rng.integers(-16, 17, (200, 2)).astype(float)
+            alive = rng.random(n_map) > 0.2
+            asg = self.check(msd, maps, alive, H, R)
+            d2 = ((msd[:, None, :] - maps[None, :, :]) ** 2).sum(axis=2)
+            d2[:, ~alive] = np.inf
+            nearest = d2.min(axis=1, keepdims=True)
+            tied = (asg.owner >= 0) & ((d2 == nearest).sum(axis=1) > 1)
+            ties += int(tied.sum())
+            assert (asg.owner[tied] == np.argmax(d2[tied] == nearest[tied], axis=1)).all()
+        assert ties > 100
+
+    def test_users_on_range_boundary(self):
+        # height 20 m and range 25 m: a horizontal offset of 15 m puts a user at
+        # exactly 25 m, since 15^2 + 20^2 = 25^2 holds in floating point
+        height, comm_range = 20.0, 25.0
+        maps = np.array([[0.0, 0.0], [30.0, 0.0], [0.0, 200.0]])
+        on_edge = np.array([[15.0, 0.0], [-15.0, 0.0], [0.0, 15.0], [-9.0, 12.0],
+                            [12.0, -9.0], [45.0, 0.0], [30.0, -15.0]])
+        outside = np.array([[-15.000001, 0.0], [0.0, -15.000001], [0.0, 184.99999]])
+        msd = np.concatenate([on_edge, outside])
+        asg = self.check(msd, maps, np.ones(3, bool), height, comm_range)
+        # (15, 0) is on the edge of both agent 0 and agent 1: the lower id wins
+        np.testing.assert_array_equal(asg.owner, [0, 0, 0, 0, 0, 1, 1, -1, -1, -1])
+        asg = self.check(msd, maps, np.array([False, True, True]), height, comm_range)
+        np.testing.assert_array_equal(asg.owner, [1, -1, -1, -1, -1, 1, 1, -1, -1, -1])
 
 
 class TestGoalCoverage:

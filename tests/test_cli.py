@@ -3,6 +3,7 @@ import pytest
 
 from mapflock.cli import cli_main
 from mapflock.outputs import config_from_summary, read_csv
+from mapflock.sim import SimulationDiverged
 from mapflock.world import ScenarioConfig, save_config
 
 
@@ -53,6 +54,21 @@ class TestRunCommand:
         code = cli_main(["run", str(bad)])
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_config_hole_is_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("cluster_centers = 0,0; 0,0\n")
+        assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: cluster_centers must not repeat a centre\n"
+
+    def test_diverged_run_is_one_line_error(self, config_path, tmp_path, monkeypatch, capsys):
+        def diverge(config, record_trajectories=False):
+            raise SimulationDiverged("step 7: non-finite state at t=0.700")
+        monkeypatch.setattr("mapflock.cli.run", diverge)
+        code = cli_main(["run", config_path, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: step 7: non-finite state at t=0.700\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsageErrors:

@@ -91,6 +91,14 @@ class TestFiedlerValue:
             expect = eig[1] if connected_components(adj).max() == 0 else 0.0
             assert got == pytest.approx(expect, abs=1e-7)
 
+    def test_known_labels_give_identical_value(self):
+        rng = np.random.default_rng(34)
+        for n in [0, 1, 2] + [int(rng.integers(2, 30)) for _ in range(40)]:
+            adj = random_adjacency(rng, n, p=float(rng.uniform(0.05, 0.6)))
+            labels = connected_components(adj)
+            assert fiedler_value(adj, labels=labels) == fiedler_value(adj)
+            assert fiedler_value(adj.astype(bool), labels=labels) == fiedler_value(adj)
+
     def test_edge_addition_never_decreases(self):
         rng = np.random.default_rng(33)
         for _ in range(50):

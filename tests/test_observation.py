@@ -1,0 +1,97 @@
+"""One observation per world state: `run` carries each step's post-step
+observation into the next step, and a failure injection invalidates it."""
+
+import sys
+
+import numpy as np
+import pytest
+
+import mapflock.sim as sim
+from mapflock.control import ControlParams
+from mapflock.sim import measure, observe, run
+from mapflock.world import ScenarioConfig, generate_scenario
+from oracles import recompute_run
+
+# three clusters 60 m apart with the fleet spawned between them, so that
+# agents share goals, bridge and settle within a few seconds
+TRIANGLE = dict(cluster_centers=((0.0, 0.0), (60.0, 0.0), (0.0, 60.0)),
+                msds_per_cluster=60, cluster_sigma=6.0, map_count=24,
+                map_spawn_center=(30.0, 30.0), map_spawn_halfwidth=20.0)
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls made to the kernel `sim` knows as `name`, whether
+    through `sim` or through the module that defines it."""
+    calls = []
+    original = getattr(sim, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module in (sim, sys.modules[original.__module__]):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestObservationCount:
+    @pytest.mark.parametrize("failures, events", [
+        ((), 0),
+        (((0.5, 0.5),), 1),
+        (((0.5, 0.5), (1.23, 0.3)), 2),
+        (((5.0, 0.5),), 0),            # after the end of the run: never fires
+    ])
+    def test_one_observation_per_state(self, monkeypatch, failures, events):
+        cfg = ScenarioConfig(**TRIANGLE, t_end=2.0, seed=4, failures=failures)
+        counters = {name: count_calls(monkeypatch, name)
+                    for name in ("assign_msds", "adjacency_matrix", "connected_components")}
+        res = run(cfg)
+        steps = len(res.mode_changes)
+        assert steps == 20
+        for calls in counters.values():
+            assert len(calls) == steps + 1 + events
+
+
+class TestRecomputeOracle:
+    """Samples and final world equal the loop that recomputes every quantity."""
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(**TRIANGLE, t_end=4.0, seed=2, failures=((0.5, 0.5),)),
+        ScenarioConfig(**TRIANGLE, t_end=4.0, seed=7, failures=((1.0, 0.3), (2.55, 0.4))),
+        ScenarioConfig(msds_per_cluster=40, map_count=20, t_end=3.0, seed=5),
+    ])
+    def test_identical_to_recompute_loop(self, cfg):
+        got, want = run(cfg), recompute_run(cfg)
+        assert len(got.samples) == len(want.samples)
+        for a, b in zip(got.samples, want.samples):
+            assert (a.t, a.coverage_ratio, a.fiedler, a.alive_count, a.mode_counts) == \
+                   (b.t, b.coverage_ratio, b.fiedler, b.alive_count, b.mode_counts)
+            np.testing.assert_array_equal(a.cluster_coverage, b.cluster_coverage)
+        assert got.mode_changes == want.mode_changes
+        assert got.convergence_time == want.convergence_time
+        for name in ("map_pos", "map_vel", "alive", "mode", "goal_a", "goal_b"):
+            np.testing.assert_array_equal(getattr(got.world, name), getattr(want.world, name))
+        assert got.world.achieved == want.world.achieved
+
+    def test_injection_changes_the_run(self):
+        # the oracle comparison above would be vacuous if the injection
+        # did not alter the trajectory
+        base = run(ScenarioConfig(**TRIANGLE, t_end=2.0, seed=2))
+        hurt = run(ScenarioConfig(**TRIANGLE, t_end=2.0, seed=2, failures=((0.5, 0.5),)))
+        assert hurt.samples[6].alive_count == 12
+        assert not np.array_equal(base.world.map_pos, hurt.world.map_pos)
+
+
+class TestObserve:
+    def test_measure_is_sample_of_fresh_observation(self):
+        world = generate_scenario(ScenarioConfig(**TRIANGLE), np.random.default_rng(3))
+        world.alive[::3] = False
+        params = ControlParams()
+        obs = observe(world, params)
+        assert obs.adjacency.shape == (24, 24)
+        assert len(obs.labels) == np.count_nonzero(world.alive)
+        assert not obs.adjacency[~world.alive].any()
+        s = measure(world, params, 2.5)
+        assert s.coverage_ratio == obs.assignment.coverage_ratio
+        np.testing.assert_array_equal(s.cluster_coverage, obs.cluster_coverage)
+        assert s.alive_count == 16 and s.t == 2.5

@@ -121,6 +121,30 @@ class TestScenarioConfigValidation:
             ScenarioConfig(**kwargs)
 
 
+class TestConfigHoles:
+    """Inputs that used to be accepted, or to fail inside numpy."""
+
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_non_finite_failure_time(self, time):
+        with pytest.raises(ConfigError, match="is not finite") as info:
+            config_from_lines([f"failures = {time}:0.5"])
+        assert "\n" not in str(info.value)
+
+    def test_empty_cluster_centers(self):
+        with pytest.raises(ConfigError, match="at least one centre") as info:
+            config_from_lines(["cluster_centers = "])
+        assert "\n" not in str(info.value)
+
+    def test_duplicate_cluster_centers(self):
+        with pytest.raises(ConfigError, match="must not repeat a centre") as info:
+            config_from_lines(["cluster_centers = 0,0; 145,0; 0.0,-0.0"])
+        assert "\n" not in str(info.value)
+
+    def test_distinct_close_centres_accepted(self):
+        cfg = config_from_lines(["cluster_centers = 0,0; 0,1e-9"])
+        assert len(cfg.cluster_centers) == 2
+
+
 class TestConfigFiles:
     def test_round_trip(self):
         cfg = ScenarioConfig(seed=9, map_count=42, cluster_sigma=17.5,
