@@ -12,9 +12,9 @@ import os
 
 import numpy as np
 
-from mapflock import PotentialParams, bump, phi_action, phi_uneven, sigma_scalar
+from mapflock import ControlParams, bump, phi_action, phi_uneven, sigma_scalar
 
-params = PotentialParams()   # epsilon=0.1, a=b=5, d=20 m, r=24 m
+params = ControlParams()   # epsilon=0.1, a=b=5, d=20 m, r=24 m
 
 # evaluate everything over plain Euclidean distance, mapping through the
 # sigma-norm exactly as the controller does

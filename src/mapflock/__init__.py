@@ -5,7 +5,7 @@ cover clustered ground users, build inter-cluster relay bridges, and
 recover from random agent failures. Library surface plus a small CLI.
 """
 
-from .association import Assignment, assign_msds, cluster_coverages, goal_coverage
+from .association import Assignment, assign_msds, cluster_coverages
 from .control import (
     MODE_BRIDGE,
     MODE_DYNAMIC,
@@ -13,20 +13,12 @@ from .control import (
     MODE_STATIC,
     ControlParams,
     ModeThresholds,
-    control_input,
     flock_accelerations,
     mode_switch,
     select_bridge_edge,
 )
-from .netgraph import build_graph, cluster_mst, connected_components, fiedler_value
-from .potentials import (
-    PotentialParams,
-    bump,
-    phi_action,
-    phi_uneven,
-    sigma_norm,
-    sigma_scalar,
-)
+from .netgraph import cluster_mst, connected_components, fiedler_value
+from .potentials import bump, phi_action, phi_uneven, sigma_scalar
 from .sim import (
     MetricsSample,
     RunResult,
@@ -37,28 +29,25 @@ from .sim import (
     step,
 )
 from .world import (
-    Cluster,
     ConfigError,
     ScenarioConfig,
     World,
     generate_scenario,
     load_config,
-    neighbors,
     save_config,
 )
 
 __all__ = [
-    "Assignment", "assign_msds", "cluster_coverages", "goal_coverage",
+    "Assignment", "assign_msds", "cluster_coverages",
     "MODE_DYNAMIC", "MODE_BRIDGE", "MODE_STATIC", "MODE_NAMES",
-    "ControlParams", "ModeThresholds", "control_input", "flock_accelerations",
+    "ControlParams", "ModeThresholds", "flock_accelerations",
     "mode_switch", "select_bridge_edge",
-    "build_graph", "cluster_mst", "connected_components", "fiedler_value",
-    "PotentialParams", "bump", "phi_action", "phi_uneven", "sigma_norm",
-    "sigma_scalar",
+    "cluster_mst", "connected_components", "fiedler_value",
+    "bump", "phi_action", "phi_uneven", "sigma_scalar",
     "MetricsSample", "RunResult", "SimulationDiverged", "inject_failures",
     "measure", "run", "step",
-    "Cluster", "ConfigError", "ScenarioConfig", "World", "generate_scenario",
-    "load_config", "neighbors", "save_config",
+    "ConfigError", "ScenarioConfig", "World", "generate_scenario",
+    "load_config", "save_config",
 ]
 
 __version__ = "0.1.0"

@@ -49,18 +49,11 @@ def assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
     return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
 
 
-def goal_coverage(assignment: Assignment, clusters, cluster_id):
-    """Fraction of one cluster's users currently assigned to any agent."""
-    for cluster in clusters:
-        if cluster.id == cluster_id:
-            return float(np.count_nonzero(assignment.owner[cluster.members] >= 0)) \
-                / len(cluster.members)
-    raise KeyError(f"unknown cluster id {cluster_id}")
+def cluster_coverages(assignment: Assignment, msd_cluster, n_clusters):
+    """Per-cluster coverage fractions, indexed by cluster id.
 
-
-def cluster_coverages(assignment: Assignment, clusters):
-    """Per-cluster coverage fractions, indexed by cluster id."""
-    out = np.zeros(len(clusters))
-    for cluster in clusters:
-        out[cluster.id] = goal_coverage(assignment, clusters, cluster.id)
-    return out
+    `msd_cluster` is the cluster id of each user; every cluster has at
+    least one user.
+    """
+    covered = np.bincount(msd_cluster[assignment.owner >= 0], minlength=n_clusters)
+    return covered / np.bincount(msd_cluster, minlength=n_clusters)

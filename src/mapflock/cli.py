@@ -18,13 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .outputs import (
-    fmt,
-    read_csv,
-    write_line_svg,
-    write_run_outputs,
-    write_summary,
-)
+from .outputs import fmt, read_csv, write_line_svg, write_run_outputs
 from .sim import SimulationDiverged, run
 from .world import ConfigError, load_config
 

@@ -17,17 +17,11 @@ serve); Connectivity and Static are absorbing.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import (
-    PotentialParams,
-    bump,
-    phi_action,
-    sigma_grad_scale,
-    sigma_scalar,
-)
+from .potentials import bump, phi_action, sigma_grad_scale, sigma_scalar
 
 MODE_DYNAMIC = 0   # travel to nearest uncovered cluster
 MODE_BRIDGE = 1    # relay on an inter-cluster bridge edge
@@ -36,9 +30,20 @@ MODE_STATIC = 2    # stay and serve the goal cluster
 MODE_NAMES = {MODE_DYNAMIC: "M0", MODE_BRIDGE: "M1", MODE_STATIC: "M2"}
 
 
+def _check_finite(params):
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ControlParams:
-    """All controller constants (defaults follow the nominal experiment set)."""
+    """All controller constants (defaults follow the nominal experiment set).
+
+    The sigmoid offset `c` is always derived from `a` and `b` (never stored
+    independently) so that the sigmoid root is at 0, i.e. the action
+    potential vanishes exactly at the desired spacing `d`.
+    """
 
     d: float = 20.0          # desired MAP spacing [m]
     r: float = 24.0          # communication range [m] (1.2 * d)
@@ -56,18 +61,33 @@ class ControlParams:
     eta: float = 3.5         # path-loss exponent
 
     def __post_init__(self):
+        _check_finite(self)
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
         if self.c1 <= 0 or self.c2 <= 0 or self.k <= 0:
             raise ValueError("gains c1, c2, k must be positive")
         if self.rho <= 0 or self.eta <= 0:
             raise ValueError("rho and eta must be positive")
-        self.potential  # validates the remaining fields
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        if self.a <= 0 or self.b <= 0:
+            raise ValueError("a and b must be positive")
+        if not (0.0 < self.gamma < 1.0):
+            raise ValueError("gamma must lie in (0, 1)")
+        if not (0.0 < self.d < self.r):
+            raise ValueError("need 0 < d < r")
 
     @property
-    def potential(self) -> PotentialParams:
-        return PotentialParams(epsilon=self.epsilon, a=self.a, b=self.b,
-                               gamma=self.gamma, d=self.d, r=self.r)
+    def c(self):
+        return (self.b - self.a) / np.sqrt(4.0 * self.a * self.b)
+
+    @property
+    def d_sigma(self):
+        return sigma_scalar(self.d, self.epsilon)
+
+    @property
+    def r_sigma(self):
+        return sigma_scalar(self.r, self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -79,6 +99,7 @@ class ModeThresholds:
     n1: int = 10       # at/above: settle as a static server
 
     def __post_init__(self):
+        _check_finite(self)
         if not (0.0 < self.r0 <= 1.0):
             raise ValueError("r0 must lie in (0, 1]")
         if not (0 < self.n0 < self.n1):
@@ -86,7 +107,7 @@ class ModeThresholds:
 
 
 # ---------------------------------------------------------------------------
-# force terms (per-agent reference forms)
+# force coefficients
 # ---------------------------------------------------------------------------
 
 def load_pull_coeff(load_j, params: ControlParams):
@@ -111,69 +132,6 @@ def consensus_weight(load_i, params: ControlParams):
     return 1.0 - bump(ratio, 0.0, 1.0)
 
 
-def attract_repulse(i, positions, loads, neighbor_ids, params: ControlParams):
-    """Spacing + load-balancing force on agent i (term f)."""
-    out = np.zeros(2)
-    qi = positions[i]
-    for j in neighbor_ids:
-        dq = positions[j] - qi
-        nsq = float(dq @ dq)
-        z_sigma = sigma_scalar(math.sqrt(nsq), params.epsilon)
-        coeff = phi_action(z_sigma, params.potential) + load_pull_coeff(loads[j], params)
-        out += coeff * dq * sigma_grad_scale(nsq, params.epsilon)
-    return out
-
-
-def velocity_consensus(i, velocities, loads, neighbor_ids, params: ControlParams):
-    """Capacity-gated velocity matching with neighbors (term g)."""
-    out = np.zeros(2)
-    for j in neighbor_ids:
-        out += velocities[j] - velocities[i]
-    return consensus_weight(loads[i], params) * out
-
-
-def goal_term_point(pos_i, vel_i, target, params: ControlParams):
-    """PD pull toward a static cluster centroid (term h, Dynamic/Static)."""
-    return params.c1 * (np.asarray(target, float) - pos_i) - params.c2 * vel_i
-
-
-def goal_term_bridge(pos_i, vel_i, end_a, end_b, params: ControlParams):
-    """Connectivity-potential descent toward the segment between two centroids.
-
-    Two sigma-smoothed pulls (one per endpoint, each saturating in
-    magnitude) plus velocity damping split evenly between the two static
-    reference velocities (term h, Connectivity mode).
-    """
-    end_a = np.asarray(end_a, dtype=float)
-    end_b = np.asarray(end_b, dtype=float)
-    if np.array_equal(end_a, end_b):
-        raise ValueError("bridge endpoints must be distinct")
-    da = end_a - pos_i
-    db = end_b - pos_i
-    pull = (params.k * da * sigma_grad_scale(float(da @ da), params.epsilon)
-            + params.k * db * sigma_grad_scale(float(db @ db), params.epsilon))
-    return pull - params.c2 * vel_i
-
-
-def control_input(i, positions, velocities, loads, neighbor_ids, alive,
-                  mode, goal_a, goal_b, centroids, params: ControlParams):
-    """Total acceleration u = f + g + h for one alive agent.
-
-    `goal_a`/`goal_b` are cluster indices into `centroids`; `goal_b` is
-    only meaningful in Connectivity mode.
-    """
-    if not alive[i]:
-        raise ValueError(f"control input requested for dead agent {i}")
-    f = attract_repulse(i, positions, loads, neighbor_ids, params)
-    g = velocity_consensus(i, velocities, loads, neighbor_ids, params)
-    if mode == MODE_BRIDGE:
-        h = goal_term_bridge(positions[i], velocities[i],
-                             centroids[goal_a], centroids[goal_b], params)
-    else:
-        h = goal_term_point(positions[i], velocities[i], centroids[goal_a], params)
-    return f + g + h
-
-
 # ---------------------------------------------------------------------------
 # vectorized force evaluation (used by the simulation loop)
 # ---------------------------------------------------------------------------
@@ -184,17 +142,18 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     """Accelerations for all agents at once; dead agents get zero.
 
     `adjacency` is the boolean alive-and-in-range matrix over all agent
-    ids (dead rows/columns all False). Agrees with summing the per-agent
-    reference forms above.
+    ids (dead rows/columns all False). Agrees with summing, agent by agent,
+    the reference law u = f + g + h kept in ``tests/oracles.py``.
     """
-    n = len(positions)
     eps = params.epsilon
     diff = positions[None, :, :] - positions[:, None, :]   # diff[i, j] = q_j - q_i
     nsq = np.einsum("ijk,ijk->ij", diff, diff)
-    scale = sigma_grad_scale(nsq, eps)                     # grad = diff * scale
-    z_sigma = (np.sqrt(1.0 + eps * nsq) - 1.0) / eps
+    root = np.sqrt(1.0 + eps * nsq)
+    scale = 1.0 / root                                     # grad = diff * scale
+    z_sigma = (root - 1.0) / eps
+    del root
 
-    phi = phi_action(z_sigma, params.potential)
+    phi = phi_action(z_sigma, params)
     coeff = (phi + load_pull_coeff(loads, params)[None, :]) * adjacency
     f = np.einsum("ij,ijk->ik", coeff * scale, diff)
 

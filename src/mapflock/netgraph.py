@@ -10,23 +10,6 @@ a Euclidean minimum spanning tree over the centroids of covered clusters.
 import numpy as np
 
 
-def build_graph(map_pos, alive, comm_range):
-    """Adjacency matrix over alive agents only.
-
-    Returns ``(adjacency, ids)`` where `adjacency` is a symmetric 0/1
-    float matrix with zero diagonal over the alive sub-population and
-    `ids` maps its rows back to global agent ids.
-    """
-    if comm_range <= 0:
-        raise ValueError("comm_range must be positive")
-    ids = np.flatnonzero(alive)
-    pos = map_pos[ids]
-    diff = pos[:, None, :] - pos[None, :, :]
-    adj = (np.einsum("ijk,ijk->ij", diff, diff) <= comm_range * comm_range).astype(float)
-    np.fill_diagonal(adj, 0.0)
-    return adj, ids
-
-
 def laplacian(adjacency):
     """L = D - A for a symmetric 0/1 adjacency matrix."""
     return np.diag(adjacency.sum(axis=1)) - adjacency

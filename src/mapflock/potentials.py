@@ -10,8 +10,6 @@ sits at the desired agent spacing.
 Every function here is pure and accepts scalars or numpy arrays.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -54,22 +52,6 @@ def sigma_scalar(z, epsilon):
     return float(out) if out.ndim == 0 else out
 
 
-def sigma_norm(v, epsilon):
-    """Sigma-norm of a vector and its gradient.
-
-    Returns ``(value, gradient)`` where ``value = (sqrt(1+eps*|v|^2)-1)/eps``
-    and ``gradient = v / sqrt(1 + eps*|v|^2) = v / (1 + eps*value)``.
-    The gradient is finite at v = 0, unlike the plain Euclidean norm.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    v = np.asarray(v, dtype=float)
-    nsq = float(np.sum(v * v))
-    root = np.sqrt(1.0 + epsilon * nsq)
-    value = (root - 1.0) / epsilon
-    return value, v / root
-
-
 def sigma_grad_scale(norm_sq, epsilon):
     """Elementwise scale 1/sqrt(1 + eps*|z|^2) so that grad = z * scale.
 
@@ -92,51 +74,13 @@ def phi_uneven(z, a, b, c):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class PotentialParams:
-    """Constants of the pairwise action potential.
-
-    `c` is always derived from `a` and `b` (never stored independently) so
-    that the sigmoid root is at 0, i.e. the potential vanishes exactly at
-    the desired spacing `d`.
-    """
-
-    epsilon: float = 0.1
-    a: float = 5.0
-    b: float = 5.0
-    gamma: float = 0.2   # lower cutoff of the range gate inside the potential
-    d: float = 20.0      # desired inter-agent spacing [m]
-    r: float = 24.0      # communication range [m]
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("a and b must be positive")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie in (0, 1)")
-        if not (0.0 < self.d < self.r):
-            raise ValueError("need 0 < d < r")
-
-    @property
-    def c(self):
-        return (self.b - self.a) / np.sqrt(4.0 * self.a * self.b)
-
-    @property
-    def d_sigma(self):
-        return sigma_scalar(self.d, self.epsilon)
-
-    @property
-    def r_sigma(self):
-        return sigma_scalar(self.r, self.epsilon)
-
-
-def phi_action(z_sigma, params: PotentialParams):
+def phi_action(z_sigma, params):
     """Finite-range pairwise action potential over sigma-distance.
 
     Zero at the sigma-image of the desired spacing (equilibrium), negative
     (repulsive) below it, non-negative above, and identically zero at or
-    beyond the sigma-image of the communication range.
+    beyond the sigma-image of the communication range. `params` is a
+    :class:`mapflock.control.ControlParams`.
     """
     z = np.asarray(z_sigma, dtype=float)
     if np.any(z < 0):

@@ -94,7 +94,7 @@ def observe(world: World, params: ctl.ControlParams) -> Observation:
     ids = np.flatnonzero(world.alive)
     return Observation(
         assignment=asg,
-        cluster_coverage=cluster_coverages(asg, world.clusters),
+        cluster_coverage=cluster_coverages(asg, world.msd_cluster, len(world.centroids)),
         adjacency=adj,
         labels=connected_components(adj[np.ix_(ids, ids)]),
     )

@@ -1,4 +1,4 @@
-"""Scenario state and generation: ground-user clusters, aerial agents, neighbors.
+"""Scenario state and generation: ground-user clusters, aerial agents, adjacency.
 
 Ground users (MSDs) live on the z = 0 plane and never move; aerial access
 points (MAPs) fly at a fixed common height, so MAP-MAP geometry is planar
@@ -22,17 +22,9 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class Cluster:
-    id: int
-    centroid: np.ndarray          # (2,) meters
-    members: np.ndarray           # MSD indices
-
-
-@dataclass
 class World:
     """Full mutable simulation state (arrays indexed by agent / user id)."""
 
-    clusters: list                # list[Cluster]
     centroids: np.ndarray         # (K, 2)
     msd_pos: np.ndarray           # (M, 2), immutable for the whole run
     msd_cluster: np.ndarray       # (M,) cluster id per user
@@ -52,22 +44,6 @@ class World:
     @property
     def n_msds(self):
         return len(self.msd_pos)
-
-    def copy(self):
-        return World(
-            clusters=self.clusters,
-            centroids=self.centroids,
-            msd_pos=self.msd_pos,
-            msd_cluster=self.msd_cluster,
-            map_pos=self.map_pos.copy(),
-            map_vel=self.map_vel.copy(),
-            map_height=self.map_height,
-            alive=self.alive.copy(),
-            mode=self.mode.copy(),
-            goal_a=self.goal_a.copy(),
-            goal_b=self.goal_b.copy(),
-            achieved=[set(s) for s in self.achieved],
-        )
 
 
 @dataclass(frozen=True)
@@ -92,6 +68,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.msds_per_cluster <= 0 or self.map_count <= 0:
             raise ConfigError("counts must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.dt <= 0 or self.t_end <= 0:
             raise ConfigError("dt and t_end must be positive")
         if self.cluster_sigma < 0 or self.map_spawn_halfwidth < 0:
@@ -128,14 +106,10 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
     (L, 2) uniform block over [-v, v]^2.
     """
     centroids = np.asarray(config.cluster_centers, dtype=float)
-    clusters = []
     chunks = []
-    for cid, center in enumerate(centroids):
+    for center in centroids:
         offsets = rng.standard_normal((config.msds_per_cluster, 2)) * config.cluster_sigma
         chunks.append(center + offsets)
-        start = cid * config.msds_per_cluster
-        clusters.append(Cluster(id=cid, centroid=center,
-                                members=np.arange(start, start + config.msds_per_cluster)))
     msd_pos = np.concatenate(chunks, axis=0)
     msd_cluster = np.repeat(np.arange(len(centroids)), config.msds_per_cluster)
 
@@ -151,7 +125,6 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
 
     n = config.map_count
     return World(
-        clusters=clusters,
         centroids=centroids,
         msd_pos=msd_pos,
         msd_cluster=msd_cluster,
@@ -164,18 +137,6 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
         goal_b=np.full(n, -1, dtype=int),
         achieved=[set() for _ in range(n)],
     )
-
-
-def neighbors(map_pos, alive, comm_range):
-    """Per-agent neighbor id arrays: alive pairs within horizontal range.
-
-    Symmetric, boundary inclusive, no self-membership; dead agents get an
-    empty array and appear in nobody's set.
-    """
-    if comm_range <= 0:
-        raise ValueError("comm_range must be positive")
-    adj = adjacency_matrix(map_pos, alive, comm_range)
-    return [np.flatnonzero(row) for row in adj]
 
 
 def adjacency_matrix(map_pos, alive, comm_range):
@@ -276,9 +237,7 @@ def config_from_lines(lines):
             elif key == "map_spawn_center":
                 (scenario["map_spawn_center"],) = _parse_pairs(value, pair_sep=";")
             elif key == "failures":
-                scenario["failures"] = tuple(
-                    (float(p.split(":")[0]), float(p.split(":")[1]))
-                    for p in (s.strip() for s in value.split(";")) if p)
+                scenario["failures"] = tuple(_parse_pairs(value, item_sep=":"))
             elif key in _SCALAR_FLOAT:
                 scenario[key] = float(value)
             elif key in _SCALAR_INT:
@@ -293,7 +252,7 @@ def config_from_lines(lines):
                 thresholds[key] = int(value)
             else:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
@@ -301,7 +260,7 @@ def config_from_lines(lines):
         return ScenarioConfig(control=ControlParams(**control),
                               thresholds=ModeThresholds(**thresholds),
                               **scenario)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

@@ -5,6 +5,14 @@
 * :func:`recompute_run` -- the original step loop, which recomputes the
   matching, the adjacency and the connected components in every phase
   that needs them instead of carrying one observation forward.
+* :func:`scan_cluster_coverages` -- per-cluster coverage by one scan of
+  the users per cluster.
+* :func:`control_input` and its terms :func:`attract_repulse`,
+  :func:`velocity_consensus`, :func:`goal_term_point` and
+  :func:`goal_term_bridge` -- the control law u = f + g + h for one agent,
+  written term by term; ``control.flock_accelerations`` evaluates it for
+  every agent at once. :func:`sigma_norm` is the vector sigma-norm and
+  its gradient.
 """
 
 import math
@@ -13,7 +21,9 @@ import numpy as np
 
 from mapflock import control as ctl
 from mapflock.association import Assignment, assign_msds, cluster_coverages
+from mapflock.control import ControlParams, consensus_weight, load_pull_coeff
 from mapflock.netgraph import cluster_mst, connected_components, fiedler_value
+from mapflock.potentials import phi_action, sigma_grad_scale, sigma_scalar
 from mapflock.sim import (
     MetricsSample,
     RunResult,
@@ -43,6 +53,95 @@ def power_score_assign(msd_pos, map_pos, map_height, alive, rho, eta, comm_range
     return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
 
 
+def scan_cluster_coverages(assignment, msd_cluster, n_clusters):
+    """Fraction of each cluster's users assigned to any agent, cluster by cluster."""
+    out = np.zeros(n_clusters)
+    for cluster_id in range(n_clusters):
+        members = np.flatnonzero(msd_cluster == cluster_id)
+        out[cluster_id] = float(np.count_nonzero(assignment.owner[members] >= 0)) \
+            / len(members)
+    return out
+
+
+def sigma_norm(v, epsilon):
+    """Sigma-norm of a vector and its gradient.
+
+    Returns ``(value, gradient)`` where ``value = (sqrt(1+eps*|v|^2)-1)/eps``
+    and ``gradient = v / sqrt(1 + eps*|v|^2) = v / (1 + eps*value)``.
+    The gradient is finite at v = 0, unlike the plain Euclidean norm.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    v = np.asarray(v, dtype=float)
+    nsq = float(np.sum(v * v))
+    root = np.sqrt(1.0 + epsilon * nsq)
+    value = (root - 1.0) / epsilon
+    return value, v / root
+
+
+def attract_repulse(i, positions, loads, neighbor_ids, params: ControlParams):
+    """Spacing + load-balancing force on agent i (term f)."""
+    out = np.zeros(2)
+    qi = positions[i]
+    for j in neighbor_ids:
+        dq = positions[j] - qi
+        nsq = float(dq @ dq)
+        z_sigma = sigma_scalar(math.sqrt(nsq), params.epsilon)
+        coeff = phi_action(z_sigma, params) + load_pull_coeff(loads[j], params)
+        out += coeff * dq * sigma_grad_scale(nsq, params.epsilon)
+    return out
+
+
+def velocity_consensus(i, velocities, loads, neighbor_ids, params: ControlParams):
+    """Capacity-gated velocity matching with neighbors (term g)."""
+    out = np.zeros(2)
+    for j in neighbor_ids:
+        out += velocities[j] - velocities[i]
+    return consensus_weight(loads[i], params) * out
+
+
+def goal_term_point(pos_i, vel_i, target, params: ControlParams):
+    """PD pull toward a static cluster centroid (term h, Dynamic/Static)."""
+    return params.c1 * (np.asarray(target, float) - pos_i) - params.c2 * vel_i
+
+
+def goal_term_bridge(pos_i, vel_i, end_a, end_b, params: ControlParams):
+    """Connectivity-potential descent toward the segment between two centroids.
+
+    Two sigma-smoothed pulls (one per endpoint, each saturating in
+    magnitude) plus velocity damping split evenly between the two static
+    reference velocities (term h, Connectivity mode).
+    """
+    end_a = np.asarray(end_a, dtype=float)
+    end_b = np.asarray(end_b, dtype=float)
+    if np.array_equal(end_a, end_b):
+        raise ValueError("bridge endpoints must be distinct")
+    da = end_a - pos_i
+    db = end_b - pos_i
+    pull = (params.k * da * sigma_grad_scale(float(da @ da), params.epsilon)
+            + params.k * db * sigma_grad_scale(float(db @ db), params.epsilon))
+    return pull - params.c2 * vel_i
+
+
+def control_input(i, positions, velocities, loads, neighbor_ids, alive,
+                  mode, goal_a, goal_b, centroids, params: ControlParams):
+    """Total acceleration u = f + g + h for one alive agent.
+
+    `goal_a`/`goal_b` are cluster indices into `centroids`; `goal_b` is
+    only meaningful in Connectivity mode.
+    """
+    if not alive[i]:
+        raise ValueError(f"control input requested for dead agent {i}")
+    f = attract_repulse(i, positions, loads, neighbor_ids, params)
+    g = velocity_consensus(i, velocities, loads, neighbor_ids, params)
+    if mode == ctl.MODE_BRIDGE:
+        h = goal_term_bridge(positions[i], velocities[i],
+                             centroids[goal_a], centroids[goal_b], params)
+    else:
+        h = goal_term_point(positions[i], velocities[i], centroids[goal_a], params)
+    return f + g + h
+
+
 def _measure(world, params, t):
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
                       params.rho, params.eta, params.r)
@@ -56,7 +155,7 @@ def _measure(world, params, t):
         t=t,
         coverage_ratio=asg.coverage_ratio,
         fiedler=lam2,
-        cluster_coverage=cluster_coverages(asg, world.clusters),
+        cluster_coverage=cluster_coverages(asg, world.msd_cluster, len(world.centroids)),
         alive_count=int(np.count_nonzero(world.alive)),
         mode_counts=counts,
     )
@@ -78,7 +177,7 @@ def _share_achieved_goals(world, adjacency):
 def _step(world, params, thresholds, dt, t_next):
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
                       params.rho, params.eta, params.r)
-    cov = cluster_coverages(asg, world.clusters)
+    cov = cluster_coverages(asg, world.msd_cluster, len(world.centroids))
 
     adj = adjacency_matrix(world.map_pos, world.alive, params.r)
     _share_achieved_goals(world, adj)

@@ -16,11 +16,7 @@ import pytest
 
 from mapflock.association import assign_msds
 from mapflock.cli import cli_main
-from mapflock.control import (
-    MODE_DYNAMIC,
-    ControlParams,
-    attract_repulse,
-)
+from mapflock.control import MODE_DYNAMIC, ControlParams
 from mapflock.netgraph import (
     cluster_mst,
     connected_components,
@@ -28,9 +24,10 @@ from mapflock.netgraph import (
     laplacian,
 )
 from mapflock.outputs import config_from_summary, metrics_header, read_csv
-from mapflock.potentials import PotentialParams, phi_action, sigma_norm
+from mapflock.potentials import phi_action
 from mapflock.sim import run
 from mapflock.world import ScenarioConfig, save_config
+from oracles import attract_repulse, sigma_norm
 
 SEEDS = (1, 2, 3, 4, 5)
 BASE = ScenarioConfig()          # nominal scenario: 4 x 500 users, 60 s
@@ -134,7 +131,7 @@ class TestExperimentTargets:
             ok &= np.linalg.norm(grad - fd) <= 1e-6 * max(1.0, np.linalg.norm(fd))
 
         # action potential root and cutoff
-        pp = PotentialParams()
+        pp = ControlParams()
         ok &= abs(phi_action(pp.d_sigma, pp)) < 1e-12
         ok &= phi_action(pp.r_sigma, pp) == 0.0
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mapflock.association import Assignment, assign_msds, cluster_coverages, goal_coverage
-from mapflock.world import Cluster
-from oracles import power_score_assign
+from mapflock.association import Assignment, assign_msds, cluster_coverages
+from oracles import power_score_assign, scan_cluster_coverages
 
 H = 20.0   # flight height
 R = 24.0   # communication range
@@ -168,41 +167,57 @@ class TestPowerScoreOracle:
         np.testing.assert_array_equal(asg.owner, [1, -1, -1, -1, -1, 1, 1, -1, -1, -1])
 
 
+def owned(owners):
+    owners = np.asarray(owners)
+    return Assignment(owner=owners,
+                      loads=np.bincount(owners[owners >= 0], minlength=3),
+                      coverage_ratio=float(np.mean(owners >= 0)) if len(owners) else 0.0)
+
+
 class TestGoalCoverage:
-    def make(self, owners):
-        owners = np.asarray(owners)
-        clusters = [Cluster(id=0, centroid=np.zeros(2), members=np.arange(len(owners)))]
-        asg = Assignment(owner=owners,
-                         loads=np.bincount(owners[owners >= 0], minlength=3),
-                         coverage_ratio=float(np.mean(owners >= 0)) if len(owners) else 0.0)
-        return asg, clusters
+    """Coverage of a cluster: the share of its users assigned to any agent."""
+
+    def one_cluster(self, owners):
+        return cluster_coverages(owned(owners), np.zeros(len(owners), dtype=int), 1)
 
     def test_all_assigned(self):
-        asg, clusters = self.make([0, 1, 0, 2])
-        assert goal_coverage(asg, clusters, 0) == 1.0
+        assert self.one_cluster([0, 1, 0, 2])[0] == 1.0
 
     def test_none_assigned(self):
-        asg, clusters = self.make([-1, -1])
-        assert goal_coverage(asg, clusters, 0) == 0.0
+        assert self.one_cluster([-1, -1])[0] == 0.0
 
     def test_exact_boundary_value(self):
-        owners = [0] * 475 + [-1] * 25
-        asg, clusters = self.make(owners)
-        rg = goal_coverage(asg, clusters, 0)
+        rg = self.one_cluster([0] * 475 + [-1] * 25)[0]
         assert rg == 0.95
         # mode switching requires strictly greater than the threshold
         assert not rg > 0.95
 
     def test_unknown_cluster(self):
-        asg, clusters = self.make([0])
-        with pytest.raises(KeyError):
-            goal_coverage(asg, clusters, 99)
+        # exactly one entry per cluster id, also for a trailing cluster
+        # with no user covered
+        out = cluster_coverages(owned([0, -1]), np.array([0, 1]), 2)
+        np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_cluster_coverages_indexing(self):
-        clusters = [
-            Cluster(id=0, centroid=np.zeros(2), members=np.array([0, 1])),
-            Cluster(id=1, centroid=np.zeros(2), members=np.array([2, 3])),
-        ]
-        asg, _ = self.make([0, -1, 0, 0])
-        out = cluster_coverages(asg, clusters)
+        out = cluster_coverages(owned([0, -1, 0, 0]), np.array([0, 0, 1, 1]), 2)
         np.testing.assert_allclose(out, [0.5, 1.0])
+
+
+class TestClusterCoveragesOracle:
+    """The bincount ratio equals the cluster-by-cluster scan exactly."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_owners(self, seed):
+        rng = np.random.default_rng(seed)
+        n_clusters = int(rng.integers(1, 8))
+        sizes = rng.integers(1, 600, n_clusters)
+        msd_cluster = np.repeat(np.arange(n_clusters), sizes)
+        owners = rng.integers(-1, 5, msd_cluster.size)
+        # one cluster with no user covered, one with every user covered
+        owners[msd_cluster == 0] = -1
+        owners[msd_cluster == n_clusters - 1] = rng.integers(0, 5)
+        asg = owned(owners)
+        got = cluster_coverages(asg, msd_cluster, n_clusters)
+        expect = scan_cluster_coverages(asg, msd_cluster, n_clusters)
+        assert got.dtype == expect.dtype
+        assert np.array_equal(got, expect)

@@ -7,19 +7,21 @@ from mapflock.control import (
     MODE_STATIC,
     ControlParams,
     ModeThresholds,
-    attract_repulse,
     consensus_weight,
-    control_input,
     flock_accelerations,
-    goal_term_bridge,
-    goal_term_point,
     load_pull_coeff,
     mode_switch,
     required_relays,
     select_bridge_edge,
+)
+from mapflock.world import adjacency_matrix
+from oracles import (
+    attract_repulse,
+    control_input,
+    goal_term_bridge,
+    goal_term_point,
     velocity_consensus,
 )
-from mapflock.world import adjacency_matrix, neighbors
 
 PARAMS = ControlParams()
 THRESH = ModeThresholds()
@@ -151,7 +153,7 @@ class TestVectorizedAgreement:
             n = int(rng.integers(2, 18))
             pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, n)
             adj = adjacency_matrix(pos, alive, PARAMS.r)
-            nb = neighbors(pos, alive, PARAMS.r)
+            nb = [np.flatnonzero(row) for row in adj]
             u = flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent,
                                     adj, PARAMS)
             for i in range(n):

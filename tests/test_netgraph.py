@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from mapflock.netgraph import (
-    build_graph,
     cluster_mst,
     connected_components,
     fiedler_value,
     laplacian,
 )
+from mapflock.world import adjacency_matrix
 
 
 def random_adjacency(rng, n, p=0.3):
@@ -18,25 +18,38 @@ def random_adjacency(rng, n, p=0.3):
     return adj + adj.T
 
 
+def alive_graph(map_pos, alive, comm_range):
+    """0/1 adjacency over the alive agents only, and their global ids."""
+    ids = np.flatnonzero(alive)
+    adj = adjacency_matrix(map_pos, alive, comm_range)
+    return adj[np.ix_(ids, ids)].astype(float), ids
+
+
 class TestBuildGraph:
+    """The aerial graph as the simulation measures it: the alive rows and
+    columns of ``world.adjacency_matrix``."""
+
     def test_empty(self):
-        adj, ids = build_graph(np.zeros((3, 2)), np.zeros(3, bool), 24.0)
+        adj, ids = alive_graph(np.zeros((3, 2)), np.zeros(3, bool), 24.0)
         assert adj.shape == (0, 0)
         assert len(ids) == 0
 
     def test_path_graph_boundary_inclusive(self):
         pos = np.array([[0.0, 0.0], [24.0, 0.0], [48.0, 0.0]])
-        adj, ids = build_graph(pos, np.ones(3, bool), 24.0)
+        adj, ids = alive_graph(pos, np.ones(3, bool), 24.0)
         expect = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         np.testing.assert_array_equal(adj, expect)
         np.testing.assert_array_equal(ids, [0, 1, 2])
 
     def test_dead_rows_dropped(self):
         pos = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
-        adj, ids = build_graph(pos, np.array([True, False, True]), 24.0)
+        alive = np.array([True, False, True])
+        adj, ids = alive_graph(pos, alive, 24.0)
         assert adj.shape == (2, 2)
         np.testing.assert_array_equal(ids, [0, 2])
         assert adj[0, 1] == 1.0
+        full = adjacency_matrix(pos, alive, 24.0)
+        assert not full[1].any() and not full[:, 1].any()
 
     def test_laplacian_invariants_random_graphs(self):
         rng = np.random.default_rng(21)
@@ -44,7 +57,7 @@ class TestBuildGraph:
             n = int(rng.integers(1, 20))
             pos = rng.uniform(-60, 60, size=(n, 2))
             alive = rng.random(n) > 0.2
-            adj, _ = build_graph(pos, alive, float(rng.uniform(10, 50)))
+            adj, _ = alive_graph(pos, alive, float(rng.uniform(10, 50)))
             lap = laplacian(adj)
             np.testing.assert_array_equal(adj, adj.T)
             assert np.all(np.diag(adj) == 0)

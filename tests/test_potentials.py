@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mapflock.potentials import (
-    PotentialParams,
-    bump,
-    phi_action,
-    phi_uneven,
-    sigma_norm,
-    sigma_scalar,
-)
+from mapflock.control import ControlParams
+from mapflock.potentials import bump, phi_action, phi_uneven, sigma_scalar
+from oracles import sigma_norm
 
 
 class TestBump:
@@ -52,6 +47,8 @@ class TestBump:
 
 
 class TestSigmaNorm:
+    """The vector sigma-norm oracle and its gradient; the epsilon check."""
+
     def test_zero_input(self):
         value, grad = sigma_norm(np.zeros(2), 0.1)
         assert value == 0.0
@@ -114,10 +111,12 @@ class TestPhiUneven:
 
 
 class TestPotentialParams:
+    """The action-potential constants, which ControlParams holds and checks."""
+
     def test_c_is_derived(self):
-        p = PotentialParams(a=5.0, b=5.0)
+        p = ControlParams(a=5.0, b=5.0)
         assert p.c == 0.0
-        q = PotentialParams(a=8.0, b=2.0)
+        q = ControlParams(a=8.0, b=2.0)
         assert q.c == pytest.approx(-6.0 / 8.0)
         # derived c places the sigmoid root at zero
         assert phi_uneven(0.0, q.a, q.b, q.c) == pytest.approx(0.0, abs=1e-12)
@@ -128,12 +127,12 @@ class TestPotentialParams:
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            PotentialParams(**kwargs)
+            ControlParams(**kwargs)
 
 
 class TestPhiAction:
     def setup_method(self):
-        self.params = PotentialParams()  # eps=0.1, a=b=5, d=20, r=24
+        self.params = ControlParams()  # eps=0.1, a=b=5, d=20, r=24
 
     def test_zero_at_desired_spacing(self):
         assert phi_action(self.params.d_sigma, self.params) == pytest.approx(0.0, abs=1e-12)

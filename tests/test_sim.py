@@ -6,7 +6,6 @@ from mapflock.control import (
     MODE_DYNAMIC,
     MODE_STATIC,
     ControlParams,
-    attract_repulse,
 )
 from mapflock.sim import (
     MetricsSample,
@@ -17,6 +16,7 @@ from mapflock.sim import (
     run,
 )
 from mapflock.world import ScenarioConfig, generate_scenario
+from oracles import attract_repulse
 
 PARAMS = ControlParams()
 

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from mapflock.control import MODE_DYNAMIC
+from mapflock.control import MODE_DYNAMIC, ControlParams
 from mapflock.world import (
     ConfigError,
     ScenarioConfig,
+    adjacency_matrix,
     config_from_lines,
     config_to_lines,
     generate_scenario,
     load_config,
-    neighbors,
     save_config,
 )
 
@@ -26,8 +26,8 @@ class TestGenerateScenario:
         world = generate_scenario(cfg, np.random.default_rng(0))
         assert world.n_msds == 4 * 500
         assert world.n_maps == 30
-        assert len(world.clusters) == 4
-        assert all(len(c.members) == 500 for c in world.clusters)
+        assert len(world.centroids) == 4
+        np.testing.assert_array_equal(np.bincount(world.msd_cluster), [500] * 4)
 
     def test_same_seed_bit_identical(self):
         cfg = small_config(seed=7)
@@ -41,9 +41,9 @@ class TestGenerateScenario:
     def test_zero_sigma_collapses_to_centroid(self):
         cfg = small_config(cluster_sigma=0.0)
         world = generate_scenario(cfg, np.random.default_rng(1))
-        for cluster in world.clusters:
-            np.testing.assert_allclose(world.msd_pos[cluster.members],
-                                       np.broadcast_to(cluster.centroid, (50, 2)))
+        for cluster_id, centroid in enumerate(world.centroids):
+            np.testing.assert_allclose(world.msd_pos[world.msd_cluster == cluster_id],
+                                       np.broadcast_to(centroid, (50, 2)))
 
     def test_initial_state_contracts(self):
         cfg = small_config(initial_speed=1.0, map_spawn_halfwidth=30.0)
@@ -61,6 +61,11 @@ class TestGenerateScenario:
         cfg = small_config(cluster_sigma=40.0)
         world = generate_scenario(cfg, np.random.default_rng(3))
         np.testing.assert_allclose(world.centroids, np.asarray(cfg.cluster_centers))
+
+
+def neighbors(map_pos, alive, comm_range):
+    """Neighbour ids of each agent: the rows of the adjacency matrix."""
+    return [np.flatnonzero(row) for row in adjacency_matrix(map_pos, alive, comm_range)]
 
 
 class TestNeighbors:
@@ -106,8 +111,11 @@ class TestNeighbors:
                 assert i in nb[j]
 
     def test_bad_range(self):
+        # the communication range is checked where it is configured
         with pytest.raises(ValueError):
-            neighbors(np.zeros((2, 2)), np.ones(2, dtype=bool), 0.0)
+            ControlParams(r=0.0)
+        with pytest.raises(ConfigError):
+            config_from_lines(["r = 0"])
 
 
 class TestScenarioConfigValidation:
@@ -138,6 +146,18 @@ class TestConfigHoles:
     def test_duplicate_cluster_centers(self):
         with pytest.raises(ConfigError, match="must not repeat a centre") as info:
             config_from_lines(["cluster_centers = 0,0; 145,0; 0.0,-0.0"])
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("line", [
+        # non-finite controller constants and thresholds, a negative seed
+        "r = inf", "k = inf", "rho = inf", "epsilon = inf", "seed = -1",
+        "a = nan", "eta = -inf", "r0 = nan",
+        # failure entries that are not one time:fraction pair
+        "failures = 1:0.5:7", "failures = 5", "failures = 1:",
+    ])
+    def test_rejected_with_one_line_error(self, line):
+        with pytest.raises(ConfigError) as info:
+            config_from_lines([line])
         assert "\n" not in str(info.value)
 
     def test_distinct_close_centres_accepted(self):
