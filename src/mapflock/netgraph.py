@@ -41,20 +41,20 @@ def fiedler_value(adjacency, tol=1e-9, labels=None):
     Graphs with fewer than two nodes are defined to have value 0.
     Disconnectedness is decided combinatorially (component count), not by
     eigenvalue thresholding, so the zero is exact. `labels`, if given, are
-    the graph's :func:`connected_components` labels, which are then not
-    computed again.
+    the graph's :func:`connected_components` labels: they are not computed
+    again, and the graph is taken to be symmetric, as its builder made it.
     """
-    adjacency = np.asarray(adjacency, dtype=float)
     n = len(adjacency)
     if n < 2:
         return 0.0
-    if not np.allclose(adjacency, adjacency.T):
-        raise ValueError("adjacency matrix must be symmetric")
     if labels is None:
+        adjacency = np.asarray(adjacency, dtype=float)
+        if not np.allclose(adjacency, adjacency.T):
+            raise ValueError("adjacency matrix must be symmetric")
         labels = connected_components(adjacency)
     if labels.max() > 0:
         return 0.0
-    eigvals = np.linalg.eigvalsh(laplacian(adjacency))
+    eigvals = np.linalg.eigvalsh(laplacian(np.asarray(adjacency, dtype=float)))
     lam2 = float(eigvals[1])
     return lam2 if lam2 > tol else max(lam2, 0.0)
 

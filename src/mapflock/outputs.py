@@ -43,7 +43,7 @@ def write_trajectories_csv(path, result):
     _write_lines(path, lines)
 
 
-def write_summary(path, result, extra=None):
+def write_summary(path, result):
     """key=value summary: final metrics, convergence, and a config echo
     sufficient to reproduce the run exactly."""
     final = result.final
@@ -57,8 +57,6 @@ def write_summary(path, result, extra=None):
     ]
     for k, cov in enumerate(final.cluster_coverage):
         lines.append(f"final_rg_{k} = {fmt(cov)}")
-    if extra:
-        lines.extend(f"{key} = {value}" for key, value in extra.items())
     lines.extend("config." + line for line in config_to_lines(result.config))
     _write_lines(path, lines)
 

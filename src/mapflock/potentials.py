@@ -32,8 +32,8 @@ def bump(z, lower, upper):
     if not (0.0 <= lower < upper):
         raise ValueError(f"bump cutoffs must satisfy 0 <= lower < upper, got {lower}, {upper}")
     z = np.asarray(z, dtype=float)
-    if np.any(z < 0) or not np.all(np.isfinite(z)):
-        raise ValueError("bump input must be finite and non-negative")
+    if np.any(z < 0):
+        raise ValueError("bump input must be non-negative")
     ramp = 0.5 * (1.0 + np.cos(np.pi * (z - lower) / (upper - lower)))
     out = np.where(z < lower, 1.0, np.where(z < upper, ramp, 0.0))
     return float(out) if out.ndim == 0 else out
@@ -80,11 +80,9 @@ def phi_action(z_sigma, params):
     Zero at the sigma-image of the desired spacing (equilibrium), negative
     (repulsive) below it, non-negative above, and identically zero at or
     beyond the sigma-image of the communication range. `params` is a
-    :class:`mapflock.control.ControlParams`.
+    :class:`mapflock.control.ControlParams`; :func:`bump` rejects negatives.
     """
     z = np.asarray(z_sigma, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("sigma-distance must be non-negative")
     gate = bump(z / params.r_sigma, params.gamma, 1.0)
     out = gate * phi_uneven(z - params.d_sigma, params.a, params.b, params.c)
     return float(out) if np.ndim(out) == 0 else out

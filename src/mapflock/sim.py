@@ -13,7 +13,8 @@ One step executes, in order:
 3. the mode machine for every alive agent, in id order,
 4. control forces for every alive agent from the common pre-step
    position/velocity/load snapshot,
-5. forward-Euler integration ``p += u*dt; q += p*dt``,
+5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
+   (q moves with the new v), then the step-boundary guard,
 6. the observation of the post-step state, from which the step's metrics
    are taken and which the next step starts from.
 
@@ -36,9 +37,15 @@ from .world import ScenarioConfig, World, adjacency_matrix, generate_scenario
 CONVERGENCE_WINDOW_S = 5.0
 CONVERGENCE_COVERAGE_BAND = 0.005
 
+# step-boundary guard: an alive agent with a coordinate beyond this many scene
+# extents (the largest user coordinate plus the communication range) has
+# diverged; the cap keeps squared pairwise distances, at most 8 * bound^2, finite
+DIVERGED_EXTENTS = 1e6
+MAX_COORDINATE = math.sqrt(np.finfo(float).max / 8)
+
 
 class SimulationDiverged(RuntimeError):
-    """Non-finite state detected during integration."""
+    """An alive agent left the scene, or its state is no longer finite."""
 
 
 @dataclass
@@ -103,14 +110,16 @@ def observe(world: World, params: ctl.ControlParams) -> Observation:
 def metrics_sample(world: World, obs: Observation, t: float) -> MetricsSample:
     """Metrics of the world state that `obs` observed."""
     alive = world.alive
-    alive_adj = obs.adjacency[np.ix_(alive, alive)].astype(float)
+    fiedler = 0.0                  # fewer than two agents, or disconnected
+    if obs.labels.size > 1 and obs.labels.max() == 0:
+        fiedler = fiedler_value(obs.adjacency[np.ix_(alive, alive)], labels=obs.labels)
     modes = world.mode[alive]
     counts = tuple(int(np.count_nonzero(modes == m)) for m in
                    (ctl.MODE_DYNAMIC, ctl.MODE_BRIDGE, ctl.MODE_STATIC))
     return MetricsSample(
         t=t,
         coverage_ratio=obs.assignment.coverage_ratio,
-        fiedler=fiedler_value(alive_adj, labels=obs.labels),
+        fiedler=fiedler,
         cluster_coverage=obs.cluster_coverage,
         alive_count=int(np.count_nonzero(alive)),
         mode_counts=counts,
@@ -138,7 +147,7 @@ def share_achieved_goals(world: World, labels):
 
 
 def euler_update(pos, vel, accel, alive, dt):
-    """Forward-Euler kinematics in place: v += u*dt, then q += v*dt."""
+    """Semi-implicit Euler in place: v += u*dt, then q += v*dt with the new v."""
     vel[alive] += accel[alive] * dt
     pos[alive] += vel[alive] * dt
 
@@ -191,9 +200,17 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
                                     world.alive, world.mode, world.goal_a,
                                     world.goal_b, world.centroids, obs.adjacency, params)
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
-    if not (np.all(np.isfinite(world.map_pos[world.alive]))
-            and np.all(np.isfinite(world.map_vel[world.alive]))):
-        raise SimulationDiverged(f"non-finite state at t={t_next:.3f}")
+    # the step-boundary guard: q moved with the new v, so bounded positions
+    # also mean finite velocities
+    bound = min(DIVERGED_EXTENTS * (np.abs(world.msd_pos).max() + params.r), MAX_COORDINATE)
+    escaped = np.flatnonzero(world.alive & ~np.all(np.abs(world.map_pos) <= bound, axis=1))
+    if escaped.size:
+        i = escaped[0]
+        (x, y), (vx, vy) = world.map_pos[i], world.map_vel[i]
+        raise SimulationDiverged(
+            f"step {round(t_next / dt)}: agent {i} in mode {ctl.MODE_NAMES[world.mode[i]]} "
+            f"at position ({x:.6g}, {y:.6g}) m with velocity ({vx:.6g}, {vy:.6g}) m/s "
+            f"is beyond the bound of {bound:.6g} m")
 
     # 6: observation of the post-step state, and its metrics
     obs = observe(world, params)
@@ -249,10 +266,7 @@ def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
         while pending and pending[0][0] <= t_pre + 1e-9:
             inject_failures(world, pending.pop(0)[1], rng)
             obs = None             # the observation no longer matches the world
-        try:
-            sample, changed, obs = step(world, params, thresholds, dt, k * dt, obs)
-        except SimulationDiverged as exc:
-            raise SimulationDiverged(f"step {k}: {exc}") from None
+        sample, changed, obs = step(world, params, thresholds, dt, k * dt, obs)
         samples.append(sample)
         mode_changes.append(changed)
         record(k * dt)

@@ -10,6 +10,7 @@ Randomness comes from a single seeded ``numpy.random.Generator``
 :func:`generate_scenario` so a seed fully determines the world.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +85,12 @@ class ScenarioConfig:
                  self.map_height, self.dt, self.t_end]
         if not np.all(np.isfinite(flat)):
             raise ConfigError("configuration values must be finite")
+        c1, c2, dt, r = self.control.c1, self.control.c2, self.dt, self.control.r
+        if not c1 * dt * dt + 2.0 * c2 * dt < 4.0:   # Jury's test on a lone agent's goal pull
+            raise ConfigError(f"dt = {dt} is unstable: need c1*dt^2 + 2*c2*dt < 4, i.e. dt < "
+                              f"{4.0 / (c2 + math.sqrt(c2 * c2 + 4.0 * c1)):.6g}")
+        if self.map_height >= r:
+            raise ConfigError(f"map_height = {self.map_height} puts every user out of range r = {r}")
         if not self.cluster_centers:
             raise ConfigError("cluster_centers must list at least one centre")
         if len({tuple(center) for center in self.cluster_centers}) < len(self.cluster_centers):
@@ -163,9 +170,11 @@ def adjacency_matrix(map_pos, alive, comm_range):
 #   map_spawn_center     x,y [m]
 #   map_spawn_halfwidth  [m]
 #   initial_speed        [m/s]
-#   map_height           [m]
+#   map_height           [m], below r
 #   seed                 int
-#   dt                   [s]
+#   dt                   [s], c1*dt^2 + 2*c2*dt < 4 (2.163 at the defaults); a run
+#                        that diverges anyway stops with a one-line message naming
+#                        the step, agent, mode, position and velocity
 #   t_end                [s]
 #   failures             semicolon-separated time:fraction pairs (may be empty)
 #   d r epsilon a b gamma n_max c1 c2 k rho eta       controller constants

@@ -62,6 +62,9 @@ line = st.one_of(
 @example(["epsilon = inf"])
 @example(["seed = -1"])
 @example(["n_max = " + "9" * 400])
+@example(["msds_per_cluster = 20", "map_count = 10", "dt = 5.0", "t_end = 2000"])
+@example(["dt = 5.0"])
+@example(["map_height = 30"])
 def test_config_is_rejected_or_runs_three_steps(lines):
     try:
         config = config_from_lines(lines)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,20 @@ from mapflock.control import (
     MODE_DYNAMIC,
     MODE_STATIC,
     ControlParams,
+    flock_accelerations,
 )
 from mapflock.sim import (
+    DIVERGED_EXTENTS,
     MetricsSample,
+    SimulationDiverged,
     detect_convergence,
     euler_update,
     inject_failures,
     measure,
     run,
+    step,
 )
-from mapflock.world import ScenarioConfig, generate_scenario
+from mapflock.world import ConfigError, ScenarioConfig, generate_scenario
 from oracles import attract_repulse
 
 PARAMS = ControlParams()
@@ -242,3 +248,83 @@ class TestMeasure:
         s = measure(world, PARAMS, 0.0)
         assert s.cluster_coverage.shape == (4,)
         assert 0.0 <= s.coverage_ratio <= 1.0
+
+
+class TestLoneAgentStability:
+    """A lone agent under its point-goal term, v += u*dt; q += v*dt.
+
+    In (q - goal, v) the update is linear with trace 2 - c1*dt^2 - c2*dt and
+    determinant 1 - c2*dt; Jury's test gives stability exactly when
+    c1*dt^2 + 2*c2*dt < 4.
+    """
+
+    LIMIT = 4.0 / (PARAMS.c2 + np.sqrt(PARAMS.c2 ** 2 + 4.0 * PARAMS.c1))   # 2.1633
+
+    def goal_distance(self, dt, steps):
+        pos, vel = np.array([[10.0, -5.0]]), np.zeros((1, 2))
+        alive, one = np.ones(1, bool), np.zeros(1, int)
+        for _ in range(steps):
+            accel = flock_accelerations(pos, vel, one, alive, one + MODE_DYNAMIC, one,
+                                        one - 1, np.zeros((1, 2)), np.zeros((1, 1), bool),
+                                        PARAMS)
+            euler_update(pos, vel, accel, alive, dt)
+        return float(np.hypot(*pos[0]))
+
+    def spectral_radius(self, dt):
+        c1, c2 = PARAMS.c1, PARAMS.c2
+        update = [[1 - c1 * dt * dt, dt * (1 - c2 * dt)], [-c1 * dt, 1 - c2 * dt]]
+        return max(abs(np.linalg.eigvals(update)))
+
+    def test_decays_just_below_the_bound(self):
+        dt = 0.99 * self.LIMIT
+        assert self.spectral_radius(dt) < 1
+        assert self.goal_distance(dt, 200) < 1e-2 * np.hypot(10.0, -5.0)
+        assert ScenarioConfig(dt=dt).dt == dt
+
+    def test_grows_just_above_the_bound(self):
+        dt = 1.01 * self.LIMIT
+        assert self.spectral_radius(dt) > 1
+        assert self.goal_distance(dt, 200) > 1e2 * np.hypot(10.0, -5.0)
+        with pytest.raises(ConfigError, match="unstable"):
+            ScenarioConfig(dt=dt)
+
+
+class TestDivergenceGuard:
+    MESSAGE = re.compile(r"step 4: agent (\d+) in mode M0 at position \((\S+), (\S+)\) m "
+                         r"with velocity \((\S+), (\S+)\) m/s is beyond the bound of (\S+) m")
+
+    def setup_method(self):
+        self.config = small_config()
+        self.world = generate_scenario(self.config, np.random.default_rng(self.config.seed))
+        # scene extent: the largest user coordinate plus the communication range
+        self.bound = DIVERGED_EXTENTS * (np.abs(self.world.msd_pos).max() + PARAMS.r)
+
+    def step_four(self):
+        cfg = self.config
+        with pytest.raises(SimulationDiverged) as info:
+            step(self.world, cfg.control, cfg.thresholds, cfg.dt, 4 * cfg.dt)
+        return str(info.value)
+
+    def test_agent_beyond_the_bound(self):
+        self.world.map_pos[3] = (2 * self.bound, -7.0)
+        self.world.map_vel[3] = (1.5, 0.0)
+        match = self.MESSAGE.fullmatch(self.step_four())
+        assert match and match.group(1) == "3"
+        x, y, vx, vy, bound = map(float, match.groups()[1:])
+        assert bound == pytest.approx(self.bound, rel=1e-5)
+        assert x > bound
+        assert (x, y, vx, vy) == pytest.approx((*self.world.map_pos[3], *self.world.map_vel[3]),
+                                               rel=1e-5)
+
+    def test_non_finite_velocity(self):
+        # consensus spreads the NaN to every agent; the lowest id is named
+        self.world.map_vel[0] = (np.nan, 0.0)
+        match = self.MESSAGE.fullmatch(self.step_four())
+        assert match and match.group(1) == "0" and match.group(2) == "nan"
+
+    def test_dead_agent_beyond_the_bound_is_ignored(self):
+        self.world.map_pos[3] = (2 * self.bound, -7.0)
+        self.world.alive[3] = False
+        cfg = self.config
+        sample, _, _ = step(self.world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt)
+        assert sample.alive_count == cfg.map_count - 1

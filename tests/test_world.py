@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from mapflock.control import MODE_DYNAMIC, ControlParams
+from mapflock.sim import run
 from mapflock.world import (
     ConfigError,
     ScenarioConfig,
@@ -163,6 +166,23 @@ class TestConfigHoles:
     def test_distinct_close_centres_accepted(self):
         cfg = config_from_lines(["cluster_centers = 0,0; 0,1e-9"])
         assert len(cfg.cluster_centers) == 2
+
+    @pytest.mark.parametrize("lines", [
+        # the goal term's dt bound: c1*dt^2 + 2*c2*dt < 4
+        ["msds_per_cluster = 20", "map_count = 10", "dt = 5.0", "t_end = 2000"],
+        ["dt = 5.0"], ["dt = 2.17"], ["c1 = 3", "dt = 1.0"],
+        # agents at or above the range never cover a user
+        ["map_height = 30"], ["map_height = 24"], ["r = 21", "map_height = 22"],
+    ])
+    def test_unstable_dt_or_unreachable_users_rejected(self, lines):
+        with pytest.raises(ConfigError, match="unstable|out of range") as info:
+            config_from_lines(lines)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("dt", [1.0, 2.0, 2.16])
+    def test_dt_below_the_bound_accepted_and_runs(self, dt):
+        cfg = config_from_lines([f"dt = {dt}", "msds_per_cluster = 30", "map_count = 12"])
+        assert len(run(replace(cfg, t_end=3 * dt)).samples) == 4
 
 
 class TestConfigFiles:
