@@ -7,6 +7,15 @@ Ties break to the lowest agent id so reruns are identical. No capacity
 limit is applied at matching time -- overload is handled by the control
 forces.
 
+The matcher never forms all user-agent pairs. Each alive agent looks up the
+users in the 3x3 block of grid cells around it (``grid.candidate_pairs``,
+cells at least the horizontal reach ``sqrt(r^2 - h^2)`` wide, so no user in
+range is missed). Each candidate pair gets the squared horizontal distance
+``d2`` and the range test ``sqrt(d2 + h^2) <= r``. Among its in-range
+pairs, a user takes the smallest ``d2``, and on a tie the lowest agent id.
+That is the nearest alive agent whenever the nearest is in range. A user
+with no pair in range has no agent in range, and stays unassigned.
+
 The model's received power ``rho * dist^(-eta)`` is strictly decreasing
 in distance, so its best in-range agent is this nearest one; the matcher
 compares squared distances and never evaluates the power. ``rho`` and
@@ -14,9 +23,12 @@ compares squared distances and never evaluates the power. ``rho`` and
 not affect the dynamics.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grid import candidate_pairs
 
 
 @dataclass
@@ -37,12 +49,21 @@ def assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
     owner = np.full(n_msds, -1, dtype=int)
     alive_ids = np.flatnonzero(alive)
     if alive_ids.size and n_msds:
-        diff = msd_pos[:, None, :] - map_pos[None, alive_ids, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        best = np.argmin(d2, axis=1)             # first index wins ties -> lowest id
-        # the nearest agent is out of range only if every agent is
-        nearest = d2[np.arange(n_msds), best]
-        reachable = np.sqrt(nearest + map_height * map_height) <= comm_range
+        # the 1e-9 widening keeps every pair the rounded test admits a candidate,
+        # even at a height just below the range
+        reach2 = comm_range * comm_range * (1.0 + 1e-9) - map_height * map_height
+        agent, user = candidate_pairs(map_pos[alive_ids], msd_pos, math.sqrt(max(reach2, 0.0)))
+        # np.take gathers rows of an (n, 2) array far faster than fancy indexing
+        diff = np.take(msd_pos, user, axis=0) - np.take(map_pos, alive_ids[agent], axis=0)
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        near = np.sqrt(d2 + map_height * map_height) <= comm_range
+        agent, user, d2 = agent[near], user[near], d2[near]
+        nearest = np.full(n_msds, np.inf)
+        np.minimum.at(nearest, user, d2)
+        tied = d2 == nearest[user]
+        best = np.full(n_msds, alive_ids.size)
+        np.minimum.at(best, user[tied], agent[tied])   # lowest id wins ties
+        reachable = best < alive_ids.size
         owner[reachable] = alive_ids[best[reachable]]
     loads = np.bincount(owner[owner >= 0], minlength=n_maps)
     coverage = float(np.count_nonzero(owner >= 0)) / n_msds if n_msds else 0.0

@@ -142,22 +142,28 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     """Accelerations for all agents at once; dead agents get zero.
 
     `adjacency` is the boolean alive-and-in-range matrix over all agent
-    ids (dead rows/columns all False). Agrees with summing, agent by agent,
-    the reference law u = f + g + h kept in ``tests/oracles.py``.
+    ids (dead rows/columns all False). The pairwise terms are evaluated on
+    its nonzero entries only; the consensus term keeps the dense product
+    ``adjacency @ velocities``. Agrees with summing, agent by agent, the
+    reference law u = f + g + h kept in ``tests/oracles.py``.
     """
+    n = len(positions)
     eps = params.epsilon
-    diff = positions[None, :, :] - positions[:, None, :]   # diff[i, j] = q_j - q_i
-    nsq = np.einsum("ijk,ijk->ij", diff, diff)
+    # the adjacent pairs (i, j) in row-major order; one flat scan is several
+    # times faster than np.nonzero on a 2-D array
+    i, j = np.divmod(np.flatnonzero(adjacency), n)
+    diff = np.take(positions, j, axis=0) - np.take(positions, i, axis=0)   # q_j - q_i
+    nsq = np.einsum("ij,ij->i", diff, diff)
     root = np.sqrt(1.0 + eps * nsq)
     scale = 1.0 / root                                     # grad = diff * scale
     z_sigma = (root - 1.0) / eps
-    del root
 
     phi = phi_action(z_sigma, params)
-    coeff = (phi + load_pull_coeff(loads, params)[None, :]) * adjacency
-    f = np.einsum("ij,ijk->ik", coeff * scale, diff)
+    push = ((phi + load_pull_coeff(loads, params)[j]) * scale)[:, None] * diff
+    # bincount sums each agent's pairs in j order, as a row sum would
+    f = np.stack([np.bincount(i, push[:, k], minlength=n) for k in range(2)], axis=1)
 
-    deg = adjacency.sum(axis=1)
+    deg = np.bincount(i, minlength=n)
     g = consensus_weight(loads, params)[:, None] * (adjacency @ velocities
                                                     - deg[:, None] * velocities)
 

@@ -4,6 +4,10 @@ One step executes, in order:
 
 1. the observation of the pre-step state: user-to-agent matching,
    per-cluster coverage, the aerial graph and its connected components.
+   Matching and the graph test only the user-agent and agent-agent pairs
+   in neighbouring cells of a grid whose cells are at least the reach
+   wide, with the exact range and lowest-id tie rules of a test over all
+   pairs; the components are walked over the graph's neighbour lists.
    It is the observation the previous step made of its post-step state,
    carried forward; a failure injection invalidates it, and the step
    then observes the state afresh,
@@ -12,7 +16,9 @@ One step executes, in order:
    message passing is emulated centrally),
 3. the mode machine for every alive agent, in id order,
 4. control forces for every alive agent from the common pre-step
-   position/velocity/load snapshot,
+   position/velocity/load snapshot: the pairwise spacing and load terms
+   over the adjacent pairs only, the velocity consensus through the
+   dense product of the adjacency matrix and the velocities,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
    (q moves with the new v), then the step-boundary guard,
 6. the observation of the post-step state, from which the step's metrics
@@ -103,7 +109,7 @@ def observe(world: World, params: ctl.ControlParams) -> Observation:
         assignment=asg,
         cluster_coverage=cluster_coverages(asg, world.msd_cluster, len(world.centroids)),
         adjacency=adj,
-        labels=connected_components(adj[np.ix_(ids, ids)]),
+        labels=connected_components(adj[ids][:, ids]),
     )
 
 
@@ -139,8 +145,10 @@ def share_achieved_goals(world: World, labels):
     ids = np.flatnonzero(world.alive)
     if ids.size == 0:
         return
-    for comp in range(labels.max() + 1):
-        members = ids[labels == comp]
+    # a stable sort groups the members of each component, in id order
+    order = np.argsort(labels, kind="stable")
+    for members in np.split(ids[order], np.flatnonzero(np.diff(labels[order])) + 1):
+        members = members.tolist()
         union = set().union(*(world.achieved[i] for i in members))
         for i in members:
             world.achieved[i] = set(union)

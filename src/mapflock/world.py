@@ -16,6 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import MODE_DYNAMIC, ControlParams, ModeThresholds
+from .grid import candidate_pairs
+
+
+# the largest centre coordinate or width a scene may have [m]: far beyond any
+# UAV mission, and far below where squared distances overflow
+MAX_SCENE_EXTENT = 1e9
 
 
 class ConfigError(ValueError):
@@ -79,12 +85,14 @@ class ScenarioConfig:
             raise ConfigError("map_height must be positive")
         if self.initial_speed < 0:
             raise ConfigError("initial_speed must be non-negative")
-        flat = [v for center in self.cluster_centers for v in center]
-        flat += list(self.map_spawn_center)
-        flat += [self.cluster_sigma, self.map_spawn_halfwidth, self.initial_speed,
-                 self.map_height, self.dt, self.t_end]
-        if not np.all(np.isfinite(flat)):
+        extents = [v for center in self.cluster_centers for v in center]
+        extents += [*self.map_spawn_center, self.cluster_sigma, self.map_spawn_halfwidth]
+        if not np.all(np.isfinite(extents + [self.initial_speed, self.map_height,
+                                             self.dt, self.t_end])):
             raise ConfigError("configuration values must be finite")
+        if max(abs(v) for v in extents) > MAX_SCENE_EXTENT:
+            raise ConfigError(f"centre coordinates, cluster_sigma and map_spawn_halfwidth "
+                              f"must not exceed {MAX_SCENE_EXTENT:g} m in magnitude")
         c1, c2, dt, r = self.control.c1, self.control.c2, self.dt, self.control.r
         if not c1 * dt * dt + 2.0 * c2 * dt < 4.0:   # Jury's test on a lone agent's goal pull
             raise ConfigError(f"dt = {dt} is unstable: need c1*dt^2 + 2*c2*dt < 4, i.e. dt < "
@@ -147,12 +155,23 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
 
 
 def adjacency_matrix(map_pos, alive, comm_range):
-    """Boolean alive-and-in-range matrix over all agent ids (zero diagonal)."""
-    diff = map_pos[:, None, :] - map_pos[None, :, :]
-    within = np.einsum("ijk,ijk->ij", diff, diff) <= comm_range * comm_range
-    ok = np.asarray(alive, dtype=bool)
-    adj = within & ok[:, None] & ok[None, :]
-    np.fill_diagonal(adj, False)
+    """Boolean alive-and-in-range matrix over all agent ids (zero diagonal).
+
+    Only the pairs of alive agents in the 3x3 block of grid cells around each
+    other (``grid.candidate_pairs``, cells at least `comm_range` wide) are
+    tested; any pair farther apart is out of range. Agents i != j are adjacent
+    when ``d2 <= comm_range**2``, with ``d2`` the squared distance of
+    ``q_i - q_j``; the range is inclusive.
+    """
+    n = len(map_pos)
+    adj = np.zeros((n, n), dtype=bool)
+    ids = np.flatnonzero(alive)
+    if ids.size:
+        pos = map_pos[ids]
+        i, j = candidate_pairs(pos, pos, comm_range)
+        diff = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
+        within = (np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range) & (i != j)
+        adj[ids[i[within]], ids[j[within]]] = True
     return adj
 
 
@@ -163,12 +182,12 @@ def adjacency_matrix(map_pos, alive, comm_range):
 # Format: one `key = value` per line; blank lines and `#` comments ignored.
 # Unknown keys are rejected. Keys and units (SI):
 #
-#   cluster_centers      semicolon-separated x,y pairs [m]
+#   cluster_centers      semicolon-separated x,y pairs [m], each within +-1e9
 #   msds_per_cluster     int
-#   cluster_sigma        Gaussian std of user clusters [m]
+#   cluster_sigma        Gaussian std of user clusters [m], at most 1e9
 #   map_count            int
-#   map_spawn_center     x,y [m]
-#   map_spawn_halfwidth  [m]
+#   map_spawn_center     x,y [m], each within +-1e9
+#   map_spawn_halfwidth  [m], at most 1e9
 #   initial_speed        [m/s]
 #   map_height           [m], below r
 #   seed                 int

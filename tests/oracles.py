@@ -7,6 +7,13 @@
   that needs them instead of carrying one observation forward.
 * :func:`scan_cluster_coverages` -- per-cluster coverage by one scan of
   the users per cluster.
+* :func:`dense_assign_msds`, :func:`dense_adjacency_matrix`,
+  :func:`dense_flock_accelerations` -- the matcher, the adjacency matrix
+  and the force kernel over all M x L user-agent and L x L agent pairs,
+  which the library now evaluates over the candidate pairs of a cell grid
+  only; :func:`scan_connected_components`, the component labelling that
+  scans one adjacency row per node; :func:`loop_share_achieved_goals`, the
+  goal sharing that scans every label once per component.
 * :func:`control_input` and its terms :func:`attract_repulse`,
   :func:`velocity_consensus`, :func:`goal_term_point` and
   :func:`goal_term_bridge` -- the control law u = f + g + h for one agent,
@@ -21,7 +28,7 @@ import numpy as np
 
 from mapflock import control as ctl
 from mapflock.association import Assignment, assign_msds, cluster_coverages
-from mapflock.control import ControlParams, consensus_weight, load_pull_coeff
+from mapflock.control import MODE_BRIDGE, ControlParams, consensus_weight, load_pull_coeff
 from mapflock.netgraph import cluster_mst, connected_components, fiedler_value
 from mapflock.potentials import phi_action, sigma_grad_scale, sigma_scalar
 from mapflock.sim import (
@@ -51,6 +58,110 @@ def power_score_assign(msd_pos, map_pos, map_height, alive, rho, eta, comm_range
     loads = np.bincount(owner[owner >= 0], minlength=len(map_pos))
     coverage = float(np.count_nonzero(owner >= 0)) / n_msds if n_msds else 0.0
     return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
+
+
+def dense_assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
+    """Match every user to its nearest alive agent, if that one is in range."""
+    if rho <= 0 or eta <= 0 or comm_range <= 0:
+        raise ValueError("rho, eta and comm_range must be positive")
+    n_msds = len(msd_pos)
+    n_maps = len(map_pos)
+    owner = np.full(n_msds, -1, dtype=int)
+    alive_ids = np.flatnonzero(alive)
+    if alive_ids.size and n_msds:
+        diff = msd_pos[:, None, :] - map_pos[None, alive_ids, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        best = np.argmin(d2, axis=1)             # first index wins ties -> lowest id
+        # the nearest agent is out of range only if every agent is
+        nearest = d2[np.arange(n_msds), best]
+        reachable = np.sqrt(nearest + map_height * map_height) <= comm_range
+        owner[reachable] = alive_ids[best[reachable]]
+    loads = np.bincount(owner[owner >= 0], minlength=n_maps)
+    coverage = float(np.count_nonzero(owner >= 0)) / n_msds if n_msds else 0.0
+    return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
+
+
+def dense_adjacency_matrix(map_pos, alive, comm_range):
+    """Boolean alive-and-in-range matrix over all agent ids (zero diagonal)."""
+    diff = map_pos[:, None, :] - map_pos[None, :, :]
+    within = np.einsum("ijk,ijk->ij", diff, diff) <= comm_range * comm_range
+    ok = np.asarray(alive, dtype=bool)
+    adj = within & ok[:, None] & ok[None, :]
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+def scan_connected_components(adjacency):
+    """Component label per node (labels are 0..n_components-1, BFS order)."""
+    n = len(adjacency)
+    labels = np.full(n, -1, dtype=int)
+    current = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        stack = [start]
+        labels[start] = current
+        while stack:
+            node = stack.pop()
+            for nb in np.flatnonzero(adjacency[node]):
+                if labels[nb] < 0:
+                    labels[nb] = current
+                    stack.append(int(nb))
+        current += 1
+    return labels
+
+
+def dense_flock_accelerations(positions, velocities, loads, alive, modes,
+                              goal_a, goal_b, centroids, adjacency,
+                              params: ControlParams):
+    """Accelerations for all agents at once; dead agents get zero."""
+    eps = params.epsilon
+    diff = positions[None, :, :] - positions[:, None, :]   # diff[i, j] = q_j - q_i
+    nsq = np.einsum("ijk,ijk->ij", diff, diff)
+    root = np.sqrt(1.0 + eps * nsq)
+    scale = 1.0 / root                                     # grad = diff * scale
+    z_sigma = (root - 1.0) / eps
+    del root
+
+    phi = phi_action(z_sigma, params)
+    coeff = (phi + load_pull_coeff(loads, params)[None, :]) * adjacency
+    f = np.einsum("ij,ijk->ik", coeff * scale, diff)
+
+    deg = adjacency.sum(axis=1)
+    g = consensus_weight(loads, params)[:, None] * (adjacency @ velocities
+                                                    - deg[:, None] * velocities)
+
+    h = np.zeros_like(positions)
+    point = alive & (modes != MODE_BRIDGE)
+    if np.any(point):
+        tgt = centroids[goal_a[point]]
+        h[point] = params.c1 * (tgt - positions[point]) - params.c2 * velocities[point]
+    bridge = alive & (modes == MODE_BRIDGE)
+    if np.any(bridge):
+        da = centroids[goal_a[bridge]] - positions[bridge]
+        db = centroids[goal_b[bridge]] - positions[bridge]
+        sa = sigma_grad_scale(np.einsum("ij,ij->i", da, da), eps)[:, None]
+        sb = sigma_grad_scale(np.einsum("ij,ij->i", db, db), eps)[:, None]
+        h[bridge] = params.k * (da * sa + db * sb) - params.c2 * velocities[bridge]
+
+    u = f + g + h
+    u[~alive] = 0.0
+    return u
+
+
+def loop_share_achieved_goals(world, labels):
+    """Union achieved-goal knowledge within each connected alive component.
+
+    `labels` holds the component label of each alive agent, in id order.
+    """
+    ids = np.flatnonzero(world.alive)
+    if ids.size == 0:
+        return
+    for comp in range(labels.max() + 1):
+        members = ids[labels == comp]
+        union = set().union(*(world.achieved[i] for i in members))
+        for i in members:
+            world.achieved[i] = set(union)
 
 
 def scan_cluster_coverages(assignment, msd_cluster, n_clusters):

@@ -65,6 +65,8 @@ line = st.one_of(
 @example(["msds_per_cluster = 20", "map_count = 10", "dt = 5.0", "t_end = 2000"])
 @example(["dt = 5.0"])
 @example(["map_height = 30"])
+@example(["cluster_centers = 0,0; 1e200,0"])
+@example(["map_spawn_center = 1e200,0"])
 def test_config_is_rejected_or_runs_three_steps(lines):
     try:
         config = config_from_lines(lines)

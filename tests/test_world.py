@@ -184,6 +184,22 @@ class TestConfigHoles:
         cfg = config_from_lines([f"dt = {dt}", "msds_per_cluster = 30", "map_count = 12"])
         assert len(run(replace(cfg, t_end=3 * dt)).samples) == 4
 
+    @pytest.mark.parametrize("lines", [
+        # overflowed squared distances in generate_scenario, then a diverged run
+        ["cluster_centers = 0,0; 1e200,0"], ["map_spawn_center = 1e200,0"],
+        ["cluster_centers = 0,0; 0,-1.5e9"], ["cluster_sigma = 1e200"],
+        ["map_spawn_halfwidth = 2e9"],
+    ])
+    def test_scene_beyond_the_extent_limit_rejected(self, lines):
+        with pytest.raises(ConfigError, match=r"must not exceed 1e\+09 m") as info:
+            config_from_lines(lines)
+        assert "\n" not in str(info.value)
+
+    def test_scene_at_the_extent_limit_accepted(self):
+        cfg = config_from_lines(["cluster_centers = 0,0; -1e9,0", "map_spawn_center = 0,1e9",
+                                 "msds_per_cluster = 10", "map_count = 5", "t_end = 0.3"])
+        assert len(run(cfg).samples) == 4
+
 
 class TestConfigFiles:
     def test_round_trip(self):
