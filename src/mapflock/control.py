@@ -141,17 +141,15 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
                         params: ControlParams):
     """Accelerations for all agents at once; dead agents get zero.
 
-    `adjacency` is the boolean alive-and-in-range matrix over all agent
-    ids (dead rows/columns all False). The pairwise terms are evaluated on
-    its nonzero entries only; the consensus term keeps the dense product
-    ``adjacency @ velocities``. Agrees with summing, agent by agent, the
-    reference law u = f + g + h kept in ``tests/oracles.py``.
+    `adjacency` holds the in-range pairs of alive agents as
+    :func:`world.adjacency_matrix` gives them. The pairwise terms are
+    evaluated on those pairs only; the consensus term is the dense product
+    of their 0/1 matrix and the velocities. Agrees with summing, agent by
+    agent, the reference law u = f + g + h kept in ``tests/oracles.py``.
     """
     n = len(positions)
     eps = params.epsilon
-    # the adjacent pairs (i, j) in row-major order; one flat scan is several
-    # times faster than np.nonzero on a 2-D array
-    i, j = np.divmod(np.flatnonzero(adjacency), n)
+    i, j = np.flatnonzero(alive)[np.stack(adjacency)]   # as agent ids, still row-major
     diff = np.take(positions, j, axis=0) - np.take(positions, i, axis=0)   # q_j - q_i
     nsq = np.einsum("ij,ij->i", diff, diff)
     root = np.sqrt(1.0 + eps * nsq)
@@ -163,8 +161,11 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     # bincount sums each agent's pairs in j order, as a row sum would
     f = np.stack([np.bincount(i, push[:, k], minlength=n) for k in range(2)], axis=1)
 
+    # a per-pair sum would round differently from the BLAS product
+    matrix = np.zeros((n, n))
+    matrix[i, j] = 1.0
     deg = np.bincount(i, minlength=n)
-    g = consensus_weight(loads, params)[:, None] * (adjacency @ velocities
+    g = consensus_weight(loads, params)[:, None] * (matrix @ velocities
                                                     - deg[:, None] * velocities)
 
     h = np.zeros_like(positions)

@@ -15,16 +15,14 @@ def laplacian(adjacency):
     return np.diag(adjacency.sum(axis=1)) - adjacency
 
 
-def connected_components(adjacency):
+def connected_components(n, rows, cols):
     """Component label per node: 0..n_components-1, in the order of each
     component's smallest node.
 
-    The neighbour lists come from one pass over the nonzero entries (a flat
-    scan, several times faster than np.nonzero on a 2-D array); the walk is
-    depth first from each unlabelled node, in id order.
+    The graph on nodes 0..n-1 is given by its pairs ``(rows, cols)`` as
+    ``np.nonzero`` of its symmetric matrix gives them; the walk is depth
+    first from each unlabelled node, in id order.
     """
-    n = len(adjacency)
-    rows, cols = np.divmod(np.flatnonzero(adjacency), n)
     start = np.searchsorted(rows, np.arange(n + 1)).tolist()
     neighbours = cols.tolist()
     labels = [-1] * n
@@ -44,8 +42,8 @@ def connected_components(adjacency):
     return np.array(labels, dtype=int)
 
 
-def fiedler_value(adjacency, tol=1e-9, labels=None):
-    """Second-smallest Laplacian eigenvalue; exactly 0 when disconnected.
+def fiedler_value(adjacency, labels=None):
+    """Second-smallest Laplacian eigenvalue, at least 0; exactly 0 when disconnected.
 
     Graphs with fewer than two nodes are defined to have value 0.
     Disconnectedness is decided combinatorially (component count), not by
@@ -60,12 +58,11 @@ def fiedler_value(adjacency, tol=1e-9, labels=None):
         adjacency = np.asarray(adjacency, dtype=float)
         if not np.allclose(adjacency, adjacency.T):
             raise ValueError("adjacency matrix must be symmetric")
-        labels = connected_components(adjacency)
+        labels = connected_components(n, *np.nonzero(adjacency))
     if labels.max() > 0:
         return 0.0
     eigvals = np.linalg.eigvalsh(laplacian(np.asarray(adjacency, dtype=float)))
-    lam2 = float(eigvals[1])
-    return lam2 if lam2 > tol else max(lam2, 0.0)
+    return max(float(eigvals[1]), 0.0)
 
 
 def cluster_mst(cluster_ids, centroids):

@@ -3,26 +3,26 @@
 One step executes, in order:
 
 1. the observation of the pre-step state: user-to-agent matching,
-   per-cluster coverage, the aerial graph and its connected components.
-   Matching and the graph test only the user-agent and agent-agent pairs
-   in neighbouring cells of a grid whose cells are at least the reach
-   wide, with the exact range and lowest-id tie rules of a test over all
-   pairs; the components are walked over the graph's neighbour lists.
+   per-cluster coverage, the aerial graph as its in-range agent pairs and
+   its connected components, walked over those pairs. Matching and the
+   graph test only the pairs in neighbouring cells of a grid whose cells
+   are at least the reach wide, with the exact range and lowest-id tie
+   rules of a test over all pairs.
    It is the observation the previous step made of its post-step state,
    carried forward; a failure injection invalidates it, and the step
    then observes the state afresh,
 2. idealized information sharing: achieved-goal sets are unioned across
    each connected component of the aerial graph (the protocol-level
    message passing is emulated centrally),
-3. the mode machine for every alive agent, in id order,
+3. the mode machine, in id order, for the agents it can change,
 4. control forces for every alive agent from the common pre-step
    position/velocity/load snapshot: the pairwise spacing and load terms
-   over the adjacent pairs only, the velocity consensus through the
-   dense product of the adjacency matrix and the velocities,
+   over the in-range pairs only, the velocity consensus through the
+   dense product of the 0/1 matrix of those pairs and the velocities,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
    (q moves with the new v), then the step-boundary guard,
-6. the observation of the post-step state, from which the step's metrics
-   are taken and which the next step starts from.
+6. the observation of the post-step state: the step's metrics (the Fiedler
+   value from its pairs' dense Laplacian) and the next step's start.
 
 Dead agents are frozen and invisible to every phase. Runs are
 deterministic given the seed: randomness is consumed only by scenario
@@ -95,7 +95,7 @@ class Observation:
 
     assignment: Assignment
     cluster_coverage: np.ndarray   # (K,) per-cluster coverage
-    adjacency: np.ndarray          # (L, L) bool, alive and within range
+    adjacency: tuple               # (rows, cols) in-range pairs over the alive agents
     labels: np.ndarray | None      # component label per alive agent, in id order
 
 
@@ -104,12 +104,11 @@ def observe(world: World, params: ctl.ControlParams) -> Observation:
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
                       params.rho, params.eta, params.r)
     adj = adjacency_matrix(world.map_pos, world.alive, params.r)
-    ids = np.flatnonzero(world.alive)
     return Observation(
         assignment=asg,
         cluster_coverage=cluster_coverages(asg, world.msd_cluster, len(world.centroids)),
         adjacency=adj,
-        labels=connected_components(adj[ids][:, ids]),
+        labels=connected_components(np.count_nonzero(world.alive), *adj),
     )
 
 
@@ -118,7 +117,9 @@ def metrics_sample(world: World, obs: Observation, t: float) -> MetricsSample:
     alive = world.alive
     fiedler = 0.0                  # fewer than two agents, or disconnected
     if obs.labels.size > 1 and obs.labels.max() == 0:
-        fiedler = fiedler_value(obs.adjacency[np.ix_(alive, alive)], labels=obs.labels)
+        matrix = np.zeros((obs.labels.size,) * 2)
+        matrix[obs.adjacency] = 1.0
+        fiedler = fiedler_value(matrix, labels=obs.labels)
     modes = world.mode[alive]
     counts = tuple(int(np.count_nonzero(modes == m)) for m in
                    (ctl.MODE_DYNAMIC, ctl.MODE_BRIDGE, ctl.MODE_STATIC))
@@ -193,8 +194,10 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
             mst_cache[key] = cluster_mst(key, world.centroids)
         return mst_cache[key]
 
+    # the agents mode_switch can change: not bridge relays, goal covered above r0
     changes = 0
-    for i in np.flatnonzero(world.alive):
+    gated = world.alive & (world.mode != ctl.MODE_BRIDGE) & (cov[world.goal_a] > thresholds.r0)
+    for i in np.flatnonzero(gated):
         new_mode, ga, gb = ctl.mode_switch(
             int(world.mode[i]), int(world.goal_a[i]), int(world.goal_b[i]),
             int(loads[i]), world.achieved[i], cov, world.centroids,

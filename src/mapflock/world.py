@@ -155,24 +155,23 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
 
 
 def adjacency_matrix(map_pos, alive, comm_range):
-    """Boolean alive-and-in-range matrix over all agent ids (zero diagonal).
+    """The in-range pairs ``(rows, cols)`` of alive agents, numbered in id
+    order: ``np.nonzero`` of the graph's matrix over the alive agents.
 
-    Only the pairs of alive agents in the 3x3 block of grid cells around each
-    other (``grid.candidate_pairs``, cells at least `comm_range` wide) are
-    tested; any pair farther apart is out of range. Agents i != j are adjacent
-    when ``d2 <= comm_range**2``, with ``d2`` the squared distance of
-    ``q_i - q_j``; the range is inclusive.
+    Only the pairs in the 3x3 block of grid cells around each other
+    (``grid.candidate_pairs``, cells at least `comm_range` wide) are tested.
+    Agents i != j are adjacent when ``d2 <= comm_range**2``, with ``d2`` the
+    squared distance of ``q_i - q_j``; the range is inclusive.
     """
-    n = len(map_pos)
-    adj = np.zeros((n, n), dtype=bool)
-    ids = np.flatnonzero(alive)
-    if ids.size:
-        pos = map_pos[ids]
-        i, j = candidate_pairs(pos, pos, comm_range)
-        diff = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
-        within = (np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range) & (i != j)
-        adj[ids[i[within]], ids[j[within]]] = True
-    return adj
+    pos = map_pos[alive]
+    if not len(pos):
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    i, j = candidate_pairs(pos, pos, comm_range)
+    diff = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
+    within = (np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range) & (i != j)
+    i, j = i[within], j[within]
+    order = np.argsort(i * len(pos) + j)
+    return i[order], j[order]
 
 
 # ---------------------------------------------------------------------------

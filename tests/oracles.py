@@ -4,7 +4,9 @@
   received power ``rho * dist ** -eta`` over in-range agents.
 * :func:`recompute_run` -- the original step loop, which recomputes the
   matching, the adjacency and the connected components in every phase
-  that needs them instead of carrying one observation forward.
+  that needs them instead of carrying one observation forward, and runs
+  the mode machine for every alive agent; it calls the dense kernels
+  below, not the library's pair kernels.
 * :func:`scan_cluster_coverages` -- per-cluster coverage by one scan of
   the users per cluster.
 * :func:`dense_assign_msds`, :func:`dense_adjacency_matrix`,
@@ -27,9 +29,9 @@ import math
 import numpy as np
 
 from mapflock import control as ctl
-from mapflock.association import Assignment, assign_msds, cluster_coverages
+from mapflock.association import Assignment, cluster_coverages
 from mapflock.control import MODE_BRIDGE, ControlParams, consensus_weight, load_pull_coeff
-from mapflock.netgraph import cluster_mst, connected_components, fiedler_value
+from mapflock.netgraph import cluster_mst, fiedler_value
 from mapflock.potentials import phi_action, sigma_grad_scale, sigma_scalar
 from mapflock.sim import (
     MetricsSample,
@@ -39,7 +41,7 @@ from mapflock.sim import (
     euler_update,
     inject_failures,
 )
-from mapflock.world import adjacency_matrix, generate_scenario
+from mapflock.world import generate_scenario
 
 
 def power_score_assign(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
@@ -254,9 +256,9 @@ def control_input(i, positions, velocities, loads, neighbor_ids, alive,
 
 
 def _measure(world, params, t):
-    asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                      params.rho, params.eta, params.r)
-    adj = adjacency_matrix(world.map_pos, world.alive, params.r)
+    asg = dense_assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
+                            params.rho, params.eta, params.r)
+    adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)
     alive_adj = adj[np.ix_(world.alive, world.alive)].astype(float)
     lam2 = fiedler_value(alive_adj) if world.alive.any() else 0.0
     modes = world.mode[world.alive]
@@ -277,7 +279,7 @@ def _share_achieved_goals(world, adjacency):
     if ids.size == 0:
         return
     sub = adjacency[np.ix_(ids, ids)]
-    labels = connected_components(sub.astype(float))
+    labels = scan_connected_components(sub.astype(float))
     for comp in range(labels.max() + 1):
         members = ids[labels == comp]
         union = set().union(*(world.achieved[i] for i in members))
@@ -286,11 +288,11 @@ def _share_achieved_goals(world, adjacency):
 
 
 def _step(world, params, thresholds, dt, t_next):
-    asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                      params.rho, params.eta, params.r)
+    asg = dense_assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
+                            params.rho, params.eta, params.r)
     cov = cluster_coverages(asg, world.msd_cluster, len(world.centroids))
 
-    adj = adjacency_matrix(world.map_pos, world.alive, params.r)
+    adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)
     _share_achieved_goals(world, adj)
 
     bridge_counts = {}
@@ -314,9 +316,9 @@ def _step(world, params, thresholds, dt, t_next):
             changes += 1
         world.mode[i], world.goal_a[i], world.goal_b[i] = new_mode, ga, gb
 
-    accel = ctl.flock_accelerations(world.map_pos, world.map_vel, asg.loads,
-                                    world.alive, world.mode, world.goal_a,
-                                    world.goal_b, world.centroids, adj, params)
+    accel = dense_flock_accelerations(world.map_pos, world.map_vel, asg.loads,
+                                      world.alive, world.mode, world.goal_a,
+                                      world.goal_b, world.centroids, adj, params)
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     if not (np.all(np.isfinite(world.map_pos[world.alive]))
             and np.all(np.isfinite(world.map_vel[world.alive]))):

@@ -153,7 +153,8 @@ class TestVectorizedAgreement:
             n = int(rng.integers(2, 18))
             pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, n)
             adj = adjacency_matrix(pos, alive, PARAMS.r)
-            nb = [np.flatnonzero(row) for row in adj]
+            ids = np.flatnonzero(alive)
+            nb = [ids[adj[1][ids[adj[0]] == i]] for i in range(n)]
             u = flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent,
                                     adj, PARAMS)
             for i in range(n):

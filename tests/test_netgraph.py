@@ -21,13 +21,19 @@ def random_adjacency(rng, n, p=0.3):
 def alive_graph(map_pos, alive, comm_range):
     """0/1 adjacency over the alive agents only, and their global ids."""
     ids = np.flatnonzero(alive)
-    adj = adjacency_matrix(map_pos, alive, comm_range)
-    return adj[np.ix_(ids, ids)].astype(float), ids
+    adj = np.zeros((len(ids), len(ids)))
+    adj[adjacency_matrix(map_pos, alive, comm_range)] = 1.0
+    return adj, ids
+
+
+def components(adj):
+    """Component labels of a dense adjacency matrix."""
+    return connected_components(len(adj), *np.nonzero(adj))
 
 
 class TestBuildGraph:
-    """The aerial graph as the simulation measures it: the alive rows and
-    columns of ``world.adjacency_matrix``."""
+    """The aerial graph as the simulation measures it: the pairs of
+    ``world.adjacency_matrix`` over the alive agents."""
 
     def test_empty(self):
         adj, ids = alive_graph(np.zeros((3, 2)), np.zeros(3, bool), 24.0)
@@ -48,8 +54,8 @@ class TestBuildGraph:
         assert adj.shape == (2, 2)
         np.testing.assert_array_equal(ids, [0, 2])
         assert adj[0, 1] == 1.0
-        full = adjacency_matrix(pos, alive, 24.0)
-        assert not full[1].any() and not full[:, 1].any()
+        rows, cols = adjacency_matrix(pos, alive, 24.0)
+        assert 1 not in ids[rows] and 1 not in ids[cols]
 
     def test_laplacian_invariants_random_graphs(self):
         rng = np.random.default_rng(21)
@@ -90,7 +96,7 @@ class TestFiedlerValue:
         rng = np.random.default_rng(31)
         for _ in range(50):
             adj = random_adjacency(rng, int(rng.integers(2, 15)))
-            connected = connected_components(adj).max() == 0
+            connected = components(adj).max() == 0
             assert (fiedler_value(adj) > 0) == connected
 
     def test_matches_dense_eigendecomposition_oracle(self):
@@ -101,14 +107,14 @@ class TestFiedlerValue:
             got = fiedler_value(adj)
             # independent oracle: general (non-symmetric) eigensolver on L
             eig = np.sort(np.linalg.eigvals(laplacian(adj)).real)
-            expect = eig[1] if connected_components(adj).max() == 0 else 0.0
+            expect = eig[1] if components(adj).max() == 0 else 0.0
             assert got == pytest.approx(expect, abs=1e-7)
 
     def test_known_labels_give_identical_value(self):
         rng = np.random.default_rng(34)
         for n in [0, 1, 2] + [int(rng.integers(2, 30)) for _ in range(40)]:
             adj = random_adjacency(rng, n, p=float(rng.uniform(0.05, 0.6)))
-            labels = connected_components(adj)
+            labels = components(adj)
             assert fiedler_value(adj, labels=labels) == fiedler_value(adj)
             assert fiedler_value(adj.astype(bool), labels=labels) == fiedler_value(adj)
 

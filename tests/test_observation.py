@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+import mapflock.control as control
 import mapflock.sim as sim
-from mapflock.control import ControlParams
+from mapflock.control import MODE_BRIDGE, ControlParams
 from mapflock.sim import measure, observe, run
 from mapflock.world import ScenarioConfig, generate_scenario
 from oracles import recompute_run
@@ -52,6 +53,40 @@ class TestObservationCount:
             assert len(calls) == steps + 1 + events
 
 
+class TestModeMachineGate:
+    """`step` runs the mode machine only for the alive agents it can change:
+    not bridge relays, with goal coverage above r0. The recompute loop in
+    ``tests/oracles.py`` runs it for every alive agent, and
+    :class:`TestRecomputeOracle` shows that both give the same run."""
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        calls = []
+        original = control.mode_switch
+
+        def recorded(mode, goal_a, goal_b, n_served, achieved, coverage, *rest):
+            calls.append((mode, coverage[goal_a]))
+            return original(mode, goal_a, goal_b, n_served, achieved, coverage, *rest)
+
+        monkeypatch.setattr(control, "mode_switch", recorded)
+        return calls
+
+    def test_called_only_past_the_gate(self, monkeypatch):
+        cfg = ScenarioConfig(**TRIANGLE, t_end=4.0, seed=2)
+        calls = self.record_calls(monkeypatch)
+        res = run(cfg)
+        assert calls
+        assert all(mode != MODE_BRIDGE and cov > cfg.thresholds.r0 for mode, cov in calls)
+        assert len(calls) < sum(s.alive_count for s in res.samples[:-1])
+
+    def test_no_call_while_no_goal_is_covered(self, monkeypatch):
+        far = dict(TRIANGLE, map_spawn_center=(500.0, 500.0))
+        calls = self.record_calls(monkeypatch)
+        res = run(ScenarioConfig(**far, t_end=2.0, seed=4))
+        assert max(s.coverage_ratio for s in res.samples) == 0.0
+        assert len(res.mode_changes) == 20 and calls == []
+
+
 class TestRecomputeOracle:
     """Samples and final world equal the loop that recomputes every quantity."""
 
@@ -88,9 +123,9 @@ class TestObserve:
         world.alive[::3] = False
         params = ControlParams()
         obs = observe(world, params)
-        assert obs.adjacency.shape == (24, 24)
+        rows, cols = obs.adjacency
+        assert len(rows) == len(cols) and max(rows.max(), cols.max()) < 16
         assert len(obs.labels) == np.count_nonzero(world.alive)
-        assert not obs.adjacency[~world.alive].any()
         s = measure(world, params, 2.5)
         assert s.coverage_ratio == obs.assignment.coverage_ratio
         np.testing.assert_array_equal(s.cluster_coverage, obs.cluster_coverage)

@@ -1,10 +1,11 @@
 """The pair kernels agree exactly with the dense kernels they replaced.
 
 Matching, adjacency and forces look only at the candidate pairs of a cell
-grid, component labelling walks neighbour lists and goal sharing groups
-members by one sort. Each must give bit-identical results to its dense
-or looping oracle in ``tests/oracles.py``: owners, loads, adjacency,
-labels, accelerations and achieved-goal sets.
+grid, the aerial graph is the list of its in-range pairs, component
+labelling walks that list and goal sharing groups members by one sort.
+Each must give bit-identical results to its dense or looping oracle in
+``tests/oracles.py``: owners, loads, adjacency, labels, accelerations and
+achieved-goal sets.
 """
 
 from dataclasses import replace
@@ -104,6 +105,39 @@ SNAPSHOTS = _snapshots()
 IDS = [name for name, *_ in SNAPSHOTS]
 
 
+def dense_pairs(map_pos, alive, comm_range):
+    """The in-range pairs as the dense oracle gives them: ``np.nonzero`` of
+    its block over the alive agents."""
+    ids = np.flatnonzero(alive)
+    return np.nonzero(dense_adjacency_matrix(map_pos, alive, comm_range)[np.ix_(ids, ids)])
+
+
+def pair_matrix(n_alive, rows, cols):
+    """The boolean n_alive x n_alive matrix of the pairs."""
+    out = np.zeros((n_alive, n_alive), dtype=bool)
+    out[rows, cols] = True
+    return out
+
+
+def id_matrix(alive, rows, cols):
+    """The boolean matrix of the pairs over all agent ids, dead rows and
+    columns all False, as the dense oracles take it."""
+    ids = np.flatnonzero(alive)
+    out = np.zeros((len(alive), len(alive)), dtype=bool)
+    out[ids[rows], ids[cols]] = True
+    return out
+
+
+def components_via_scan(n, rows, cols):
+    return scan_connected_components(pair_matrix(n, rows, cols))
+
+
+def accelerations_via_dense(positions, velocities, loads, alive, modes, goal_a, goal_b,
+                            centroids, adjacency, params):
+    return dense_flock_accelerations(positions, velocities, loads, alive, modes, goal_a,
+                                     goal_b, centroids, id_matrix(alive, *adjacency), params)
+
+
 @pytest.mark.parametrize("name, users, agents, alive", SNAPSHOTS, ids=IDS)
 class TestAgainstDenseOracles:
     def test_assignment(self, name, users, agents, alive):
@@ -115,15 +149,27 @@ class TestAgainstDenseOracles:
             assert got.coverage_ratio == want.coverage_ratio
 
     def test_adjacency(self, name, users, agents, alive):
+        n_alive = np.count_nonzero(alive)
         for comm_range in (R, 12.0, 5.0):
-            got = adjacency_matrix(agents, alive, comm_range)
-            assert got.dtype == bool
-            np.testing.assert_array_equal(got, dense_adjacency_matrix(agents, alive, comm_range))
+            rows, cols = adjacency_matrix(agents, alive, comm_range)
+            want_rows, want_cols = dense_pairs(agents, alive, comm_range)
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(cols, want_cols)
+            # the contract: integer, symmetric, no self pairs, row-major,
+            # numbered below the alive count
+            assert rows.dtype.kind == cols.dtype.kind == "i"
+            assert set(zip(rows.tolist(), cols.tolist())) \
+                == set(zip(cols.tolist(), rows.tolist()))
+            assert not np.any(rows == cols)
+            assert np.all(np.diff(rows * max(n_alive, 1) + cols) > 0)
+            if rows.size:
+                assert max(rows.max(), cols.max()) < n_alive
 
     def test_labels(self, name, users, agents, alive):
-        ids = np.flatnonzero(alive)
-        sub = adjacency_matrix(agents, alive, R)[np.ix_(ids, ids)]
-        np.testing.assert_array_equal(connected_components(sub), scan_connected_components(sub))
+        n_alive = np.count_nonzero(alive)
+        rows, cols = adjacency_matrix(agents, alive, R)
+        np.testing.assert_array_equal(connected_components(n_alive, rows, cols),
+                                      scan_connected_components(pair_matrix(n_alive, rows, cols)))
 
     def test_accelerations(self, name, users, agents, alive):
         rng = np.random.default_rng(len(agents))
@@ -133,9 +179,25 @@ class TestAgainstDenseOracles:
         args = (agents, rng.normal(0, 3, size=(n, 2)),
                 rng.integers(0, 2 * params.n_max, size=n), alive,
                 rng.choice([MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC], size=n),
-                rng.integers(0, 2, size=n), np.full(n, 2), centroids,
-                adjacency_matrix(agents, alive, params.r), params)
-        np.testing.assert_array_equal(flock_accelerations(*args), dense_flock_accelerations(*args))
+                rng.integers(0, 2, size=n), np.full(n, 2), centroids)
+        pairs = adjacency_matrix(agents, alive, params.r)
+        np.testing.assert_array_equal(
+            flock_accelerations(*args, pairs, params),
+            dense_flock_accelerations(*args, dense_adjacency_matrix(agents, alive, params.r),
+                                      params))
+
+
+class TestEmptyGraphs:
+    def test_no_alive_agents_give_no_pairs(self):
+        rows, cols = adjacency_matrix(np.ones((3, 2)), np.zeros(3, bool), R)
+        assert rows.size == 0 and cols.size == 0
+        rows, cols = adjacency_matrix(np.zeros((0, 2)), np.zeros(0, bool), R)
+        assert rows.size == 0 and cols.size == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_no_pairs_give_one_component_per_node(self, n):
+        none = np.zeros(0, dtype=int)
+        np.testing.assert_array_equal(connected_components(n, none, none), np.arange(n))
 
 
 # (x_min, x_i, x_j) with x_j - x_i within 24 m, where (x - x_min) / 24 rounds
@@ -153,9 +215,11 @@ ROUNDED_APART = [
 def test_pair_in_range_across_rounded_cell_edges(x_min, x_i, x_j):
     agents = np.array([[x_min, 0.0], [x_i, 0.0], [x_j, 0.0]])
     alive = np.ones(3, bool)
-    adj = adjacency_matrix(agents, alive, R)
-    assert adj[1, 2] and adj[2, 1]
-    np.testing.assert_array_equal(adj, dense_adjacency_matrix(agents, alive, R))
+    rows, cols = adjacency_matrix(agents, alive, R)
+    pairs = set(zip(rows.tolist(), cols.tolist()))
+    assert (1, 2) in pairs and (2, 1) in pairs
+    for got, want in zip((rows, cols), dense_pairs(agents, alive, R)):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestCandidatePairs:
@@ -187,9 +251,8 @@ class TestRandomGraphLabels:
             n = int(rng.integers(0, 60))
             adj = np.triu(rng.random((n, n)) < rng.random() * 0.15, 1)
             adj = adj | adj.T
-            got = connected_components(adj)
+            got = connected_components(n, *np.nonzero(adj))
             np.testing.assert_array_equal(got, scan_connected_components(adj))
-            np.testing.assert_array_equal(connected_components(adj.astype(float)), got)
 
 
 class TestShareAchievedGoals:
@@ -222,8 +285,8 @@ class TestShareAchievedGoals:
 
 @pytest.mark.parametrize("failures", [(), ((1.0, 0.5),)])
 def test_run_identical_to_dense_kernels(monkeypatch, failures):
-    """A whole run with the dense kernels swapped in gives the same samples,
-    trajectory and final world."""
+    """A whole run with the dense kernels swapped in, behind adapters between
+    pairs and matrices, gives the same samples, trajectory and final world."""
     cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (60.0, 0.0), (0.0, 60.0)),
                          msds_per_cluster=60, cluster_sigma=6.0, map_count=24,
                          map_spawn_center=(30.0, 30.0), map_spawn_halfwidth=20.0,
@@ -231,10 +294,10 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
     fast = run(cfg, record_trajectories=True)
     for module, name, oracle in (
             (sim, "assign_msds", dense_assign_msds),
-            (sim, "adjacency_matrix", dense_adjacency_matrix),
-            (sim, "connected_components", scan_connected_components),
+            (sim, "adjacency_matrix", dense_pairs),
+            (sim, "connected_components", components_via_scan),
             (sim, "share_achieved_goals", loop_share_achieved_goals),
-            (control, "flock_accelerations", dense_flock_accelerations)):
+            (control, "flock_accelerations", accelerations_via_dense)):
         monkeypatch.setattr(module, name, oracle)
     dense = run(cfg, record_trajectories=True)
     assert fast.trajectory == dense.trajectory

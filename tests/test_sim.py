@@ -265,7 +265,7 @@ class TestLoneAgentStability:
         alive, one = np.ones(1, bool), np.zeros(1, int)
         for _ in range(steps):
             accel = flock_accelerations(pos, vel, one, alive, one + MODE_DYNAMIC, one,
-                                        one - 1, np.zeros((1, 2)), np.zeros((1, 1), bool),
+                                        one - 1, np.zeros((1, 2)), (one[:0], one[:0]),
                                         PARAMS)
             euler_update(pos, vel, accel, alive, dt)
         return float(np.hypot(*pos[0]))

@@ -67,8 +67,10 @@ class TestGenerateScenario:
 
 
 def neighbors(map_pos, alive, comm_range):
-    """Neighbour ids of each agent: the rows of the adjacency matrix."""
-    return [np.flatnonzero(row) for row in adjacency_matrix(map_pos, alive, comm_range)]
+    """Neighbour ids of each agent, from the in-range pairs of alive agents."""
+    ids = np.flatnonzero(alive)
+    rows, cols = adjacency_matrix(map_pos, alive, comm_range)
+    return [ids[cols[ids[rows] == i]] for i in range(len(map_pos))]
 
 
 class TestNeighbors:
