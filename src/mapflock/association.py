@@ -7,14 +7,17 @@ Ties break to the lowest agent id so reruns are identical. No capacity
 limit is applied at matching time -- overload is handled by the control
 forces.
 
-The matcher never forms all user-agent pairs. Each alive agent looks up the
-users in the 3x3 block of grid cells around it (``grid.candidate_pairs``,
-cells at least the horizontal reach ``sqrt(r^2 - h^2)`` wide, so no user in
-range is missed). Each candidate pair gets the squared horizontal distance
-``d2`` and the range test ``sqrt(d2 + h^2) <= r``. Among its in-range
-pairs, a user takes the smallest ``d2``, and on a tie the lowest agent id.
-That is the nearest alive agent whenever the nearest is in range. A user
-with no pair in range has no agent in range, and stays unassigned.
+The matcher never forms all user-agent pairs. The users are counted once
+per run into a hashed cell table (``grid.cell_table``, cells at least the
+horizontal reach ``sqrt(r^2 - h^2)`` wide, so no user in range is missed;
+:func:`user_table` builds it and the world holds it). Each alive agent
+reads the users of the 3x3 block of cells around it straight from that
+table. Each candidate pair gets the squared horizontal distance ``d2``
+and the range test ``sqrt(d2 + h^2) <= r``. Among its in-range pairs, a
+user takes the smallest ``d2``, and on a tie the lowest agent id, so the
+order of the candidates does not matter. That is the nearest alive agent
+whenever the nearest is in range. A user with no pair in range has no
+agent in range, and stays unassigned.
 
 The model's received power ``rho * dist^(-eta)`` is strictly decreasing
 in distance, so its best in-range agent is this nearest one; the matcher
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import candidate_pairs
+from .grid import cell_table
 
 
 @dataclass
@@ -40,8 +43,20 @@ class Assignment:
     coverage_ratio: float       # assigned / M (0 for an empty user set)
 
 
-def assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
-    """Match every user to its nearest alive agent, if that one is in range."""
+def user_table(msd_pos, map_height, comm_range):
+    """The users' cell table for matching at this height and range."""
+    # the 1e-9 widening keeps every pair the rounded test admits a candidate,
+    # even at a height just below the range
+    reach2 = comm_range * comm_range * (1.0 + 1e-9) - map_height * map_height
+    return cell_table(msd_pos, math.sqrt(max(reach2, 0.0)))
+
+
+def assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range, users=None):
+    """Match every user to its nearest alive agent, if that one is in range.
+
+    `users` is the users' :func:`user_table` for this height and range;
+    without one, the call builds it.
+    """
     if rho <= 0 or eta <= 0 or comm_range <= 0:
         raise ValueError("rho, eta and comm_range must be positive")
     n_msds = len(msd_pos)
@@ -49,10 +64,9 @@ def assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
     owner = np.full(n_msds, -1, dtype=int)
     alive_ids = np.flatnonzero(alive)
     if alive_ids.size and n_msds:
-        # the 1e-9 widening keeps every pair the rounded test admits a candidate,
-        # even at a height just below the range
-        reach2 = comm_range * comm_range * (1.0 + 1e-9) - map_height * map_height
-        agent, user = candidate_pairs(map_pos[alive_ids], msd_pos, math.sqrt(max(reach2, 0.0)))
+        if users is None:
+            users = user_table(msd_pos, map_height, comm_range)
+        agent, user = users.pairs(map_pos[alive_ids])
         # np.take gathers rows of an (n, 2) array far faster than fancy indexing
         diff = np.take(msd_pos, user, axis=0) - np.take(map_pos, alive_ids[agent], axis=0)
         d2 = np.einsum("ij,ij->i", diff, diff)

@@ -160,6 +160,9 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     push = ((phi + load_pull_coeff(loads, params)[j]) * scale)[:, None] * diff
     # bincount sums each agent's pairs in j order, as a row sum would
     f = np.stack([np.bincount(i, push[:, k], minlength=n) for k in range(2)], axis=1)
+    # the pair temporaries go before the dense L x L consensus matrix, where the
+    # kernel's memory use peaks
+    del diff, nsq, root, scale, z_sigma, phi, push
 
     # a per-pair sum would round differently from the BLAS product
     matrix = np.zeros((n, n))

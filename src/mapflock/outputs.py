@@ -4,6 +4,7 @@ All numbers are written with 6 significant digits so identical runs
 produce byte-identical files.
 """
 
+import itertools
 import os
 
 import numpy as np
@@ -33,14 +34,19 @@ def write_metrics_csv(path, result):
     _write_lines(path, lines)
 
 
+# one trajectory row; "%.6g" formats a float as fmt does
+TRAJECTORY_ROW = "%.6g,%d,%.6g,%.6g,%.6g,%.6g,%d,%d\n"
+_ROWS_PER_WRITE = 4096
+
+
 def write_trajectories_csv(path, result):
-    if result.trajectory is None:
+    """One row per agent and sample, written a chunk of rows at a time."""
+    rows = result.trajectory
+    if rows is None:
         raise ValueError("run was executed without trajectory recording")
-    lines = ["t,map_id,x,y,vx,vy,mode,alive"]
-    for t, i, x, y, vx, vy, mode, alive in result.trajectory:
-        lines.append(",".join([fmt(t), str(i), fmt(x), fmt(y),
-                               fmt(vx), fmt(vy), str(mode), str(alive)]))
-    _write_lines(path, lines)
+    chunks = ("".join([TRAJECTORY_ROW % row for row in rows[k:k + _ROWS_PER_WRITE]])
+              for k in range(0, len(rows), _ROWS_PER_WRITE))
+    _write_chunks(path, itertools.chain(["t,map_id,x,y,vx,vy,mode,alive\n"], chunks))
 
 
 def write_summary(path, result):
@@ -149,8 +155,13 @@ def write_line_svg(path, x, series, x_label="t", width=800, height=500):
 
 
 def _write_lines(path, lines):
+    _write_chunks(path, ["\n".join(lines), "\n"])
+
+
+def _write_chunks(path, chunks):
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc

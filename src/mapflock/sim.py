@@ -5,9 +5,10 @@ One step executes, in order:
 1. the observation of the pre-step state: user-to-agent matching,
    per-cluster coverage, the aerial graph as its in-range agent pairs and
    its connected components, walked over those pairs. Matching and the
-   graph test only the pairs in neighbouring cells of a grid whose cells
-   are at least the reach wide, with the exact range and lowest-id tie
-   rules of a test over all pairs.
+   graph test only the pairs in neighbouring cells of a hashed cell table
+   whose cells are at least the reach wide, with the exact range and
+   lowest-id tie rules of a test over all pairs. The users' table is the
+   world's, built once per run; the agents' table is built per call.
    It is the observation the previous step made of its post-step state,
    carried forward; a failure injection invalidates it, and the step
    then observes the state afresh,
@@ -20,7 +21,8 @@ One step executes, in order:
    over the in-range pairs only, the velocity consensus through the
    dense product of the 0/1 matrix of those pairs and the velocities,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
-   (q moves with the new v), then the step-boundary guard,
+   (q moves with the new v), then the step-boundary guard, whose scene
+   extent comes from the users' bounds in that table,
 6. the observation of the post-step state: the step's metrics (the Fiedler
    value from its pairs' dense Laplacian) and the next step's start.
 
@@ -102,7 +104,7 @@ class Observation:
 def observe(world: World, params: ctl.ControlParams) -> Observation:
     """Match users to agents and build the aerial graph and its components."""
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                      params.rho, params.eta, params.r)
+                      params.rho, params.eta, params.r, world.user_table)
     adj = adjacency_matrix(world.map_pos, world.alive, params.r)
     return Observation(
         assignment=asg,
@@ -142,17 +144,23 @@ def share_achieved_goals(world: World, labels):
     """Union achieved-goal knowledge within each connected alive component.
 
     `labels` holds the component label of each alive agent, in id order.
+    Only a component of two or more members, one of which knows a goal, can
+    change; its members' own sets grow in place to the union, so no two
+    agents ever share a set object.
     """
-    ids = np.flatnonzero(world.alive)
-    if ids.size == 0:
+    if not any(world.achieved):
         return
+    ids = np.flatnonzero(world.alive)
     # a stable sort groups the members of each component, in id order
     order = np.argsort(labels, kind="stable")
     for members in np.split(ids[order], np.flatnonzero(np.diff(labels[order])) + 1):
-        members = members.tolist()
-        union = set().union(*(world.achieved[i] for i in members))
-        for i in members:
-            world.achieved[i] = set(union)
+        if members.size < 2:
+            continue
+        sets = [world.achieved[i] for i in members.tolist()]
+        union = set().union(*sets)
+        for own in sets:
+            if len(own) < len(union):
+                own |= union
 
 
 def euler_update(pos, vel, accel, alive, dt):
@@ -194,9 +202,11 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
             mst_cache[key] = cluster_mst(key, world.centroids)
         return mst_cache[key]
 
-    # the agents mode_switch can change: not bridge relays, goal covered above r0
+    # the agents mode_switch can change: roaming agents whose goal is covered
+    # above r0 (bridge and static modes are absorbing, and a static agent's goal
+    # is already in its achieved set, which only grows)
     changes = 0
-    gated = world.alive & (world.mode != ctl.MODE_BRIDGE) & (cov[world.goal_a] > thresholds.r0)
+    gated = world.alive & (world.mode == ctl.MODE_DYNAMIC) & (cov[world.goal_a] > thresholds.r0)
     for i in np.flatnonzero(gated):
         new_mode, ga, gb = ctl.mode_switch(
             int(world.mode[i]), int(world.goal_a[i]), int(world.goal_b[i]),
@@ -213,7 +223,8 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities
-    bound = min(DIVERGED_EXTENTS * (np.abs(world.msd_pos).max() + params.r), MAX_COORDINATE)
+    bound = min(DIVERGED_EXTENTS * (np.abs(world.user_table.bounds).max() + params.r),
+                MAX_COORDINATE)
     escaped = np.flatnonzero(world.alive & ~np.all(np.abs(world.map_pos) <= bound, axis=1))
     if escaped.size:
         i = escaped[0]
@@ -263,10 +274,11 @@ def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
     def record(t):
         if trajectory is None:
             return
-        for i in range(world.n_maps):
-            trajectory.append((t, i, world.map_pos[i, 0], world.map_pos[i, 1],
-                               world.map_vel[i, 0], world.map_vel[i, 1],
-                               int(world.mode[i]), int(world.alive[i])))
+        n = world.n_maps
+        trajectory.extend(zip([t] * n, range(n), world.map_pos[:, 0].tolist(),
+                              world.map_pos[:, 1].tolist(), world.map_vel[:, 0].tolist(),
+                              world.map_vel[:, 1].tolist(), world.mode.tolist(),
+                              world.alive.astype(int).tolist()))
 
     obs = observe(world, params)
     samples = [metrics_sample(world, obs, 0.0)]

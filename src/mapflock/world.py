@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .association import user_table
 from .control import MODE_DYNAMIC, ControlParams, ModeThresholds
-from .grid import candidate_pairs
+from .grid import CellTable, candidate_pairs
 
 
 # the largest centre coordinate or width a scene may have [m]: far beyond any
@@ -43,6 +44,9 @@ class World:
     goal_a: np.ndarray            # (L,) cluster id (target, or first bridge endpoint)
     goal_b: np.ndarray            # (L,) second bridge endpoint, -1 otherwise
     achieved: list                # list[set[int]] per-agent achieved-goal knowledge
+    # the users' cell table for matching, and their bounds for the step guard:
+    # built once by generate_scenario, since users never move
+    user_table: CellTable | None = None
 
     @property
     def n_maps(self):
@@ -115,6 +119,9 @@ class ScenarioConfig:
 def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World:
     """Sample a fresh world. Deterministic given the generator state.
 
+    The users' cell table is built here, once per run, for the configured
+    flight height and communication range.
+
     Draw order (fixed contract): for each cluster in listed order, its
     member offsets as (n, 2) standard normals; then MAP positions as an
     (L, 2) uniform block over the spawn square; then MAP velocities as an
@@ -151,6 +158,7 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
         goal_a=goal_a,
         goal_b=np.full(n, -1, dtype=int),
         achieved=[set() for _ in range(n)],
+        user_table=user_table(msd_pos, config.map_height, config.control.r),
     )
 
 

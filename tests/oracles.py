@@ -62,8 +62,12 @@ def power_score_assign(msd_pos, map_pos, map_height, alive, rho, eta, comm_range
     return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
 
 
-def dense_assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
-    """Match every user to its nearest alive agent, if that one is in range."""
+def dense_assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range, users=None):
+    """Match every user to its nearest alive agent, if that one is in range.
+
+    `users`, the library matcher's cell table, is accepted and not used, so
+    that this oracle can stand in for ``assign_msds`` in a whole run.
+    """
     if rho <= 0 or eta <= 0 or comm_range <= 0:
         raise ValueError("rho, eta and comm_range must be positive")
     n_msds = len(msd_pos)

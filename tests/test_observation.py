@@ -8,7 +8,7 @@ import pytest
 
 import mapflock.control as control
 import mapflock.sim as sim
-from mapflock.control import MODE_BRIDGE, ControlParams
+from mapflock.control import MODE_BRIDGE, MODE_DYNAMIC, ControlParams
 from mapflock.sim import measure, observe, run
 from mapflock.world import ScenarioConfig, generate_scenario
 from oracles import recompute_run
@@ -55,7 +55,7 @@ class TestObservationCount:
 
 class TestModeMachineGate:
     """`step` runs the mode machine only for the alive agents it can change:
-    not bridge relays, with goal coverage above r0. The recompute loop in
+    roaming (Dynamic) agents with goal coverage above r0. The recompute loop in
     ``tests/oracles.py`` runs it for every alive agent, and
     :class:`TestRecomputeOracle` shows that both give the same run."""
 
@@ -78,6 +78,16 @@ class TestModeMachineGate:
         assert calls
         assert all(mode != MODE_BRIDGE and cov > cfg.thresholds.r0 for mode, cov in calls)
         assert len(calls) < sum(s.alive_count for s in res.samples[:-1])
+
+    def test_no_static_agent_reaches_the_machine(self, monkeypatch):
+        # a static agent's goal is already in its achieved set, so the machine
+        # could not change it
+        cfg = ScenarioConfig(**TRIANGLE, t_end=4.0, seed=2)
+        calls = self.record_calls(monkeypatch)
+        res = run(cfg)
+        static_steps = [s.mode_counts[2] for s in res.samples[:-1] if s.mode_counts[2]]
+        assert len(static_steps) > 5 and calls
+        assert all(mode == MODE_DYNAMIC for mode, _ in calls)
 
     def test_no_call_while_no_goal_is_covered(self, monkeypatch):
         far = dict(TRIANGLE, map_spawn_center=(500.0, 500.0))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import mapflock.outputs as outputs
 from mapflock.outputs import (
+    TRAJECTORY_ROW,
     config_from_summary,
     fmt,
     metrics_header,
@@ -151,3 +153,31 @@ class TestSvg:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_line_svg(tmp_path / "x.svg", [0.0, 1.0], {})
+
+
+class TestTrajectoryRows:
+    VALUES = [-0.0, 5e-324, 1e21, 0.1 + 0.2, 123456.5]
+
+    def test_row_format_matches_fmt(self):
+        for value in self.VALUES:
+            for field in (0, 2, 3, 4, 5):
+                row = [0.25, 7, 1.5, -2.5, 3.0, -0.125, 2, 1]
+                row[field] = value
+                want = [fmt(row[0]), str(row[1]), *(fmt(v) for v in row[2:6]),
+                        str(row[6]), str(row[7])]
+                assert (TRAJECTORY_ROW % tuple(row)).rstrip("\n").split(",") == want
+
+    def test_chunks_join_to_the_joined_rows(self, result, tmp_path, monkeypatch):
+        monkeypatch.setattr(outputs, "_ROWS_PER_WRITE", 7)      # a partial last chunk
+        assert len(result.trajectory) % 7
+        path = tmp_path / "traj.csv"
+        write_trajectories_csv(path, result)
+        lines = ["t,map_id,x,y,vx,vy,mode,alive"]
+        for t, i, x, y, vx, vy, mode, alive in result.trajectory:
+            lines.append(",".join([fmt(t), str(i), fmt(x), fmt(y), fmt(vx), fmt(vy),
+                                   str(mode), str(alive)]))
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_unwritable_path(self, result, tmp_path):
+        with pytest.raises(OSError, match="cannot write"):
+            write_trajectories_csv(tmp_path / "missing" / "traj.csv", result)

@@ -13,9 +13,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mapflock.association as association
 import mapflock.control as control
+import mapflock.grid as grid
 import mapflock.sim as sim
-from mapflock.association import assign_msds
+import mapflock.world as world_module
+from mapflock.association import assign_msds, user_table
 from mapflock.control import MODE_BRIDGE, MODE_DYNAMIC, MODE_STATIC, ControlParams, flock_accelerations
 from mapflock.grid import MAX_CELLS, SIDE_MARGIN, candidate_pairs
 from mapflock.netgraph import connected_components
@@ -282,6 +285,19 @@ class TestShareAchievedGoals:
             shared = [grouped.achieved[i] for i in ids]
             assert len({id(s) for s in shared}) == len(shared)   # no set is shared
 
+    def test_members_keep_their_own_sets(self):
+        # mode_switch adds to an agent's set in place: after sharing, that must
+        # not reach the other members of its component
+        world = self._world(np.random.default_rng(2), 6)
+        world.alive[:] = True
+        world.achieved = [{1}, set(), {2}, set(), set(), {4}]
+        labels = np.array([0, 0, 0, 1, 1, 2])
+        share_achieved_goals(world, labels)
+        assert world.achieved == [{1, 2}, {1, 2}, {1, 2}, set(), set(), {4}]
+        world.achieved[1].add(5)
+        world.achieved[3].add(3)
+        assert world.achieved == [{1, 2}, {1, 2, 5}, {1, 2}, {3}, set(), {4}]
+
 
 @pytest.mark.parametrize("failures", [(), ((1.0, 0.5),)])
 def test_run_identical_to_dense_kernels(monkeypatch, failures):
@@ -308,3 +324,102 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
         np.testing.assert_array_equal(a.cluster_coverage, b.cluster_coverage)
     np.testing.assert_array_equal(fast.world.map_pos, dense.world.map_pos)
     assert fast.world.achieved == dense.world.achieved
+
+
+def _fleet_with_outlier(outlier):
+    """999 agents uniform over an 800 m field, and one agent at `outlier`."""
+    rng = np.random.default_rng(17)
+    return np.concatenate([rng.uniform(0.0, 800.0, size=(999, 2)), [outlier]])
+
+
+class TestHashedCellTable:
+    """The table behind the candidate pairs: hashed buckets, the users'
+    table built once per run, and agents anywhere up to MAX_COORDINATE."""
+
+    @pytest.mark.parametrize("outlier", [(1e5, 1e5), (-1e5, 400.0),
+                                         (1e150, 1e150), (-1e150, -1e150)])
+    def test_outlier_does_not_crowd_the_fleet(self, outlier):
+        agents = _fleet_with_outlier(outlier)
+        alive = np.ones(len(agents), bool)
+        q, _ = candidate_pairs(agents, agents, R)
+        rows, cols = adjacency_matrix(agents, alive, R)
+        # a table whose cells coarsen to fit the outlier puts the whole fleet
+        # in one cell: about 10**6 candidates
+        assert len(q) <= 4 * (len(rows) + len(agents))
+        want_rows, want_cols = dense_pairs(agents, alive, R)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(cols, want_cols)
+
+    @pytest.mark.parametrize("outlier", [(1e5, 1e5), (-1e150, -1e150)])
+    def test_outlier_user_does_not_crowd_the_users(self, outlier):
+        users = _fleet_with_outlier(outlier)
+        agents = np.random.default_rng(5).uniform(0.0, 800.0, size=(300, 2))
+        q, _ = candidate_pairs(agents, users, 13.3)
+        assert len(q) <= 9 * 2 * len(agents)     # a few users per cell at most
+        got = assign_msds(users, agents, H, np.ones(300, bool), 1.0, 3.5, R)
+        want = dense_assign_msds(users, agents, H, np.ones(300, bool), 1.0, 3.5, R)
+        np.testing.assert_array_equal(got.owner, want.owner)
+
+    def test_agents_outside_the_users_frame(self):
+        rng = np.random.default_rng(23)
+        users = rng.normal((50.0, -20.0), 15.0, size=(400, 2))
+        left, right = users[users[:, 0].argmin()], users[users[:, 0].argmax()]
+        low, high = users[users[:, 1].argmin()], users[users[:, 1].argmax()]
+        big = sim.MAX_COORDINATE
+        # within the horizontal reach (13.27 m) of the outermost users, but
+        # outside the users' bounding box, then beyond the reach of every user
+        edge = [left - (5.0, 0.0), left - (13.0, 0.0), right + (5.0, 0.0), right + (13.0, 0.0),
+                low - (0.0, 9.0), high + (0.0, 9.0)]
+        far = [left - (40.0, 0.0), right + (40.0, 0.0), (1e6, 0.0), (-1e6, 1e6),
+               (1e12, -1e12), (big, big), (-big, -big), (big, 0.0), (0.0, -big)]
+        agents = np.array(edge + far)
+        table = user_table(users, H, R)
+        served = []
+        for alive in [np.arange(len(agents)) == k for k in range(len(agents))] \
+                + [np.ones(len(agents), bool)]:
+            for users_arg in (table, None):
+                got = assign_msds(users, agents, H, alive, 1.0, 3.5, R, users_arg)
+                want = dense_assign_msds(users, agents, H, alive, 1.0, 3.5, R)
+                np.testing.assert_array_equal(got.owner, want.owner)
+                np.testing.assert_array_equal(got.loads, want.loads)
+            served.append(int(want.loads[alive].sum()))
+        assert all(served[:len(edge)]) and not any(served[len(edge):len(agents)])
+
+    @pytest.mark.parametrize("name, users, agents, alive", SNAPSHOTS, ids=IDS)
+    def test_no_duplicate_pairs_under_forced_collisions(self, monkeypatch,
+                                                        name, users, agents, alive):
+        # 16 buckets for any point count: the nine cells of most blocks share
+        # buckets, and every bucket holds cells far apart
+        monkeypatch.setattr(grid, "BUCKETS_PER_POINT", 0)
+        assert len(grid.cell_table(agents, R).count) == 16
+        for queries, sites, reach in ((agents, users, 13.3), (agents, agents, R)):
+            if not len(sites):
+                continue
+            q, s = candidate_pairs(queries, sites, reach)
+            found = set(zip(q.tolist(), s.tolist()))
+            assert len(found) == len(q)
+            diff = queries[:, None, :] - sites[None, :, :]
+            qi, si = np.nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach)
+            assert set(zip(qi.tolist(), si.tolist())) <= found
+        got = assign_msds(users, agents, H, alive, 1.0, 3.5, R)
+        want = dense_assign_msds(users, agents, H, alive, 1.0, 3.5, R)
+        np.testing.assert_array_equal(got.owner, want.owner)
+        for got, want in zip(adjacency_matrix(agents, alive, R), dense_pairs(agents, alive, R)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("failures", [(), ((1.0, 0.5),)])
+    def test_users_binned_once_per_run(self, monkeypatch, failures):
+        builds = []
+        original = association.user_table
+
+        def counted(*args):
+            builds.append(args)
+            return original(*args)
+
+        for module in (association, world_module):
+            monkeypatch.setattr(module, "user_table", counted)
+        res = run(ScenarioConfig(msds_per_cluster=40, map_count=20, t_end=2.0, seed=3,
+                                 failures=failures))
+        assert len(res.samples) == 21 and len(builds) == 1
+        assert res.world.user_table.bounds.tolist() \
+            == [res.world.msd_pos.min(axis=0).tolist(), res.world.msd_pos.max(axis=0).tolist()]
