@@ -10,7 +10,8 @@ forces.
 The matcher never forms all user-agent pairs. The users are counted once
 per run into a hashed cell table (``grid.cell_table``, cells at least the
 horizontal reach ``sqrt(r^2 - h^2)`` wide, so no user in range is missed;
-:func:`user_table` builds it and the world holds it). Each alive agent
+:func:`user_table` builds it, the world holds it, and the matcher refuses
+a table with narrower cells). Each alive agent
 reads the users of the 3x3 block of cells around it straight from that
 table. Each candidate pair gets the squared horizontal distance ``d2``
 and the range test ``sqrt(d2 + h^2) <= r``. Among its in-range pairs, a
@@ -18,12 +19,6 @@ user takes the smallest ``d2``, and on a tie the lowest agent id, so the
 order of the candidates does not matter. That is the nearest alive agent
 whenever the nearest is in range. A user with no pair in range has no
 agent in range, and stays unassigned.
-
-The model's received power ``rho * dist^(-eta)`` is strictly decreasing
-in distance, so its best in-range agent is this nearest one; the matcher
-compares squared distances and never evaluates the power. ``rho`` and
-``eta`` are still validated and echoed in the run summary, but they do
-not affect the dynamics.
 """
 
 import math
@@ -43,43 +38,48 @@ class Assignment:
     coverage_ratio: float       # assigned / M (0 for an empty user set)
 
 
-def user_table(msd_pos, map_height, comm_range):
-    """The users' cell table for matching at this height and range."""
+def _reach(map_height, comm_range):
+    """The horizontal distance within which a user can be in range."""
     # the 1e-9 widening keeps every pair the rounded test admits a candidate,
     # even at a height just below the range
     reach2 = comm_range * comm_range * (1.0 + 1e-9) - map_height * map_height
-    return cell_table(msd_pos, math.sqrt(max(reach2, 0.0)))
+    return math.sqrt(max(reach2, 0.0))
 
 
-def assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range, users=None):
+def user_table(msd_pos, map_height, comm_range):
+    """The users' cell table for matching at this height and range."""
+    return cell_table(msd_pos, _reach(map_height, comm_range))
+
+
+def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users):
     """Match every user to its nearest alive agent, if that one is in range.
 
-    `users` is the users' :func:`user_table` for this height and range;
-    without one, the call builds it.
+    `users` is the users' :func:`user_table`, built for this height and
+    range or for a wider reach.
     """
-    if rho <= 0 or eta <= 0 or comm_range <= 0:
-        raise ValueError("rho, eta and comm_range must be positive")
+    if comm_range <= 0:
+        raise ValueError("comm_range must be positive")
+    reach = _reach(map_height, comm_range)
+    if users.side < reach:
+        raise ValueError(f"the users' table has cells {users.side:g} m wide, narrower than "
+                         f"the reach {reach:g} m at height {map_height:g} and range {comm_range:g}")
     n_msds = len(msd_pos)
-    n_maps = len(map_pos)
-    owner = np.full(n_msds, -1, dtype=int)
     alive_ids = np.flatnonzero(alive)
-    if alive_ids.size and n_msds:
-        if users is None:
-            users = user_table(msd_pos, map_height, comm_range)
-        agent, user = users.pairs(map_pos[alive_ids])
-        # np.take gathers rows of an (n, 2) array far faster than fancy indexing
-        diff = np.take(msd_pos, user, axis=0) - np.take(map_pos, alive_ids[agent], axis=0)
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        near = np.sqrt(d2 + map_height * map_height) <= comm_range
-        agent, user, d2 = agent[near], user[near], d2[near]
-        nearest = np.full(n_msds, np.inf)
-        np.minimum.at(nearest, user, d2)
-        tied = d2 == nearest[user]
-        best = np.full(n_msds, alive_ids.size)
-        np.minimum.at(best, user[tied], agent[tied])   # lowest id wins ties
-        reachable = best < alive_ids.size
-        owner[reachable] = alive_ids[best[reachable]]
-    loads = np.bincount(owner[owner >= 0], minlength=n_maps)
+    agent, user = users.pairs(map_pos[alive_ids])
+    # np.take gathers rows of an (n, 2) array far faster than fancy indexing
+    diff = np.take(msd_pos, user, axis=0) - np.take(map_pos, alive_ids[agent], axis=0)
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    near = np.sqrt(d2 + map_height * map_height) <= comm_range
+    agent, user, d2 = agent[near], user[near], d2[near]
+    nearest = np.full(n_msds, np.inf)
+    np.minimum.at(nearest, user, d2)
+    tied = d2 == nearest[user]
+    best = np.full(n_msds, alive_ids.size)
+    np.minimum.at(best, user[tied], agent[tied])   # lowest id wins ties
+    reachable = best < alive_ids.size
+    owner = np.full(n_msds, -1, dtype=int)
+    owner[reachable] = alive_ids[best[reachable]]
+    loads = np.bincount(owner[owner >= 0], minlength=len(map_pos))
     coverage = float(np.count_nonzero(owner >= 0)) / n_msds if n_msds else 0.0
     return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
 

@@ -55,10 +55,6 @@ class ControlParams:
     c1: float = 0.3          # goal position gain
     c2: float = 0.6          # goal velocity gain
     k: float = 10.0          # connectivity (bridge) gain
-    # received power rho * dist^-eta: validated and echoed in the summary,
-    # but matching picks the nearest agent, so neither affects the dynamics
-    rho: float = 1.0         # transmit power [W]
-    eta: float = 3.5         # path-loss exponent
 
     def __post_init__(self):
         _check_finite(self)
@@ -66,8 +62,6 @@ class ControlParams:
             raise ValueError("n_max must be >= 1")
         if self.c1 <= 0 or self.c2 <= 0 or self.k <= 0:
             raise ValueError("gains c1, c2, k must be positive")
-        if self.rho <= 0 or self.eta <= 0:
-            raise ValueError("rho and eta must be positive")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.a <= 0 or self.b <= 0:

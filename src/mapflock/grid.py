@@ -80,17 +80,19 @@ class CellTable:
         start, count = start.ravel(), count.ravel()
         end = np.cumsum(count)
         # pair k of block b sits at start[b] + (k - first pair of b) in `order`
-        pos = np.arange(end[-1]) + np.repeat(start - end + count, count)
+        pos = np.arange(end[-1] if end.size else 0) + np.repeat(start - end + count, count)
         return np.repeat(np.arange(len(keys)).repeat(9), count), self.order[pos]
 
 
 def cell_table(points, reach):
-    """Count the (n >= 1, 2) finite `points` into cells of side `reach`,
+    """Count the (n, 2) finite `points` into cells of side `reach`,
     widened by ``SIDE_MARGIN`` (side 1 when the reach is 0)."""
     side = reach * (1.0 + SIDE_MARGIN) or 1.0
-    # column by column: numpy reduces an (n, 2) array over axis 0 several times slower
-    lo = (points[:, 0].min(), points[:, 1].min())
-    hi = (points[:, 0].max(), points[:, 1].max())
+    lo = hi = (0.0, 0.0)      # the frame of an empty table, which no query meets
+    if len(points):
+        # column by column: numpy reduces an (n, 2) array over axis 0 several times slower
+        lo = (points[:, 0].min(), points[:, 1].min())
+        hi = (points[:, 0].max(), points[:, 1].max())
     bounds = np.array([lo, hi])
     origin = bounds[0]
     if max(hi[0] - lo[0], hi[1] - lo[1]) > MAX_CELLS * side:
@@ -104,14 +106,3 @@ def cell_table(points, reach):
                      order=np.argsort(buckets, kind="stable"),
                      start=np.cumsum(count) - count, count=count)
 
-
-def candidate_pairs(queries, sites, reach):
-    """Index pairs ``(q, s)`` that include every query-site pair within `reach`.
-
-    `queries` (N, 2) and `sites` (S, 2) must be finite. The table is built
-    over the sites in their own frame; queries that are the sites array
-    itself reuse its cell keys. Pairs come grouped by query.
-    """
-    if not len(queries) or not len(sites):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    return cell_table(sites, reach).pairs(None if queries is sites else queries)

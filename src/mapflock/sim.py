@@ -104,7 +104,7 @@ class Observation:
 def observe(world: World, params: ctl.ControlParams) -> Observation:
     """Match users to agents and build the aerial graph and its components."""
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                      params.rho, params.eta, params.r, world.user_table)
+                      params.r, world.user_table)
     adj = adjacency_matrix(world.map_pos, world.alive, params.r)
     return Observation(
         assignment=asg,

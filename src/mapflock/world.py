@@ -17,7 +17,7 @@ import numpy as np
 
 from .association import user_table
 from .control import MODE_DYNAMIC, ControlParams, ModeThresholds
-from .grid import CellTable, candidate_pairs
+from .grid import CellTable, cell_table
 
 
 # the largest centre coordinate or width a scene may have [m]: far beyond any
@@ -46,7 +46,7 @@ class World:
     achieved: list                # list[set[int]] per-agent achieved-goal knowledge
     # the users' cell table for matching, and their bounds for the step guard:
     # built once by generate_scenario, since users never move
-    user_table: CellTable | None = None
+    user_table: CellTable
 
     @property
     def n_maps(self):
@@ -166,15 +166,14 @@ def adjacency_matrix(map_pos, alive, comm_range):
     """The in-range pairs ``(rows, cols)`` of alive agents, numbered in id
     order: ``np.nonzero`` of the graph's matrix over the alive agents.
 
-    Only the pairs in the 3x3 block of grid cells around each other
-    (``grid.candidate_pairs``, cells at least `comm_range` wide) are tested.
+    Only the pairs in the 3x3 block of cells around each other in the
+    agents' own ``grid.cell_table`` (cells at least `comm_range` wide) are
+    tested.
     Agents i != j are adjacent when ``d2 <= comm_range**2``, with ``d2`` the
     squared distance of ``q_i - q_j``; the range is inclusive.
     """
     pos = map_pos[alive]
-    if not len(pos):
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    i, j = candidate_pairs(pos, pos, comm_range)
+    i, j = cell_table(pos, comm_range).pairs()
     diff = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
     within = (np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range) & (i != j)
     i, j = i[within], j[within]
@@ -203,13 +202,13 @@ def adjacency_matrix(map_pos, alive, comm_range):
 #                        the step, agent, mode, position and velocity
 #   t_end                [s]
 #   failures             semicolon-separated time:fraction pairs (may be empty)
-#   d r epsilon a b gamma n_max c1 c2 k rho eta       controller constants
+#   d r epsilon a b gamma n_max c1 c2 k               controller constants
 #   r0 n0 n1                                          mode-switch thresholds
 
 _SCALAR_FLOAT = ("cluster_sigma", "map_spawn_halfwidth", "initial_speed",
                  "map_height", "dt", "t_end")
 _SCALAR_INT = ("msds_per_cluster", "map_count", "seed")
-_CONTROL_FLOAT = ("d", "r", "epsilon", "a", "b", "gamma", "c1", "c2", "k", "rho", "eta")
+_CONTROL_FLOAT = ("d", "r", "epsilon", "a", "b", "gamma", "c1", "c2", "k")
 _CONTROL_INT = ("n_max",)
 _THRESH_FLOAT = ("r0",)
 _THRESH_INT = ("n0", "n1")

@@ -62,14 +62,14 @@ def power_score_assign(msd_pos, map_pos, map_height, alive, rho, eta, comm_range
     return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
 
 
-def dense_assign_msds(msd_pos, map_pos, map_height, alive, rho, eta, comm_range, users=None):
+def dense_assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users):
     """Match every user to its nearest alive agent, if that one is in range.
 
     `users`, the library matcher's cell table, is accepted and not used, so
     that this oracle can stand in for ``assign_msds`` in a whole run.
     """
-    if rho <= 0 or eta <= 0 or comm_range <= 0:
-        raise ValueError("rho, eta and comm_range must be positive")
+    if comm_range <= 0:
+        raise ValueError("comm_range must be positive")
     n_msds = len(msd_pos)
     n_maps = len(map_pos)
     owner = np.full(n_msds, -1, dtype=int)
@@ -261,7 +261,7 @@ def control_input(i, positions, velocities, loads, neighbor_ids, alive,
 
 def _measure(world, params, t):
     asg = dense_assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                            params.rho, params.eta, params.r)
+                            params.r, world.user_table)
     adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)
     alive_adj = adj[np.ix_(world.alive, world.alive)].astype(float)
     lam2 = fiedler_value(alive_adj) if world.alive.any() else 0.0
@@ -293,7 +293,7 @@ def _share_achieved_goals(world, adjacency):
 
 def _step(world, params, thresholds, dt, t_next):
     asg = dense_assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                            params.rho, params.eta, params.r)
+                            params.r, world.user_table)
     cov = cluster_coverages(asg, world.msd_cluster, len(world.centroids))
 
     adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)

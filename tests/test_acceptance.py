@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mapflock.association import assign_msds
+from mapflock.association import assign_msds, user_table
 from mapflock.cli import cli_main
 from mapflock.control import MODE_DYNAMIC, ControlParams
 from mapflock.netgraph import (
@@ -27,7 +27,7 @@ from mapflock.outputs import config_from_summary, metrics_header, read_csv
 from mapflock.potentials import phi_action
 from mapflock.sim import run
 from mapflock.world import ScenarioConfig, save_config
-from oracles import attract_repulse, sigma_norm
+from oracles import attract_repulse, power_score_assign, sigma_norm
 
 SEEDS = (1, 2, 3, 4, 5)
 BASE = ScenarioConfig()          # nominal scenario: 4 x 500 users, 60 s
@@ -161,8 +161,8 @@ class TestExperimentTargets:
             msd = rng.uniform(-40, 40, (int(rng.integers(1, 12)), 2))
             maps = rng.uniform(-40, 40, (int(rng.integers(1, 8)), 2))
             alive = rng.random(len(maps)) > 0.25
-            asg = assign_msds(msd, maps, 20.0, alive, 1.0, 3.5, 24.0)
-            other = assign_msds(msd, maps, 20.0, alive, 7.0, 2.0, 24.0)
+            asg = assign_msds(msd, maps, 20.0, alive, 24.0, user_table(msd, 20.0, 24.0))
+            other = power_score_assign(msd, maps, 20.0, alive, 7.0, 2.0, 24.0)
             ok &= np.array_equal(asg.owner, other.owner)
             for i in range(len(msd)):
                 dist = np.sqrt(((msd[i] - maps) ** 2).sum(1) + 400.0)

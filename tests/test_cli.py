@@ -61,6 +61,14 @@ class TestRunCommand:
         assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: cluster_centers must not repeat a centre\n"
 
+    def test_removed_power_constant_is_one_line_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("eta = 3.5\n")
+        assert cli_main(["run", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "'eta'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_diverged_run_is_one_line_error(self, config_path, tmp_path, monkeypatch, capsys):
         def diverge(config, record_trajectories=False):
             raise SimulationDiverged("step 7: non-finite state at t=0.700")

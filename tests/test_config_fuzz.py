@@ -58,7 +58,8 @@ line = st.one_of(
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(line, max_size=8))
 @example(["r = inf"])
-@example(["k = inf", "rho = inf"])
+@example(["k = inf"])
+@example(["rho = 1"])
 @example(["epsilon = inf"])
 @example(["seed = -1"])
 @example(["n_max = " + "9" * 400])

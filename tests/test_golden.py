@@ -36,15 +36,15 @@ CONFIGS = {
 GOLDEN = {
     "nominal": {
         "metrics.csv": "b54a1fc6999c70122e85df50a9630e2e60486ce9a0d30aee5960b84e31902b6a",
-        "summary.txt": "474f976751fa3478b881961571215928f7b8bdc8fefa04a2175f4116ba09fa59",
+        "summary.txt": "4379385d3a473fd5cb557bff40b3012d48167060d7e8f521f47840260ac5fb64",
     },
     "bridge": {
         "metrics.csv": "34741202ef38952fa45c82897003528e3aa24ddb7670cae5169ff8a857e5c0bb",
-        "summary.txt": "22d42dd229e9b2376618c2d6fc8450ed5c16d6af84c6b6185595bc6c02cc3357",
+        "summary.txt": "520961c9fb290fef4cd38c26b3382b0d0f67bcb50114312c4ac45d9a47afb6ea",
     },
     "failure": {
         "metrics.csv": "82e67b3047f8e1730e3c3be71d3c30255754b07a1f8f59d70c34ac0e2836109f",
-        "summary.txt": "c4a63c8a3dc1470b1ced91e782ac0db0038aeead6f13e460f71e13ea7ede2942",
+        "summary.txt": "c1cf37863e41fee348379c128966046b7c9a4bf7c1195a85360556e9802187d8",
         "trajectories.csv": "11d7329d808af641a2c902774b481d6f876a2e139fba5d70b17b6134e41be6bb",
     },
 }

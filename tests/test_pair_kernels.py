@@ -20,7 +20,7 @@ import mapflock.sim as sim
 import mapflock.world as world_module
 from mapflock.association import assign_msds, user_table
 from mapflock.control import MODE_BRIDGE, MODE_DYNAMIC, MODE_STATIC, ControlParams, flock_accelerations
-from mapflock.grid import MAX_CELLS, SIDE_MARGIN, candidate_pairs
+from mapflock.grid import MAX_CELLS, SIDE_MARGIN, cell_table
 from mapflock.netgraph import connected_components
 from mapflock.sim import run, share_achieved_goals
 from mapflock.world import ScenarioConfig, World, adjacency_matrix
@@ -145,8 +145,9 @@ def accelerations_via_dense(positions, velocities, loads, alive, modes, goal_a, 
 class TestAgainstDenseOracles:
     def test_assignment(self, name, users, agents, alive):
         for height, comm_range in ((H, R), (3.0, 5.0), (7.0, 25.0), (R * (1 - 1e-15), R)):
-            got = assign_msds(users, agents, height, alive, 1.0, 3.5, comm_range)
-            want = dense_assign_msds(users, agents, height, alive, 1.0, 3.5, comm_range)
+            table = user_table(users, height, comm_range)
+            got = assign_msds(users, agents, height, alive, comm_range, table)
+            want = dense_assign_msds(users, agents, height, alive, comm_range, table)
             np.testing.assert_array_equal(got.owner, want.owner)
             np.testing.assert_array_equal(got.loads, want.loads)
             assert got.coverage_ratio == want.coverage_ratio
@@ -229,7 +230,7 @@ class TestCandidatePairs:
     def test_superset_of_pairs_in_reach(self):
         for name, users, agents, _ in SNAPSHOTS:
             for reach in (R, 13.3, 0.5, 0.0):
-                q, s = candidate_pairs(agents, users, reach)
+                q, s = cell_table(users, reach).pairs(agents)
                 found = set(zip(q.tolist(), s.tolist()))
                 assert len(found) == len(q), name
                 diff = agents[:, None, :] - users[None, :, :]
@@ -237,13 +238,15 @@ class TestCandidatePairs:
                 assert set(zip(qi.tolist(), si.tolist())) <= found, name
 
     def test_empty_inputs(self):
-        q, s = candidate_pairs(np.zeros((0, 2)), np.ones((3, 2)), R)
+        q, s = cell_table(np.ones((3, 2)), R).pairs(np.zeros((0, 2)))
         assert q.size == 0 and s.size == 0
-        q, s = candidate_pairs(np.ones((3, 2)), np.zeros((0, 2)), R)
+        q, s = cell_table(np.zeros((0, 2)), R).pairs(np.ones((3, 2)))
+        assert q.size == 0 and s.size == 0
+        q, s = cell_table(np.zeros((0, 2)), R).pairs()
         assert q.size == 0 and s.size == 0
 
     def test_coincident_points(self):
-        q, s = candidate_pairs(np.ones((3, 2)), np.ones((2, 2)), 0.0)
+        q, s = cell_table(np.ones((2, 2)), 0.0).pairs(np.ones((3, 2)))
         assert sorted(zip(q.tolist(), s.tolist())) == [(a, b) for a in range(3) for b in range(2)]
 
 
@@ -267,7 +270,8 @@ class TestShareAchievedGoals:
                      alive=rng.random(n) > 0.3, mode=np.zeros(n, int),
                      goal_a=np.zeros(n, int), goal_b=np.full(n, -1),
                      achieved=[set(rng.choice(6, size=int(rng.integers(0, 3))).tolist())
-                               for _ in range(n)])
+                               for _ in range(n)],
+                     user_table=user_table(np.zeros((1, 2)), H, R))
 
     def test_matches_per_component_loop(self):
         rng = np.random.default_rng(11)
@@ -341,7 +345,7 @@ class TestHashedCellTable:
     def test_outlier_does_not_crowd_the_fleet(self, outlier):
         agents = _fleet_with_outlier(outlier)
         alive = np.ones(len(agents), bool)
-        q, _ = candidate_pairs(agents, agents, R)
+        q, _ = cell_table(agents, R).pairs()
         rows, cols = adjacency_matrix(agents, alive, R)
         # a table whose cells coarsen to fit the outlier puts the whole fleet
         # in one cell: about 10**6 candidates
@@ -354,10 +358,11 @@ class TestHashedCellTable:
     def test_outlier_user_does_not_crowd_the_users(self, outlier):
         users = _fleet_with_outlier(outlier)
         agents = np.random.default_rng(5).uniform(0.0, 800.0, size=(300, 2))
-        q, _ = candidate_pairs(agents, users, 13.3)
+        q, _ = cell_table(users, 13.3).pairs(agents)
         assert len(q) <= 9 * 2 * len(agents)     # a few users per cell at most
-        got = assign_msds(users, agents, H, np.ones(300, bool), 1.0, 3.5, R)
-        want = dense_assign_msds(users, agents, H, np.ones(300, bool), 1.0, 3.5, R)
+        table = user_table(users, H, R)
+        got = assign_msds(users, agents, H, np.ones(300, bool), R, table)
+        want = dense_assign_msds(users, agents, H, np.ones(300, bool), R, table)
         np.testing.assert_array_equal(got.owner, want.owner)
 
     def test_agents_outside_the_users_frame(self):
@@ -377,11 +382,10 @@ class TestHashedCellTable:
         served = []
         for alive in [np.arange(len(agents)) == k for k in range(len(agents))] \
                 + [np.ones(len(agents), bool)]:
-            for users_arg in (table, None):
-                got = assign_msds(users, agents, H, alive, 1.0, 3.5, R, users_arg)
-                want = dense_assign_msds(users, agents, H, alive, 1.0, 3.5, R)
-                np.testing.assert_array_equal(got.owner, want.owner)
-                np.testing.assert_array_equal(got.loads, want.loads)
+            got = assign_msds(users, agents, H, alive, R, table)
+            want = dense_assign_msds(users, agents, H, alive, R, table)
+            np.testing.assert_array_equal(got.owner, want.owner)
+            np.testing.assert_array_equal(got.loads, want.loads)
             served.append(int(want.loads[alive].sum()))
         assert all(served[:len(edge)]) and not any(served[len(edge):len(agents)])
 
@@ -393,16 +397,15 @@ class TestHashedCellTable:
         monkeypatch.setattr(grid, "BUCKETS_PER_POINT", 0)
         assert len(grid.cell_table(agents, R).count) == 16
         for queries, sites, reach in ((agents, users, 13.3), (agents, agents, R)):
-            if not len(sites):
-                continue
-            q, s = candidate_pairs(queries, sites, reach)
+            q, s = cell_table(sites, reach).pairs(queries)
             found = set(zip(q.tolist(), s.tolist()))
             assert len(found) == len(q)
             diff = queries[:, None, :] - sites[None, :, :]
             qi, si = np.nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach)
             assert set(zip(qi.tolist(), si.tolist())) <= found
-        got = assign_msds(users, agents, H, alive, 1.0, 3.5, R)
-        want = dense_assign_msds(users, agents, H, alive, 1.0, 3.5, R)
+        table = user_table(users, H, R)
+        got = assign_msds(users, agents, H, alive, R, table)
+        want = dense_assign_msds(users, agents, H, alive, R, table)
         np.testing.assert_array_equal(got.owner, want.owner)
         for got, want in zip(adjacency_matrix(agents, alive, R), dense_pairs(agents, alive, R)):
             np.testing.assert_array_equal(got, want)
