@@ -136,10 +136,11 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     """Accelerations for all agents at once; dead agents get zero.
 
     `adjacency` holds the in-range pairs of alive agents as
-    :func:`world.adjacency_matrix` gives them. The pairwise terms are
-    evaluated on those pairs only; the consensus term is the dense product
-    of their 0/1 matrix and the velocities. Agrees with summing, agent by
-    agent, the reference law u = f + g + h kept in ``tests/oracles.py``.
+    :func:`world.adjacency_matrix` gives them. The spacing, load and
+    velocity-consensus terms are evaluated on those pairs only and summed
+    per agent in neighbour id order, so the result equals, bit for bit,
+    the reference law u = f + g + h summed agent by agent in
+    ``tests/oracles.py``.
     """
     n = len(positions)
     eps = params.epsilon
@@ -152,18 +153,11 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
 
     phi = phi_action(z_sigma, params)
     push = ((phi + load_pull_coeff(loads, params)[j]) * scale)[:, None] * diff
-    # bincount sums each agent's pairs in j order, as a row sum would
-    f = np.stack([np.bincount(i, push[:, k], minlength=n) for k in range(2)], axis=1)
-    # the pair temporaries go before the dense L x L consensus matrix, where the
-    # kernel's memory use peaks
-    del diff, nsq, root, scale, z_sigma, phi, push
-
-    # a per-pair sum would round differently from the BLAS product
-    matrix = np.zeros((n, n))
-    matrix[i, j] = 1.0
-    deg = np.bincount(i, minlength=n)
-    g = consensus_weight(loads, params)[:, None] * (matrix @ velocities
-                                                    - deg[:, None] * velocities)
+    dv = np.take(velocities, j, axis=0) - np.take(velocities, i, axis=0)   # v_j - v_i
+    # bincount sums each agent's pairs in j order, as the per-agent loop does
+    f, dv_sum = (np.stack([np.bincount(i, terms[:, k], minlength=n) for k in range(2)], axis=1)
+                 for terms in (push, dv))
+    g = consensus_weight(loads, params)[:, None] * dv_sum
 
     h = np.zeros_like(positions)
     point = alive & (modes != MODE_BRIDGE)

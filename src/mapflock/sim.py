@@ -17,9 +17,8 @@ One step executes, in order:
    message passing is emulated centrally),
 3. the mode machine, in id order, for the agents it can change,
 4. control forces for every alive agent from the common pre-step
-   position/velocity/load snapshot: the pairwise spacing and load terms
-   over the in-range pairs only, the velocity consensus through the
-   dense product of the 0/1 matrix of those pairs and the velocities,
+   position/velocity/load snapshot: the pairwise spacing, load and
+   velocity-consensus terms, summed over the in-range pairs only,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
    (q moves with the new v), then the step-boundary guard, whose scene
    extent comes from the users' bounds in that table,
@@ -184,8 +183,7 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     loads, cov = obs.assignment.loads, obs.cluster_coverage
 
     # 2: idealized information sharing per connected component; the labels
-    # have no later use, so they are released before the force phase, where
-    # the step's memory use peaks
+    # have no later use, so they are not held through the rest of the step
     share_achieved_goals(world, obs.labels)
     obs.labels = None
 

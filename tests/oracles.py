@@ -133,9 +133,11 @@ def dense_flock_accelerations(positions, velocities, loads, alive, modes,
     coeff = (phi + load_pull_coeff(loads, params)[None, :]) * adjacency
     f = np.einsum("ij,ijk->ik", coeff * scale, diff)
 
-    deg = adjacency.sum(axis=1)
-    g = consensus_weight(loads, params)[:, None] * (adjacency @ velocities
-                                                    - deg[:, None] * velocities)
+    # each row's terms v_j - v_i added in column order, as the per-agent law adds them
+    g = np.zeros_like(velocities)
+    for j in range(len(velocities)):
+        g += adjacency[:, j, None] * (velocities[j] - velocities)
+    g *= consensus_weight(loads, params)[:, None]
 
     h = np.zeros_like(positions)
     point = alive & (modes != MODE_BRIDGE)

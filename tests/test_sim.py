@@ -21,7 +21,7 @@ from mapflock.sim import (
     run,
     step,
 )
-from mapflock.world import ConfigError, ScenarioConfig, generate_scenario
+from mapflock.world import ConfigError, ScenarioConfig, adjacency_matrix, generate_scenario
 from oracles import attract_repulse
 
 PARAMS = ControlParams()
@@ -317,10 +317,24 @@ class TestDivergenceGuard:
                                                rel=1e-5)
 
     def test_non_finite_velocity(self):
-        # consensus spreads the NaN to every agent; the lowest id is named
+        # the NaN reaches agent 0's in-range neighbours, whose lowest id is 0
         self.world.map_vel[0] = (np.nan, 0.0)
         match = self.MESSAGE.fullmatch(self.step_four())
         assert match and match.group(1) == "0" and match.group(2) == "nan"
+
+    def test_non_finite_velocity_reaches_only_in_range_neighbours(self):
+        self.config = small_config(seed=1)
+        self.world = generate_scenario(self.config, np.random.default_rng(1))
+        rows, cols = adjacency_matrix(self.world.map_pos, self.world.alive, PARAMS.r)
+        ids = np.flatnonzero(self.world.alive)
+        reached = np.union1d([3], ids[cols[ids[rows] == 3]])
+        np.testing.assert_array_equal(reached, [1, 3, 9, 10])
+        self.world.map_vel[3] = (np.nan, 0.0)
+        match = self.MESSAGE.fullmatch(self.step_four())
+        np.testing.assert_array_equal(
+            np.flatnonzero(~np.isfinite(self.world.map_pos).all(axis=1)), reached)
+        # the guard names the lowest id among them, not the agent that went bad
+        assert match and match.group(1) == "1" and match.group(2) == "nan"
 
     def test_dead_agent_beyond_the_bound_is_ignored(self):
         self.world.map_pos[3] = (2 * self.bound, -7.0)

@@ -155,8 +155,8 @@ class TestConfigHoles:
 
     @pytest.mark.parametrize("line", [
         # non-finite controller constants and thresholds, a negative seed
-        "r = inf", "k = inf", "rho = inf", "epsilon = inf", "seed = -1",
-        "a = nan", "eta = -inf", "r0 = nan",
+        "r = inf", "k = inf", "c2 = inf", "epsilon = inf", "seed = -1",
+        "a = nan", "gamma = -inf", "r0 = nan",
         # failure entries that are not one time:fraction pair
         "failures = 1:0.5:7", "failures = 5", "failures = 1:",
     ])
