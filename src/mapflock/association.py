@@ -7,26 +7,24 @@ Ties break to the lowest agent id so reruns are identical. No capacity
 limit is applied at matching time -- overload is handled by the control
 forces.
 
-The matcher never forms all user-agent pairs. The users are counted once
-per run into a hashed cell table (``grid.cell_table``, cells at least the
-horizontal reach ``sqrt(r^2 - h^2)`` wide, so no user in range is missed;
-:func:`user_table` builds it, the world holds it, and the matcher refuses
-a table with narrower cells). Each alive agent
-reads the users of the 3x3 block of cells around it straight from that
-table. Each candidate pair gets the squared horizontal distance ``d2``
-and the range test ``sqrt(d2 + h^2) <= r``. Among its in-range pairs, a
-user takes the smallest ``d2``, and on a tie the lowest agent id, so the
-order of the candidates does not matter. That is the nearest alive agent
-whenever the nearest is in range. A user with no pair in range has no
-agent in range, and stays unassigned.
+The matcher never forms all user-agent pairs. The users go once per run
+into a k-d tree (:func:`user_table`, ``scipy.spatial.cKDTree``; the world
+holds it, and it serves any height and range), the alive agents once per
+observation into another. The pairs within the horizontal reach
+``sqrt(r^2 - h^2)`` of the two trees are the candidates. Each candidate
+pair gets the squared horizontal distance ``d2`` and the range test
+``sqrt(d2 + h^2) <= r``. Among its in-range pairs, a user takes the
+smallest ``d2``, and on a tie the lowest agent id, so the order of the
+candidates does not matter. That is the nearest alive agent whenever the
+nearest is in range. A user with no pair in range has no agent in range,
+and stays unassigned.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .grid import cell_table
+from scipy.spatial import cKDTree
 
 
 @dataclass
@@ -46,26 +44,24 @@ def _reach(map_height, comm_range):
     return math.sqrt(max(reach2, 0.0))
 
 
-def user_table(msd_pos, map_height, comm_range):
-    """The users' cell table for matching at this height and range."""
-    return cell_table(msd_pos, _reach(map_height, comm_range))
+def user_table(msd_pos):
+    """The users' k-d tree, for matching at any height and range."""
+    return cKDTree(msd_pos)
 
 
-def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users):
+def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
     """Match every user to its nearest alive agent, if that one is in range.
 
-    `users` is the users' :func:`user_table`, built for this height and
-    range or for a wider reach.
+    `users` is the users' :func:`user_table`; `agents` is the k-d tree of
+    ``map_pos[alive]``, as ``world.agent_tree`` builds it.
     """
     if comm_range <= 0:
         raise ValueError("comm_range must be positive")
-    reach = _reach(map_height, comm_range)
-    if users.side < reach:
-        raise ValueError(f"the users' table has cells {users.side:g} m wide, narrower than "
-                         f"the reach {reach:g} m at height {map_height:g} and range {comm_range:g}")
     n_msds = len(msd_pos)
     alive_ids = np.flatnonzero(alive)
-    agent, user = users.pairs(map_pos[alive_ids])
+    pairs = agents.sparse_distance_matrix(users, _reach(map_height, comm_range),
+                                          output_type="ndarray")
+    agent, user = pairs["i"], pairs["j"]
     # np.take gathers rows of an (n, 2) array far faster than fancy indexing
     diff = np.take(msd_pos, user, axis=0) - np.take(map_pos, alive_ids[agent], axis=0)
     d2 = np.einsum("ij,ij->i", diff, diff)

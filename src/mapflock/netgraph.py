@@ -8,6 +8,7 @@ a Euclidean minimum spanning tree over the centroids of covered clusters.
 """
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 
 def laplacian(adjacency):
@@ -20,26 +21,12 @@ def connected_components(n, rows, cols):
     component's smallest node.
 
     The graph on nodes 0..n-1 is given by its pairs ``(rows, cols)`` as
-    ``np.nonzero`` of its symmetric matrix gives them; the walk is depth
-    first from each unlabelled node, in id order.
+    ``np.nonzero`` of its symmetric matrix gives them; they are read as the
+    graph's CSR matrix, which ``scipy.sparse.csgraph`` labels.
     """
-    start = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    neighbours = cols.tolist()
-    labels = [-1] * n
-    current = 0
-    for root in range(n):
-        if labels[root] >= 0:
-            continue
-        stack = [root]
-        labels[root] = current
-        while stack:
-            node = stack.pop()
-            for nb in neighbours[start[node]:start[node + 1]]:
-                if labels[nb] < 0:
-                    labels[nb] = current
-                    stack.append(nb)
-        current += 1
-    return np.array(labels, dtype=int)
+    graph = csr_matrix((np.ones(rows.size), cols, np.searchsorted(rows, np.arange(n + 1))),
+                       shape=(n, n))
+    return csgraph.connected_components(graph, directed=False)[1].astype(int)
 
 
 def fiedler_value(adjacency, labels=None):

@@ -4,11 +4,11 @@ One step executes, in order:
 
 1. the observation of the pre-step state: user-to-agent matching,
    per-cluster coverage, the aerial graph as its in-range agent pairs and
-   its connected components, walked over those pairs. Matching and the
-   graph test only the pairs in neighbouring cells of a hashed cell table
-   whose cells are at least the reach wide, with the exact range and
-   lowest-id tie rules of a test over all pairs. The users' table is the
-   world's, built once per run; the agents' table is built per call.
+   its connected components, labelled by ``scipy.sparse.csgraph``.
+   Matching and the graph test only the candidate pairs that k-d trees
+   find within the reach, with the exact range and lowest-id tie rules of
+   a test over all pairs. The users' tree is the world's, built once per
+   run; one agents' tree is built per observation and serves both.
    It is the observation the previous step made of its post-step state,
    carried forward; a failure injection invalidates it, and the step
    then observes the state afresh,
@@ -21,7 +21,7 @@ One step executes, in order:
    velocity-consensus terms, summed over the in-range pairs only,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
    (q moves with the new v), then the step-boundary guard, whose scene
-   extent comes from the users' bounds in that table,
+   extent comes from the users' bounds in their tree,
 6. the observation of the post-step state: the step's metrics (the Fiedler
    value from its pairs' dense Laplacian) and the next step's start.
 
@@ -38,7 +38,7 @@ import numpy as np
 from . import control as ctl
 from .association import Assignment, assign_msds, cluster_coverages
 from .netgraph import cluster_mst, connected_components, fiedler_value
-from .world import ScenarioConfig, World, adjacency_matrix, generate_scenario
+from .world import ScenarioConfig, World, adjacency_matrix, agent_tree, generate_scenario
 
 # sliding-window convergence criterion (reported, not used for early exit)
 CONVERGENCE_WINDOW_S = 5.0
@@ -102,9 +102,10 @@ class Observation:
 
 def observe(world: World, params: ctl.ControlParams) -> Observation:
     """Match users to agents and build the aerial graph and its components."""
+    agents = agent_tree(world.map_pos, world.alive)
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                      params.r, world.user_table)
-    adj = adjacency_matrix(world.map_pos, world.alive, params.r)
+                      params.r, world.user_table, agents)
+    adj = adjacency_matrix(world.map_pos, world.alive, params.r, agents)
     return Observation(
         assignment=asg,
         cluster_coverage=cluster_coverages(asg, world.msd_cluster, len(world.centroids)),
@@ -221,7 +222,8 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities
-    bound = min(DIVERGED_EXTENTS * (np.abs(world.user_table.bounds).max() + params.r),
+    users = world.user_table
+    bound = min(DIVERGED_EXTENTS * (np.abs([users.mins, users.maxes]).max() + params.r),
                 MAX_COORDINATE)
     escaped = np.flatnonzero(world.alive & ~np.all(np.abs(world.map_pos) <= bound, axis=1))
     if escaped.size:

@@ -14,10 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .association import user_table
 from .control import MODE_DYNAMIC, ControlParams, ModeThresholds
-from .grid import CellTable, cell_table
 
 
 # the largest centre coordinate or width a scene may have [m]: far beyond any
@@ -44,9 +44,9 @@ class World:
     goal_a: np.ndarray            # (L,) cluster id (target, or first bridge endpoint)
     goal_b: np.ndarray            # (L,) second bridge endpoint, -1 otherwise
     achieved: list                # list[set[int]] per-agent achieved-goal knowledge
-    # the users' cell table for matching, and their bounds for the step guard:
-    # built once by generate_scenario, since users never move
-    user_table: CellTable
+    # the users' k-d tree for matching, whose mins and maxes bound the scene for
+    # the step guard: built once by generate_scenario, since users never move
+    user_table: cKDTree
 
     @property
     def n_maps(self):
@@ -119,8 +119,7 @@ class ScenarioConfig:
 def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World:
     """Sample a fresh world. Deterministic given the generator state.
 
-    The users' cell table is built here, once per run, for the configured
-    flight height and communication range.
+    The users' k-d tree is built here, once per run.
 
     Draw order (fixed contract): for each cluster in listed order, its
     member offsets as (n, 2) standard normals; then MAP positions as an
@@ -158,25 +157,31 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
         goal_a=goal_a,
         goal_b=np.full(n, -1, dtype=int),
         achieved=[set() for _ in range(n)],
-        user_table=user_table(msd_pos, config.map_height, config.control.r),
+        user_table=user_table(msd_pos),
     )
 
 
-def adjacency_matrix(map_pos, alive, comm_range):
+def agent_tree(map_pos, alive):
+    """The k-d tree of the alive agents' positions, in id order."""
+    return cKDTree(map_pos[alive], balanced_tree=False, compact_nodes=False)
+
+
+def adjacency_matrix(map_pos, alive, comm_range, agents):
     """The in-range pairs ``(rows, cols)`` of alive agents, numbered in id
     order: ``np.nonzero`` of the graph's matrix over the alive agents.
 
-    Only the pairs in the 3x3 block of cells around each other in the
-    agents' own ``grid.cell_table`` (cells at least `comm_range` wide) are
-    tested.
+    `agents` is the :func:`agent_tree` of `map_pos` and `alive`; only the
+    pairs it finds within a slightly wider range are tested.
     Agents i != j are adjacent when ``d2 <= comm_range**2``, with ``d2`` the
     squared distance of ``q_i - q_j``; the range is inclusive.
     """
     pos = map_pos[alive]
-    i, j = cell_table(pos, comm_range).pairs()
+    # the 1e-9 widening keeps every pair the exact test admits a candidate,
+    # whatever the rounding of the tree's own distances
+    i, j = agents.query_pairs(comm_range * (1.0 + 1e-9), output_type="ndarray").T
     diff = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
-    within = (np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range) & (i != j)
-    i, j = i[within], j[within]
+    within = np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range
+    i, j = np.concatenate([i[within], j[within]]), np.concatenate([j[within], i[within]])
     order = np.argsort(i * len(pos) + j)
     return i[order], j[order]
 

@@ -12,7 +12,7 @@
 * :func:`dense_assign_msds`, :func:`dense_adjacency_matrix`,
   :func:`dense_flock_accelerations` -- the matcher, the adjacency matrix
   and the force kernel over all M x L user-agent and L x L agent pairs,
-  which the library now evaluates over the candidate pairs of a cell grid
+  which the library now evaluates over the candidate pairs of k-d trees
   only; :func:`scan_connected_components`, the component labelling that
   scans one adjacency row per node; :func:`loop_share_achieved_goals`, the
   goal sharing that scans every label once per component.
@@ -62,11 +62,12 @@ def power_score_assign(msd_pos, map_pos, map_height, alive, rho, eta, comm_range
     return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
 
 
-def dense_assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users):
+def dense_assign_msds(msd_pos, map_pos, map_height, alive, comm_range, *trees):
     """Match every user to its nearest alive agent, if that one is in range.
 
-    `users`, the library matcher's cell table, is accepted and not used, so
-    that this oracle can stand in for ``assign_msds`` in a whole run.
+    `trees`, the library matcher's users' and agents' k-d trees, are
+    accepted and not used, so that this oracle can stand in for
+    ``assign_msds`` in a whole run.
     """
     if comm_range <= 0:
         raise ValueError("comm_range must be positive")
@@ -263,7 +264,7 @@ def control_input(i, positions, velocities, loads, neighbor_ids, alive,
 
 def _measure(world, params, t):
     asg = dense_assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                            params.r, world.user_table)
+                            params.r)
     adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)
     alive_adj = adj[np.ix_(world.alive, world.alive)].astype(float)
     lam2 = fiedler_value(alive_adj) if world.alive.any() else 0.0
@@ -295,7 +296,7 @@ def _share_achieved_goals(world, adjacency):
 
 def _step(world, params, thresholds, dt, t_next):
     asg = dense_assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                            params.r, world.user_table)
+                            params.r)
     cov = cluster_coverages(asg, world.msd_cluster, len(world.centroids))
 
     adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)

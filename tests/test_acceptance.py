@@ -26,7 +26,7 @@ from mapflock.netgraph import (
 from mapflock.outputs import config_from_summary, metrics_header, read_csv
 from mapflock.potentials import phi_action
 from mapflock.sim import run
-from mapflock.world import ScenarioConfig, save_config
+from mapflock.world import ScenarioConfig, agent_tree, save_config
 from oracles import attract_repulse, power_score_assign, sigma_norm
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -161,7 +161,8 @@ class TestExperimentTargets:
             msd = rng.uniform(-40, 40, (int(rng.integers(1, 12)), 2))
             maps = rng.uniform(-40, 40, (int(rng.integers(1, 8)), 2))
             alive = rng.random(len(maps)) > 0.25
-            asg = assign_msds(msd, maps, 20.0, alive, 24.0, user_table(msd, 20.0, 24.0))
+            asg = assign_msds(msd, maps, 20.0, alive, 24.0, user_table(msd),
+                              agent_tree(maps, alive))
             other = power_score_assign(msd, maps, 20.0, alive, 7.0, 2.0, 24.0)
             ok &= np.array_equal(asg.owner, other.owner)
             for i in range(len(msd)):

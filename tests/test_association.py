@@ -2,17 +2,24 @@ import numpy as np
 import pytest
 
 from mapflock.association import Assignment, assign_msds, cluster_coverages, user_table
+from mapflock.world import agent_tree
 from oracles import dense_assign_msds, power_score_assign, scan_cluster_coverages
 
 H = 20.0   # flight height
 R = 24.0   # communication range
 
 
+def match(msd, maps, height, alive, comm_range):
+    """`assign_msds` over the users' tree and the alive agents' tree."""
+    return assign_msds(msd, maps, height, alive, comm_range, user_table(msd),
+                       agent_tree(maps, alive))
+
+
 class TestAssignMsds:
     def test_single_map_in_range(self):
         msd = np.array([[0.0, 0.0]])
         maps = np.array([[5.0, 0.0]])
-        asg = assign_msds(msd, maps, H, np.ones(1, bool), R, user_table(msd, H, R))
+        asg = match(msd, maps, H, np.ones(1, bool), R)
         assert asg.owner[0] == 0
         assert asg.loads[0] == 1
         assert asg.coverage_ratio == 1.0
@@ -21,7 +28,7 @@ class TestAssignMsds:
         # horizontal 14 -> 3-D distance sqrt(14^2 + 20^2) > 24
         msd = np.array([[0.0, 0.0]])
         maps = np.array([[14.0, 0.0]])
-        asg = assign_msds(msd, maps, H, np.ones(1, bool), R, user_table(msd, H, R))
+        asg = match(msd, maps, H, np.ones(1, bool), R)
         assert asg.owner[0] == -1
         assert asg.coverage_ratio == 0.0
 
@@ -29,24 +36,24 @@ class TestAssignMsds:
         # horizontal 13 -> 3-D 23.85 <= 24, covered
         msd = np.array([[0.0, 0.0]])
         maps = np.array([[13.0, 0.0]])
-        asg = assign_msds(msd, maps, H, np.ones(1, bool), R, user_table(msd, H, R))
+        asg = match(msd, maps, H, np.ones(1, bool), R)
         assert asg.owner[0] == 0
 
     def test_nearer_map_wins(self):
         msd = np.array([[0.0, 0.0]])
         maps = np.array([[8.0, 0.0], [3.0, 0.0]])
-        asg = assign_msds(msd, maps, H, np.ones(2, bool), R, user_table(msd, H, R))
+        asg = match(msd, maps, H, np.ones(2, bool), R)
         assert asg.owner[0] == 1
 
     def test_dead_maps_ignored(self):
         msd = np.array([[0.0, 0.0]])
         maps = np.array([[1.0, 0.0], [9.0, 0.0]])
-        asg = assign_msds(msd, maps, H, np.array([False, True]), R, user_table(msd, H, R))
+        asg = match(msd, maps, H, np.array([False, True]), R)
         assert asg.owner[0] == 1
 
     def test_empty_fleet(self):
         msd = np.random.default_rng(0).uniform(-10, 10, (5, 2))
-        asg = assign_msds(msd, np.zeros((0, 2)), H, np.zeros(0, bool), R, user_table(msd, H, R))
+        asg = match(msd, np.zeros((0, 2)), H, np.zeros(0, bool), R)
         assert np.all(asg.owner == -1)
         assert asg.coverage_ratio == 0.0
 
@@ -58,7 +65,7 @@ class TestAssignMsds:
             msd = rng.uniform(-40, 40, (n_msd, 2))
             maps = rng.uniform(-40, 40, (n_map, 2))
             alive = rng.random(n_map) > 0.25
-            asg = assign_msds(msd, maps, H, alive, R, user_table(msd, H, R))
+            asg = match(msd, maps, H, alive, R)
             for i in range(n_msd):
                 dists = np.sqrt(((msd[i] - maps) ** 2).sum(1) + H * H)
                 candidates = [j for j in range(n_map) if alive[j] and dists[j] <= R]
@@ -75,7 +82,7 @@ class TestAssignMsds:
         msd = rng.uniform(-30, 30, (40, 2))
         maps = rng.uniform(-30, 30, (8, 2))
         alive = np.ones(8, bool)
-        base = assign_msds(msd, maps, H, alive, R, user_table(msd, H, R))
+        base = match(msd, maps, H, alive, R)
         for rho, eta in [(0.01, 3.5), (100.0, 3.5), (1.0, 2.0), (7.0, 5.0)]:
             other = power_score_assign(msd, maps, H, alive, rho, eta, R)
             np.testing.assert_array_equal(base.owner, other.owner)
@@ -83,14 +90,14 @@ class TestAssignMsds:
     def test_tie_break_lowest_id(self):
         msd = np.array([[0.0, 0.0]])
         maps = np.array([[6.0, 0.0], [-6.0, 0.0]])
-        asg = assign_msds(msd, maps, H, np.ones(2, bool), R, user_table(msd, H, R))
+        asg = match(msd, maps, H, np.ones(2, bool), R)
         assert asg.owner[0] == 0
 
     def test_load_sum_matches_assigned(self):
         rng = np.random.default_rng(8)
         msd = rng.uniform(-50, 50, (200, 2))
         maps = rng.uniform(-50, 50, (12, 2))
-        asg = assign_msds(msd, maps, H, np.ones(12, bool), R, user_table(msd, H, R))
+        asg = match(msd, maps, H, np.ones(12, bool), R)
         assert asg.loads.sum() == np.count_nonzero(asg.owner >= 0)
         assert asg.coverage_ratio == asg.loads.sum() / 200
 
@@ -100,52 +107,41 @@ class TestAssignMsds:
             msd = rng.uniform(-40, 40, (60, 2))
             maps = rng.uniform(-40, 40, (6, 2))
             alive = np.ones(6, bool)
-            full = assign_msds(msd, maps, H, alive, R, user_table(msd, H, R))
+            full = match(msd, maps, H, alive, R)
             kill = int(rng.integers(0, 6))
             alive2 = alive.copy()
             alive2[kill] = False
-            reduced = assign_msds(msd, maps, H, alive2, R, user_table(msd, H, R))
+            reduced = match(msd, maps, H, alive2, R)
             assert reduced.coverage_ratio <= full.coverage_ratio + 1e-12
 
     def test_bad_params(self):
-        users = user_table(np.zeros((1, 2)), H, R)
         with pytest.raises(ValueError):
-            assign_msds(np.zeros((1, 2)), np.zeros((1, 2)), H, np.ones(1, bool), 0.0, users)
+            match(np.zeros((1, 2)), np.zeros((1, 2)), H, np.ones(1, bool), 0.0)
 
 
 class TestUsersTableReach:
-    """The users' table must have cells at least the horizontal reach wide."""
+    """The users' tree is not tied to a reach: one tree, built once, serves
+    every flight height and communication range."""
 
-    def snapshot(self):
+    def test_one_tree_serves_every_height_and_range(self):
         rng = np.random.default_rng(31)
-        return rng.normal(0.0, 15.0, (300, 2)), rng.uniform(-40, 40, (12, 2)), np.ones(12, bool)
-
-    def test_table_for_a_shorter_reach_is_refused(self):
-        # built at 23.9 m the reach is 2.19 m; at 20 m it is 13.27 m, and the
-        # narrow cells would miss most users in range
-        msd, maps, alive = self.snapshot()
-        with pytest.raises(ValueError, match="narrower than the reach") as info:
-            assign_msds(msd, maps, H, alive, R, user_table(msd, 23.9, R))
-        assert "\n" not in str(info.value)
-        with pytest.raises(ValueError, match="narrower than the reach"):
-            assign_msds(msd, maps, H, alive, R, user_table(msd, H, 23.0))
-
-    def test_table_for_a_wider_reach_matches_the_dense_oracle(self):
-        msd, maps, alive = self.snapshot()
-        for height, comm_range in ((3.0, R), (H, 30.0), (H, R)):
-            table = user_table(msd, height, comm_range)
-            got = assign_msds(msd, maps, H, alive, R, table)
-            want = dense_assign_msds(msd, maps, H, alive, R, table)
-            np.testing.assert_array_equal(got.owner, want.owner)
-            np.testing.assert_array_equal(got.loads, want.loads)
-            assert got.coverage_ratio == want.coverage_ratio > 0
+        msd, maps = rng.normal(0.0, 15.0, (300, 2)), rng.uniform(-40, 40, (12, 2))
+        alive = np.ones(12, bool)
+        users, agents = user_table(msd), agent_tree(maps, alive)
+        for height in (3.0, H):
+            for comm_range in (R, 30.0):
+                got = assign_msds(msd, maps, height, alive, comm_range, users, agents)
+                want = dense_assign_msds(msd, maps, height, alive, comm_range)
+                np.testing.assert_array_equal(got.owner, want.owner)
+                np.testing.assert_array_equal(got.loads, want.loads)
+                assert got.coverage_ratio == want.coverage_ratio > 0
 
 
 class TestPowerScoreOracle:
     """The squared-distance matcher against the received-power matcher it replaced."""
 
     def check(self, msd, maps, alive, height, comm_range):
-        got = assign_msds(msd, maps, height, alive, comm_range, user_table(msd, height, comm_range))
+        got = match(msd, maps, height, alive, comm_range)
         want = power_score_assign(msd, maps, height, alive, 1.0, 3.5, comm_range)
         np.testing.assert_array_equal(got.owner, want.owner)
         np.testing.assert_array_equal(got.loads, want.loads)

@@ -14,7 +14,7 @@ from mapflock.control import (
     required_relays,
     select_bridge_edge,
 )
-from mapflock.world import adjacency_matrix
+from mapflock.world import adjacency_matrix, agent_tree
 from oracles import (
     attract_repulse,
     control_input,
@@ -152,7 +152,7 @@ class TestVectorizedAgreement:
         for _ in range(60):
             n = int(rng.integers(2, 18))
             pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, n)
-            adj = adjacency_matrix(pos, alive, PARAMS.r)
+            adj = adjacency_matrix(pos, alive, PARAMS.r, agent_tree(pos, alive))
             ids = np.flatnonzero(alive)
             nb = [ids[adj[1][ids[adj[0]] == i]] for i in range(n)]
             u = flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent,
@@ -169,12 +169,13 @@ class TestVectorizedAgreement:
     def test_translation_invariance(self):
         rng = np.random.default_rng(19)
         pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, 12)
-        adj = adjacency_matrix(pos, alive, PARAMS.r)
+        adj = adjacency_matrix(pos, alive, PARAMS.r, agent_tree(pos, alive))
         u = flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent,
                                 adj, PARAMS)
         shift = np.array([37.5, -12.25])
-        adj2 = adjacency_matrix(pos + shift, alive, PARAMS.r)
-        u2 = flock_accelerations(pos + shift, vel, loads, alive, modes, ga, gb,
+        moved = pos + shift
+        adj2 = adjacency_matrix(moved, alive, PARAMS.r, agent_tree(moved, alive))
+        u2 = flock_accelerations(moved, vel, loads, alive, modes, ga, gb,
                                  cent + shift, adj2, PARAMS)
         np.testing.assert_allclose(u2, u, atol=1e-9)
 

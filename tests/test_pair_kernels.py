@@ -1,8 +1,9 @@
 """The pair kernels agree exactly with the dense kernels they replaced.
 
-Matching, adjacency and forces look only at the candidate pairs of a cell
-grid, the aerial graph is the list of its in-range pairs, component
-labelling walks that list and goal sharing groups members by one sort.
+Matching and adjacency look only at the candidate pairs of k-d trees,
+forces only at the in-range pairs, the aerial graph is the list of those
+pairs, component labelling reads that list as a sparse matrix and goal
+sharing groups members by one sort.
 Each must give bit-identical results to its dense or looping oracle in
 ``tests/oracles.py``: owners, loads, adjacency, labels, accelerations and
 achieved-goal sets.
@@ -15,15 +16,13 @@ import pytest
 
 import mapflock.association as association
 import mapflock.control as control
-import mapflock.grid as grid
 import mapflock.sim as sim
 import mapflock.world as world_module
 from mapflock.association import assign_msds, user_table
 from mapflock.control import MODE_BRIDGE, MODE_DYNAMIC, MODE_STATIC, ControlParams, flock_accelerations
-from mapflock.grid import MAX_CELLS, SIDE_MARGIN, cell_table
 from mapflock.netgraph import connected_components
-from mapflock.sim import run, share_achieved_goals
-from mapflock.world import ScenarioConfig, World, adjacency_matrix
+from mapflock.sim import observe, run, share_achieved_goals
+from mapflock.world import ScenarioConfig, World, adjacency_matrix, agent_tree, generate_scenario
 from oracles import (
     dense_adjacency_matrix,
     dense_assign_msds,
@@ -32,7 +31,7 @@ from oracles import (
     scan_connected_components,
 )
 
-# an overflowing cell key shows up as numpy's cast warning
+# an overflowing distance or cast shows up as a numpy warning
 pytestmark = pytest.mark.filterwarnings("error")
 
 R = 24.0
@@ -40,11 +39,10 @@ H = 20.0
 
 
 def _cell_edges(points, reach, count):
-    """`count` x-coordinates on the cell edges of the grid over `points`."""
-    lo = points.min(axis=0)
-    span = float((points.max(axis=0) - lo).max())
-    side = max(reach, span / MAX_CELLS) * (1.0 + SIDE_MARGIN)
-    return lo[0] + side * np.arange(count)
+    """`count` x-coordinates on the edges of square cells of side `reach`,
+    widened by 1e-6, counted from the lowest corner of `points`."""
+    side = reach * (1.0 + 1e-6)
+    return points.min(axis=0)[0] + side * np.arange(count)
 
 
 def _snapshots():
@@ -90,7 +88,7 @@ def _snapshots():
     out.append(("dead agents", users, agents, alive))
     out.append(("no alive agents", users, agents, np.zeros(40, bool)))
     out.append(("no users", np.zeros((0, 2)), agents, alive))
-    # a snapshot spanning +-1e150: cells coarsen to span / 2**20
+    # a snapshot spanning +-1e150
     far = np.array([[1e150, 1e150], [-1e150, 3.0], [1e150 + 1e136, 1e150], [5.0, -1e150],
                     [1e150, 1e150]])
     out.append(("spanning 1e150", users, np.concatenate([agents, far]),
@@ -108,9 +106,15 @@ SNAPSHOTS = _snapshots()
 IDS = [name for name, *_ in SNAPSHOTS]
 
 
-def dense_pairs(map_pos, alive, comm_range):
+def tree_pairs(map_pos, alive, comm_range):
+    """The library's in-range pairs, over the alive agents' own tree."""
+    return adjacency_matrix(map_pos, alive, comm_range, agent_tree(map_pos, alive))
+
+
+def dense_pairs(map_pos, alive, comm_range, agents=None):
     """The in-range pairs as the dense oracle gives them: ``np.nonzero`` of
-    its block over the alive agents."""
+    its block over the alive agents. `agents`, the library's tree, is
+    accepted and not used."""
     ids = np.flatnonzero(alive)
     return np.nonzero(dense_adjacency_matrix(map_pos, alive, comm_range)[np.ix_(ids, ids)])
 
@@ -144,10 +148,10 @@ def accelerations_via_dense(positions, velocities, loads, alive, modes, goal_a, 
 @pytest.mark.parametrize("name, users, agents, alive", SNAPSHOTS, ids=IDS)
 class TestAgainstDenseOracles:
     def test_assignment(self, name, users, agents, alive):
+        trees = user_table(users), agent_tree(agents, alive)
         for height, comm_range in ((H, R), (3.0, 5.0), (7.0, 25.0), (R * (1 - 1e-15), R)):
-            table = user_table(users, height, comm_range)
-            got = assign_msds(users, agents, height, alive, comm_range, table)
-            want = dense_assign_msds(users, agents, height, alive, comm_range, table)
+            got = assign_msds(users, agents, height, alive, comm_range, *trees)
+            want = dense_assign_msds(users, agents, height, alive, comm_range)
             np.testing.assert_array_equal(got.owner, want.owner)
             np.testing.assert_array_equal(got.loads, want.loads)
             assert got.coverage_ratio == want.coverage_ratio
@@ -155,7 +159,7 @@ class TestAgainstDenseOracles:
     def test_adjacency(self, name, users, agents, alive):
         n_alive = np.count_nonzero(alive)
         for comm_range in (R, 12.0, 5.0):
-            rows, cols = adjacency_matrix(agents, alive, comm_range)
+            rows, cols = tree_pairs(agents, alive, comm_range)
             want_rows, want_cols = dense_pairs(agents, alive, comm_range)
             np.testing.assert_array_equal(rows, want_rows)
             np.testing.assert_array_equal(cols, want_cols)
@@ -171,7 +175,7 @@ class TestAgainstDenseOracles:
 
     def test_labels(self, name, users, agents, alive):
         n_alive = np.count_nonzero(alive)
-        rows, cols = adjacency_matrix(agents, alive, R)
+        rows, cols = tree_pairs(agents, alive, R)
         np.testing.assert_array_equal(connected_components(n_alive, rows, cols),
                                       scan_connected_components(pair_matrix(n_alive, rows, cols)))
 
@@ -184,7 +188,7 @@ class TestAgainstDenseOracles:
                 rng.integers(0, 2 * params.n_max, size=n), alive,
                 rng.choice([MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC], size=n),
                 rng.integers(0, 2, size=n), np.full(n, 2), centroids)
-        pairs = adjacency_matrix(agents, alive, params.r)
+        pairs = tree_pairs(agents, alive, params.r)
         np.testing.assert_array_equal(
             flock_accelerations(*args, pairs, params),
             dense_flock_accelerations(*args, dense_adjacency_matrix(agents, alive, params.r),
@@ -193,9 +197,9 @@ class TestAgainstDenseOracles:
 
 class TestEmptyGraphs:
     def test_no_alive_agents_give_no_pairs(self):
-        rows, cols = adjacency_matrix(np.ones((3, 2)), np.zeros(3, bool), R)
+        rows, cols = tree_pairs(np.ones((3, 2)), np.zeros(3, bool), R)
         assert rows.size == 0 and cols.size == 0
-        rows, cols = adjacency_matrix(np.zeros((0, 2)), np.zeros(0, bool), R)
+        rows, cols = tree_pairs(np.zeros((0, 2)), np.zeros(0, bool), R)
         assert rows.size == 0 and cols.size == 0
 
     @pytest.mark.parametrize("n", [0, 1, 5])
@@ -205,7 +209,8 @@ class TestEmptyGraphs:
 
 
 # (x_min, x_i, x_j) with x_j - x_i within 24 m, where (x - x_min) / 24 rounds
-# the two agents two cells of side 24 apart: the side needs its margin
+# the two agents two cells of side 24 apart: a pair in range on either side
+# of a rounded partition of the plane
 ROUNDED_APART = [
     (-312.59564710117127, -72.5956471011713, -48.595647101171295),
     (-202.61322994390062, 37.38677005609936, 61.38677005609935),
@@ -219,7 +224,7 @@ ROUNDED_APART = [
 def test_pair_in_range_across_rounded_cell_edges(x_min, x_i, x_j):
     agents = np.array([[x_min, 0.0], [x_i, 0.0], [x_j, 0.0]])
     alive = np.ones(3, bool)
-    rows, cols = adjacency_matrix(agents, alive, R)
+    rows, cols = tree_pairs(agents, alive, R)
     pairs = set(zip(rows.tolist(), cols.tolist()))
     assert (1, 2) in pairs and (2, 1) in pairs
     for got, want in zip((rows, cols), dense_pairs(agents, alive, R)):
@@ -227,27 +232,13 @@ def test_pair_in_range_across_rounded_cell_edges(x_min, x_i, x_j):
 
 
 class TestCandidatePairs:
-    def test_superset_of_pairs_in_reach(self):
-        for name, users, agents, _ in SNAPSHOTS:
-            for reach in (R, 13.3, 0.5, 0.0):
-                q, s = cell_table(users, reach).pairs(agents)
-                found = set(zip(q.tolist(), s.tolist()))
-                assert len(found) == len(q), name
-                diff = agents[:, None, :] - users[None, :, :]
-                qi, si = np.nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach)
-                assert set(zip(qi.tolist(), si.tolist())) <= found, name
-
-    def test_empty_inputs(self):
-        q, s = cell_table(np.ones((3, 2)), R).pairs(np.zeros((0, 2)))
-        assert q.size == 0 and s.size == 0
-        q, s = cell_table(np.zeros((0, 2)), R).pairs(np.ones((3, 2)))
-        assert q.size == 0 and s.size == 0
-        q, s = cell_table(np.zeros((0, 2)), R).pairs()
-        assert q.size == 0 and s.size == 0
-
     def test_coincident_points(self):
-        q, s = cell_table(np.ones((2, 2)), 0.0).pairs(np.ones((3, 2)))
-        assert sorted(zip(q.tolist(), s.tolist())) == [(a, b) for a in range(3) for b in range(2)]
+        users, agents, alive = np.ones((2, 2)), np.ones((3, 2)), np.ones(3, bool)
+        got = assign_msds(users, agents, H, alive, R, user_table(users), agent_tree(agents, alive))
+        np.testing.assert_array_equal(got.owner, [0, 0])
+        rows, cols = tree_pairs(agents, alive, R)
+        assert list(zip(rows.tolist(), cols.tolist())) \
+            == [(a, b) for a in range(3) for b in range(3) if a != b]
 
 
 class TestRandomGraphLabels:
@@ -271,7 +262,7 @@ class TestShareAchievedGoals:
                      goal_a=np.zeros(n, int), goal_b=np.full(n, -1),
                      achieved=[set(rng.choice(6, size=int(rng.integers(0, 3))).tolist())
                                for _ in range(n)],
-                     user_table=user_table(np.zeros((1, 2)), H, R))
+                     user_table=user_table(np.zeros((1, 2))))
 
     def test_matches_per_component_loop(self):
         rng = np.random.default_rng(11)
@@ -336,33 +327,28 @@ def _fleet_with_outlier(outlier):
     return np.concatenate([rng.uniform(0.0, 800.0, size=(999, 2)), [outlier]])
 
 
-class TestHashedCellTable:
-    """The table behind the candidate pairs: hashed buckets, the users'
-    table built once per run, and agents anywhere up to MAX_COORDINATE."""
+class TestTreePath:
+    """The k-d tree path on hard inputs: far outliers, agents anywhere up to
+    MAX_COORDINATE, the users' tree built once per run and one agents' tree
+    per observation."""
 
     @pytest.mark.parametrize("outlier", [(1e5, 1e5), (-1e5, 400.0),
                                          (1e150, 1e150), (-1e150, -1e150)])
-    def test_outlier_does_not_crowd_the_fleet(self, outlier):
+    def test_fleet_with_an_outlier(self, outlier):
         agents = _fleet_with_outlier(outlier)
         alive = np.ones(len(agents), bool)
-        q, _ = cell_table(agents, R).pairs()
-        rows, cols = adjacency_matrix(agents, alive, R)
-        # a table whose cells coarsen to fit the outlier puts the whole fleet
-        # in one cell: about 10**6 candidates
-        assert len(q) <= 4 * (len(rows) + len(agents))
+        rows, cols = tree_pairs(agents, alive, R)
         want_rows, want_cols = dense_pairs(agents, alive, R)
         np.testing.assert_array_equal(rows, want_rows)
         np.testing.assert_array_equal(cols, want_cols)
 
     @pytest.mark.parametrize("outlier", [(1e5, 1e5), (-1e150, -1e150)])
-    def test_outlier_user_does_not_crowd_the_users(self, outlier):
+    def test_users_with_an_outlier(self, outlier):
         users = _fleet_with_outlier(outlier)
         agents = np.random.default_rng(5).uniform(0.0, 800.0, size=(300, 2))
-        q, _ = cell_table(users, 13.3).pairs(agents)
-        assert len(q) <= 9 * 2 * len(agents)     # a few users per cell at most
-        table = user_table(users, H, R)
-        got = assign_msds(users, agents, H, np.ones(300, bool), R, table)
-        want = dense_assign_msds(users, agents, H, np.ones(300, bool), R, table)
+        alive = np.ones(300, bool)
+        got = assign_msds(users, agents, H, alive, R, user_table(users), agent_tree(agents, alive))
+        want = dense_assign_msds(users, agents, H, alive, R)
         np.testing.assert_array_equal(got.owner, want.owner)
 
     def test_agents_outside_the_users_frame(self):
@@ -378,40 +364,32 @@ class TestHashedCellTable:
         far = [left - (40.0, 0.0), right + (40.0, 0.0), (1e6, 0.0), (-1e6, 1e6),
                (1e12, -1e12), (big, big), (-big, -big), (big, 0.0), (0.0, -big)]
         agents = np.array(edge + far)
-        table = user_table(users, H, R)
+        table = user_table(users)
         served = []
         for alive in [np.arange(len(agents)) == k for k in range(len(agents))] \
                 + [np.ones(len(agents), bool)]:
-            got = assign_msds(users, agents, H, alive, R, table)
-            want = dense_assign_msds(users, agents, H, alive, R, table)
+            got = assign_msds(users, agents, H, alive, R, table, agent_tree(agents, alive))
+            want = dense_assign_msds(users, agents, H, alive, R)
             np.testing.assert_array_equal(got.owner, want.owner)
             np.testing.assert_array_equal(got.loads, want.loads)
             served.append(int(want.loads[alive].sum()))
         assert all(served[:len(edge)]) and not any(served[len(edge):len(agents)])
+        for got, want in zip(tree_pairs(agents, np.ones(len(agents), bool), R),
+                             dense_pairs(agents, np.ones(len(agents), bool), R)):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name, users, agents, alive", SNAPSHOTS, ids=IDS)
-    def test_no_duplicate_pairs_under_forced_collisions(self, monkeypatch,
-                                                        name, users, agents, alive):
-        # 16 buckets for any point count: the nine cells of most blocks share
-        # buckets, and every bucket holds cells far apart
-        monkeypatch.setattr(grid, "BUCKETS_PER_POINT", 0)
-        assert len(grid.cell_table(agents, R).count) == 16
-        for queries, sites, reach in ((agents, users, 13.3), (agents, agents, R)):
-            q, s = cell_table(sites, reach).pairs(queries)
-            found = set(zip(q.tolist(), s.tolist()))
-            assert len(found) == len(q)
-            diff = queries[:, None, :] - sites[None, :, :]
-            qi, si = np.nonzero(np.einsum("ijk,ijk->ij", diff, diff) <= reach * reach)
-            assert set(zip(qi.tolist(), si.tolist())) <= found
-        table = user_table(users, H, R)
-        got = assign_msds(users, agents, H, alive, R, table)
-        want = dense_assign_msds(users, agents, H, alive, R, table)
+    def test_one_pair_of_trees_serves_matching_and_graph(self, name, users, agents, alive):
+        trees = user_table(users), agent_tree(agents, alive)
+        got = assign_msds(users, agents, H, alive, R, *trees)
+        want = dense_assign_msds(users, agents, H, alive, R)
         np.testing.assert_array_equal(got.owner, want.owner)
-        for got, want in zip(adjacency_matrix(agents, alive, R), dense_pairs(agents, alive, R)):
+        for got, want in zip(adjacency_matrix(agents, alive, R, trees[1]),
+                             dense_pairs(agents, alive, R)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("failures", [(), ((1.0, 0.5),)])
-    def test_users_binned_once_per_run(self, monkeypatch, failures):
+    def test_users_tree_built_once_per_run(self, monkeypatch, failures):
         builds = []
         original = association.user_table
 
@@ -424,5 +402,37 @@ class TestHashedCellTable:
         res = run(ScenarioConfig(msds_per_cluster=40, map_count=20, t_end=2.0, seed=3,
                                  failures=failures))
         assert len(res.samples) == 21 and len(builds) == 1
-        assert res.world.user_table.bounds.tolist() \
+        # the step guard's scene extent
+        users = res.world.user_table
+        assert [users.mins.tolist(), users.maxes.tolist()] \
             == [res.world.msd_pos.min(axis=0).tolist(), res.world.msd_pos.max(axis=0).tolist()]
+
+    def test_one_agents_tree_per_observation(self, monkeypatch):
+        built, passed = [], []
+
+        def build(*args):
+            built.append(world_module.agent_tree(*args))
+            return built[-1]
+
+        def spy(kernel):
+            def wrapped(*args):
+                passed.append(args[-1])
+                return kernel(*args)
+            return wrapped
+
+        monkeypatch.setattr(sim, "agent_tree", build)
+        monkeypatch.setattr(sim, "assign_msds", spy(sim.assign_msds))
+        monkeypatch.setattr(sim, "adjacency_matrix", spy(sim.adjacency_matrix))
+        cfg = ScenarioConfig(msds_per_cluster=40, map_count=20, t_end=2.0, seed=3,
+                             failures=((1.0, 0.5),))
+        world = generate_scenario(cfg, np.random.default_rng(cfg.seed))
+        world.alive[::3] = False
+        observe(world, cfg.control)
+        assert len(built) == 1 and built[0].n == np.count_nonzero(world.alive)
+        assert passed == [built[0], built[0]]
+        # a run observes its 21 states and, after the failure, one state again
+        built.clear()
+        passed.clear()
+        run(cfg)
+        assert len(built) == 22
+        assert passed == [tree for tree in built for _ in range(2)]

@@ -21,7 +21,13 @@ from mapflock.sim import (
     run,
     step,
 )
-from mapflock.world import ConfigError, ScenarioConfig, adjacency_matrix, generate_scenario
+from mapflock.world import (
+    ConfigError,
+    ScenarioConfig,
+    adjacency_matrix,
+    agent_tree,
+    generate_scenario,
+)
 from oracles import attract_repulse
 
 PARAMS = ControlParams()
@@ -325,7 +331,9 @@ class TestDivergenceGuard:
     def test_non_finite_velocity_reaches_only_in_range_neighbours(self):
         self.config = small_config(seed=1)
         self.world = generate_scenario(self.config, np.random.default_rng(1))
-        rows, cols = adjacency_matrix(self.world.map_pos, self.world.alive, PARAMS.r)
+        world = self.world
+        rows, cols = adjacency_matrix(world.map_pos, world.alive, PARAMS.r,
+                                      agent_tree(world.map_pos, world.alive))
         ids = np.flatnonzero(self.world.alive)
         reached = np.union1d([3], ids[cols[ids[rows] == 3]])
         np.testing.assert_array_equal(reached, [1, 3, 9, 10])

@@ -9,6 +9,7 @@ from mapflock.world import (
     ConfigError,
     ScenarioConfig,
     adjacency_matrix,
+    agent_tree,
     config_from_lines,
     config_to_lines,
     generate_scenario,
@@ -69,7 +70,7 @@ class TestGenerateScenario:
 def neighbors(map_pos, alive, comm_range):
     """Neighbour ids of each agent, from the in-range pairs of alive agents."""
     ids = np.flatnonzero(alive)
-    rows, cols = adjacency_matrix(map_pos, alive, comm_range)
+    rows, cols = adjacency_matrix(map_pos, alive, comm_range, agent_tree(map_pos, alive))
     return [ids[cols[ids[rows] == i]] for i in range(len(map_pos))]
 
 
