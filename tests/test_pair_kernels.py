@@ -232,6 +232,42 @@ def test_pair_in_range_across_rounded_cell_edges(x_min, x_i, x_j):
 
 
 class TestCandidatePairs:
+    def test_superset_of_pairs_in_reach(self):
+        # the trees' candidates, at the widened reach and range, hold every
+        # pair the exact range tests admit, down to a height equal to the range
+        for name, users, agents, alive in SNAPSHOTS:
+            pos = agents[alive]
+            tree = agent_tree(agents, alive)
+            for height, comm_range in ((H, R), (3.0, 5.0), (R * (1 - 1e-15), R), (R, R)):
+                pairs = tree.sparse_distance_matrix(
+                    user_table(users), association._reach(height, comm_range),
+                    output_type="ndarray")
+                found = set(zip(pairs["i"].tolist(), pairs["j"].tolist()))
+                assert len(found) == len(pairs), name
+                diff = pos[:, None, :] - users[None, :, :]
+                d2 = np.einsum("ijk,ijk->ij", diff, diff)
+                ai, ui = np.nonzero(np.sqrt(d2 + height * height) <= comm_range)
+                assert set(zip(ai.tolist(), ui.tolist())) <= found, name
+            for comm_range in (R, 12.0, 0.5):
+                i, j = tree.query_pairs(comm_range * (1.0 + 1e-9), output_type="ndarray").T
+                found = set(zip(i.tolist(), j.tolist()))
+                diff = pos[:, None, :] - pos[None, :, :]
+                ai, aj = np.nonzero(np.triu(np.einsum("ijk,ijk->ij", diff, diff)
+                                            <= comm_range * comm_range, 1))
+                assert set(zip(ai.tolist(), aj.tolist())) <= found, name
+
+    def test_empty_inputs(self):
+        none = np.zeros((0, 2))
+        for users, agents in ((np.ones((3, 2)), none), (none, np.ones((3, 2))), (none, none)):
+            alive = np.ones(len(agents), bool)
+            got = assign_msds(users, agents, H, alive, R, user_table(users),
+                              agent_tree(agents, alive))
+            assert got.owner.tolist() == [-1] * len(users)
+            assert got.loads.tolist() == [0] * len(agents)
+            assert got.coverage_ratio == 0.0
+        rows, cols = tree_pairs(none, np.zeros(0, bool), R)
+        assert rows.size == 0 and cols.size == 0
+
     def test_coincident_points(self):
         users, agents, alive = np.ones((2, 2)), np.ones((3, 2)), np.ones(3, bool)
         got = assign_msds(users, agents, H, alive, R, user_table(users), agent_tree(agents, alive))
