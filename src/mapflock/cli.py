@@ -60,31 +60,28 @@ def _build_parser():
     return parser
 
 
-def _replicate_seeds(config, args):
-    base = config.seed if args.seed is None else args.seed
-    return [base + k for k in range(args.replicates)]
-
-
-def _sweep(points, make_config, label, out_dir):
+def _sweep(args, base, values, make_config, label):
     """Run replicate seeds per sweep point and write per-run + mean outputs."""
-    os.makedirs(out_dir, exist_ok=True)
+    first = base.seed if args.seed is None else args.seed
+    seeds = [first + k for k in range(args.replicates)]
+    os.makedirs(args.out_dir, exist_ok=True)
     lines = []
-    for value, seeds in points:
+    for value in values:
         finals_rc, finals_lam = [], []
         for seed in seeds:
-            cfg = make_config(value, seed)
-            result = run(cfg)
-            run_dir = os.path.join(out_dir, f"{label}_{value:g}", f"seed_{seed}")
+            result = run(make_config(value, seed))
+            run_dir = os.path.join(args.out_dir, f"{label}_{value:g}", f"seed_{seed}")
             write_run_outputs(result, run_dir)
             finals_rc.append(result.final.coverage_ratio)
             finals_lam.append(result.final.fiedler)
         lines.append(f"{label}_{value:g}.mean_final_coverage_ratio = {fmt(np.mean(finals_rc))}")
         lines.append(f"{label}_{value:g}.mean_final_fiedler = {fmt(np.mean(finals_lam))}")
         lines.append(f"{label}_{value:g}.seeds = {','.join(str(s) for s in seeds)}")
-    path = os.path.join(out_dir, "sweep_summary.txt")
+    path = os.path.join(args.out_dir, "sweep_summary.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    return path
+    print(f"sweep summary -> {path}")
+    return 0
 
 
 def _cmd_run(args):
@@ -100,24 +97,15 @@ def _cmd_run(args):
 
 def _cmd_sweep_maps(args):
     base = load_config(args.config)
-    seeds = _replicate_seeds(base, args)
-    points = [(count, seeds) for count in args.counts]
-    path = _sweep(points, lambda count, seed: replace(base, map_count=count, seed=seed),
-                  "maps", args.out_dir)
-    print(f"sweep summary -> {path}")
-    return 0
+    return _sweep(args, base, args.counts,
+                  lambda count, seed: replace(base, map_count=count, seed=seed), "maps")
 
 
 def _cmd_sweep_failure(args):
     base = load_config(args.config)
-    seeds = _replicate_seeds(base, args)
-    points = [(frac, seeds) for frac in args.fractions]
-    path = _sweep(points,
-                  lambda frac, seed: replace(base, seed=seed,
-                                             failures=((args.at, frac),)),
-                  "failure", args.out_dir)
-    print(f"sweep summary -> {path}")
-    return 0
+    return _sweep(args, base, args.fractions,
+                  lambda frac, seed: replace(base, seed=seed, failures=((args.at, frac),)),
+                  "failure")
 
 
 def _cmd_plot(args):
@@ -150,6 +138,9 @@ def cli_main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    if getattr(args, "replicates", 1) < 1:
+        print(f"error: --replicates must be at least 1, got {args.replicates}", file=sys.stderr)
+        return 2
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, OSError, ValueError, SimulationDiverged) as exc:

@@ -18,6 +18,7 @@ serve); Connectivity and Static are absorbing.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -42,7 +43,8 @@ class ControlParams:
 
     The sigmoid offset `c` is always derived from `a` and `b` (never stored
     independently) so that the sigmoid root is at 0, i.e. the action
-    potential vanishes exactly at the desired spacing `d`.
+    potential vanishes exactly at the desired spacing `d`. `c`, `d_sigma`
+    and `r_sigma` are computed on first use and kept on the instance.
     """
 
     d: float = 20.0          # desired MAP spacing [m]
@@ -71,15 +73,15 @@ class ControlParams:
         if not (0.0 < self.d < self.r):
             raise ValueError("need 0 < d < r")
 
-    @property
+    @cached_property
     def c(self):
         return (self.b - self.a) / np.sqrt(4.0 * self.a * self.b)
 
-    @property
+    @cached_property
     def d_sigma(self):
         return sigma_scalar(self.d, self.epsilon)
 
-    @property
+    @cached_property
     def r_sigma(self):
         return sigma_scalar(self.r, self.epsilon)
 
@@ -126,6 +128,12 @@ def consensus_weight(load_i, params: ControlParams):
     return 1.0 - bump(ratio, 0.0, 1.0)
 
 
+@lru_cache(maxsize=64)
+def load_tables(params: ControlParams, size):
+    """`load_pull_coeff` and `consensus_weight` at the loads 0..size-1."""
+    return load_pull_coeff(np.arange(size), params), consensus_weight(np.arange(size), params)
+
+
 # ---------------------------------------------------------------------------
 # vectorized force evaluation (used by the simulation loop)
 # ---------------------------------------------------------------------------
@@ -140,10 +148,15 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     velocity-consensus terms are evaluated on those pairs only and summed
     per agent in neighbour id order, so the result equals, bit for bit,
     the reference law u = f + g + h summed agent by agent in
-    ``tests/oracles.py``.
+    ``tests/oracles.py``. The load coefficients are read from :func:`load_tables`
+    at the loads clipped to 2 * n_max, past which both are constant.
     """
     n = len(positions)
     eps = params.epsilon
+    # sized by the largest load, never by n_max alone: the next power of two
+    # above it, at most 2 * n_max + 1 entries
+    last = min(1 << int(loads.max(initial=0)).bit_length(), 2 * params.n_max + 1) - 1
+    pull, weight = load_tables(params, last + 1)
     i, j = np.flatnonzero(alive)[np.stack(adjacency)]   # as agent ids, still row-major
     diff = np.take(positions, j, axis=0) - np.take(positions, i, axis=0)   # q_j - q_i
     nsq = np.einsum("ij,ij->i", diff, diff)
@@ -152,12 +165,12 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     z_sigma = (root - 1.0) / eps
 
     phi = phi_action(z_sigma, params)
-    push = ((phi + load_pull_coeff(loads, params)[j]) * scale)[:, None] * diff
+    push = ((phi + pull[np.minimum(loads, last)][j]) * scale)[:, None] * diff
     dv = np.take(velocities, j, axis=0) - np.take(velocities, i, axis=0)   # v_j - v_i
     # bincount sums each agent's pairs in j order, as the per-agent loop does
     f, dv_sum = (np.stack([np.bincount(i, terms[:, k], minlength=n) for k in range(2)], axis=1)
                  for terms in (push, dv))
-    g = consensus_weight(loads, params)[:, None] * dv_sum
+    g = weight[np.minimum(loads, last)][:, None] * dv_sum
 
     h = np.zeros_like(positions)
     point = alive & (modes != MODE_BRIDGE)

@@ -22,11 +22,16 @@ def connected_components(n, rows, cols):
 
     The graph on nodes 0..n-1 is given by its pairs ``(rows, cols)`` as
     ``np.nonzero`` of its symmetric matrix gives them; they are read as the
-    graph's CSR matrix, which ``scipy.sparse.csgraph`` labels.
+    graph's CSR matrix, which ``scipy.sparse.csgraph`` labels. The pairs must
+    be symmetric, as ``world.adjacency_matrix`` emits them: each strong
+    component is then an undirected one, and the directed (Pearce) labels,
+    in the same smallest-node order, skip the undirected path's transpose.
     """
-    graph = csr_matrix((np.ones(rows.size), cols, np.searchsorted(rows, np.arange(n + 1))),
-                       shape=(n, n))
-    return csgraph.connected_components(graph, directed=False)[1].astype(int)
+    # the matrix holds int32 indices whenever they fit; handing them over as
+    # int32 spares it a scan and a copy of both index arrays
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    graph = csr_matrix((np.ones(rows.size), cols.astype(np.int32), indptr), shape=(n, n))
+    return csgraph.connected_components(graph, directed=True, connection="strong")[1].astype(int)
 
 
 def fiedler_value(adjacency, labels=None):

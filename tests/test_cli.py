@@ -90,6 +90,17 @@ class TestUsageErrors:
         assert cli_main(["sweep-maps", config_path]) == 2
         assert cli_main(["sweep-failure", config_path, "--fractions", "0.1"]) == 2
 
+    @pytest.mark.parametrize("replicates", ["0", "-2"])
+    def test_replicates_below_one(self, config_path, tmp_path, capsys, replicates):
+        out_dir = tmp_path / "sweep"
+        for argv in (["sweep-maps", config_path, "--counts", "10"],
+                     ["sweep-failure", config_path, "--fractions", "0.1", "--at", "1"]):
+            assert cli_main([*argv, "--replicates", replicates, "--out-dir", str(out_dir)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --replicates must be at least 1, got {replicates}\n"
+            assert captured.out == ""
+            assert not out_dir.exists()    # nothing ran
+
 
 class TestSweeps:
     def test_sweep_maps_layout(self, config_path, tmp_path):

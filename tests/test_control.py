@@ -1,3 +1,7 @@
+import math
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +14,7 @@ from mapflock.control import (
     consensus_weight,
     flock_accelerations,
     load_pull_coeff,
+    load_tables,
     mode_switch,
     required_relays,
     select_bridge_edge,
@@ -18,6 +23,7 @@ from mapflock.world import adjacency_matrix, agent_tree
 from oracles import (
     attract_repulse,
     control_input,
+    dense_flock_accelerations,
     goal_term_bridge,
     goal_term_point,
     velocity_consensus,
@@ -92,6 +98,93 @@ class TestConsensus:
         loads = np.array([PARAMS.n_max, 0])
         g = velocity_consensus(0, vel, loads, [1], PARAMS)
         np.testing.assert_allclose(g, 0.0)
+
+
+def table_lookup(loads, params):
+    """The load coefficients as flock_accelerations reads them."""
+    last = min(1 << int(loads.max()).bit_length(), 2 * params.n_max + 1) - 1
+    pull, weight = load_tables(params, last + 1)
+    return pull[np.minimum(loads, last)], weight[np.minimum(loads, last)]
+
+
+class TestLoadTables:
+    @pytest.mark.parametrize("n_max", [1, 80, 10**9])
+    def test_lookup_equals_coefficients(self, n_max):
+        params = replace(PARAMS, n_max=n_max)
+        # every load up to 3 * n_max + 1 (up to 5000 at n_max = 10**9), then far beyond
+        loads = np.arange(min(3 * n_max + 2, 5000))
+        beyond = [10**6, 10**12, 2**62] if n_max < 10**6 else []
+        for top in (0, 1, 2, 3, 5, n_max, 2 * n_max, len(loads) - 1):
+            some = np.r_[loads[loads <= top], beyond].astype(int)
+            pull, weight = table_lookup(some, params)
+            np.testing.assert_array_equal(pull, load_pull_coeff(some, params))
+            np.testing.assert_array_equal(weight, consensus_weight(some, params))
+
+    def test_constant_past_twice_capacity(self):
+        for n_max in (1, 80):
+            params = replace(PARAMS, n_max=n_max)
+            far = np.array([2 * n_max, 2 * n_max + 1, 10**9, 2**62])
+            np.testing.assert_array_equal(load_pull_coeff(far, params), params.a)
+            np.testing.assert_array_equal(consensus_weight(far, params), 0.0)
+
+    def test_huge_capacity_sizes_tables_by_loads(self):
+        params = replace(PARAMS, n_max=10**9)
+        rng = np.random.default_rng(7)
+        pos, vel, _, alive, modes, ga, gb, cent = TestVectorizedAgreement().random_state(rng, 80)
+        loads = rng.multinomial(2000, np.full(80, 1 / 80))
+        loads[3] = 2000
+        adj = adjacency_matrix(pos, alive, params.r, agent_tree(pos, alive))
+        load_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent, adj, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_replace_gets_its_own_tables(self):
+        small = replace(PARAMS, n_max=5)
+        loads = np.arange(40)
+        for params in (PARAMS, small, PARAMS, small):
+            pull, weight = table_lookup(loads, params)
+            np.testing.assert_array_equal(pull, load_pull_coeff(loads, params))
+            np.testing.assert_array_equal(weight, consensus_weight(loads, params))
+        assert not np.array_equal(load_tables(small, 64)[0], load_tables(PARAMS, 64)[0])
+
+    def test_forces_at_extreme_loads_match_oracle(self):
+        rng = np.random.default_rng(13)
+        pos, vel, _, alive, modes, ga, gb, cent = TestVectorizedAgreement().random_state(rng, 30)
+        adj = adjacency_matrix(pos, alive, PARAMS.r, agent_tree(pos, alive))
+        dense = np.zeros((30, 30), dtype=bool)
+        ids = np.flatnonzero(alive)
+        dense[ids[adj[0]], ids[adj[1]]] = True
+        for loads in (np.zeros(30, int), rng.integers(0, 3 * PARAMS.n_max, 30),
+                      rng.choice([0, PARAMS.n_max, 10**12], 30)):
+            np.testing.assert_array_equal(
+                flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent, adj, PARAMS),
+                dense_flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent, dense,
+                                          PARAMS))
+
+
+class TestDerivedConstants:
+    def test_formulas(self):
+        p = ControlParams(d=15.0, r=21.0, epsilon=0.2, a=3.0, b=7.0)
+        assert p.c == (7.0 - 3.0) / math.sqrt(4.0 * 3.0 * 7.0)
+        assert p.d_sigma == (math.sqrt(1.0 + 0.2 * 15.0 * 15.0) - 1.0) / 0.2
+        assert p.r_sigma == (math.sqrt(1.0 + 0.2 * 21.0 * 21.0) - 1.0) / 0.2
+        assert PARAMS.c == 0.0     # a = b: the sigmoid is odd
+
+    def test_equal_and_hashable_after_use(self):
+        used, fresh = ControlParams(), ControlParams()
+        assert (used.c, used.d_sigma, used.r_sigma) == (fresh.c, fresh.d_sigma, fresh.r_sigma)
+        assert used == ControlParams() and hash(used) == hash(ControlParams())
+        assert {used: 1}[ControlParams()] == 1
+        with pytest.raises(FrozenInstanceError):
+            used.d = 10.0
+        moved = replace(used, d=10.0)
+        assert moved.d_sigma == (math.sqrt(1.0 + used.epsilon * 10.0 * 10.0) - 1.0) / used.epsilon
+        assert moved.r_sigma == used.r_sigma
 
 
 class TestGoalTerms:

@@ -287,6 +287,44 @@ class TestRandomGraphLabels:
             got = connected_components(n, *np.nonzero(adj))
             np.testing.assert_array_equal(got, scan_connected_components(adj))
 
+    def test_large_sparse_graphs(self):
+        # fewer edges than nodes: many components, most of them single nodes
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            n = int(rng.integers(60, 1500))
+            i, j = rng.integers(0, n, (2, int(rng.integers(0, n))))
+            adj = np.zeros((n, n), dtype=bool)
+            adj[i, j] = adj[j, i] = True
+            np.fill_diagonal(adj, False)
+            got = connected_components(n, *np.nonzero(adj))
+            np.testing.assert_array_equal(got, scan_connected_components(adj))
+
+    def test_isolated_first_node(self):
+        n = 50
+        adj = np.zeros((n, n), dtype=bool)
+        path = np.arange(1, n)
+        adj[path[:-1], path[1:]] = adj[path[1:], path[:-1]] = True
+        got = connected_components(n, *np.nonzero(adj))
+        np.testing.assert_array_equal(got, [0] + [1] * (n - 1))
+        np.testing.assert_array_equal(got, scan_connected_components(adj))
+
+    def test_largest_component_starts_last(self):
+        # pairs (0, 1), (2, 3), ... come first; the largest component is a
+        # random path over the remaining nodes that ends at their smallest
+        # node: a walk from any other node of the path reaches it last
+        rng = np.random.default_rng(31)
+        for pairs in (1, 7, 40):
+            n = 2 * pairs + 300
+            adj = np.zeros((n, n), dtype=bool)
+            small = np.arange(0, 2 * pairs, 2)
+            adj[small, small + 1] = adj[small + 1, small] = True
+            path = np.r_[rng.permutation(np.arange(2 * pairs + 1, n)), 2 * pairs]
+            adj[path[:-1], path[1:]] = adj[path[1:], path[:-1]] = True
+            got = connected_components(n, *np.nonzero(adj))
+            np.testing.assert_array_equal(got, np.r_[np.repeat(np.arange(pairs), 2),
+                                                     np.full(n - 2 * pairs, pairs)])
+            np.testing.assert_array_equal(got, scan_connected_components(adj))
+
 
 class TestShareAchievedGoals:
     @staticmethod
