@@ -23,6 +23,7 @@ from .sim import (
     MetricsSample,
     RunResult,
     SimulationDiverged,
+    Trajectory,
     inject_failures,
     measure,
     run,
@@ -44,8 +45,8 @@ __all__ = [
     "mode_switch", "select_bridge_edge",
     "cluster_mst", "connected_components", "fiedler_value",
     "bump", "phi_action", "phi_uneven", "sigma_scalar",
-    "MetricsSample", "RunResult", "SimulationDiverged", "inject_failures",
-    "measure", "run", "step",
+    "MetricsSample", "RunResult", "SimulationDiverged", "Trajectory",
+    "inject_failures", "measure", "run", "step",
     "ConfigError", "ScenarioConfig", "World", "generate_scenario",
     "load_config", "save_config",
 ]

@@ -80,11 +80,11 @@ def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
     return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
 
 
-def cluster_coverages(assignment: Assignment, msd_cluster, n_clusters):
+def cluster_coverages(assignment: Assignment, msd_cluster, cluster_users):
     """Per-cluster coverage fractions, indexed by cluster id.
 
-    `msd_cluster` is the cluster id of each user; every cluster has at
-    least one user.
+    `msd_cluster` is the cluster id of each user and `cluster_users` the
+    number of users in each cluster; every cluster has at least one user.
     """
-    covered = np.bincount(msd_cluster[assignment.owner >= 0], minlength=n_clusters)
-    return covered / np.bincount(msd_cluster, minlength=n_clusters)
+    covered = np.bincount(msd_cluster[assignment.owner >= 0], minlength=len(cluster_users))
+    return covered / cluster_users

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 config/IO error or a diverged simulation
 """
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -25,7 +26,10 @@ from .world import ConfigError, load_config
 DEFAULT_REPLICATES = 5
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: argparse leaves
+    reference cycles behind each parser it builds."""
     parser = argparse.ArgumentParser(prog="mapflock",
                                      description="Flocking-based aerial coverage simulator")
     sub = parser.add_subparsers(dest="command", required=True)

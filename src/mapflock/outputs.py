@@ -4,7 +4,6 @@ All numbers are written with 6 significant digits so identical runs
 produce byte-identical files.
 """
 
-import itertools
 import os
 
 import numpy as np
@@ -36,17 +35,28 @@ def write_metrics_csv(path, result):
 
 # one trajectory row; "%.6g" formats a float as fmt does
 TRAJECTORY_ROW = "%.6g,%d,%.6g,%.6g,%.6g,%.6g,%d,%d\n"
-_ROWS_PER_WRITE = 4096
 
 
 def write_trajectories_csv(path, result):
-    """One row per agent and sample, written a chunk of rows at a time."""
-    rows = result.trajectory
-    if rows is None:
+    """One row per agent and sample, written one sample at a time."""
+    traj = result.trajectory
+    if traj is None:
         raise ValueError("run was executed without trajectory recording")
-    chunks = ("".join([TRAJECTORY_ROW % row for row in rows[k:k + _ROWS_PER_WRITE]])
-              for k in range(0, len(rows), _ROWS_PER_WRITE))
-    _write_chunks(path, itertools.chain(["t,map_id,x,y,vx,vy,mode,alive\n"], chunks))
+    n = traj.pos.shape[1]
+    t_field, agent_fields = TRAJECTORY_ROW.split(",", 1)
+    values = [0] * (7 * n)         # a sample's agent fields, row after row
+    values[0::7] = range(n)
+
+    def samples():
+        yield "t,map_id,x,y,vx,vy,mode,alive\n"
+        for k, t in enumerate(traj.t.tolist()):
+            values[1::7], values[2::7] = traj.pos[k].T.tolist()
+            values[3::7], values[4::7] = traj.vel[k].T.tolist()
+            values[5::7] = traj.mode[k].tolist()
+            values[6::7] = traj.alive[k].tolist()
+            yield ((t_field % t + "," + agent_fields) * n) % tuple(values)
+
+    _write_chunks(path, samples())
 
 
 def write_summary(path, result):

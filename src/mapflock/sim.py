@@ -21,9 +21,13 @@ One step executes, in order:
    velocity-consensus terms, summed over the in-range pairs only,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
    (q moves with the new v), then the step-boundary guard, whose scene
-   extent comes from the users' bounds in their tree,
+   extent is the world's largest user coordinate, fixed for the run,
 6. the observation of the post-step state: the step's metrics (the Fiedler
    value from its pairs' dense Laplacian) and the next step's start.
+
+A run that records trajectories allocates one :class:`Trajectory` for all
+its samples up front, and each sample copies the agents' arrays into its
+own row, so recording allocates nothing per step.
 
 Dead agents are frozen and invisible to every phase. Runs are
 deterministic given the seed: randomness is consumed only by scenario
@@ -68,13 +72,40 @@ class MetricsSample:
 
 
 @dataclass
+class Trajectory:
+    """Every agent's state at every sample, in arrays indexed [sample, agent]."""
+
+    t: np.ndarray                  # (S,) sample times
+    pos: np.ndarray                # (S, L, 2)
+    vel: np.ndarray                # (S, L, 2)
+    mode: np.ndarray               # (S, L) int8, see control.MODE_*
+    alive: np.ndarray              # (S, L) bool
+
+    @classmethod
+    def allocate(cls, n_samples, n_agents):
+        return cls(t=np.empty(n_samples),
+                   pos=np.empty((n_samples, n_agents, 2)),
+                   vel=np.empty((n_samples, n_agents, 2)),
+                   mode=np.empty((n_samples, n_agents), dtype=np.int8),
+                   alive=np.empty((n_samples, n_agents), dtype=bool))
+
+    def record(self, k, t, world: World):
+        """Copy the world's agent state into sample `k`."""
+        self.t[k] = t
+        self.pos[k] = world.map_pos
+        self.vel[k] = world.map_vel
+        self.mode[k] = world.mode
+        self.alive[k] = world.alive
+
+
+@dataclass
 class RunResult:
     config: ScenarioConfig
     samples: list                  # list[MetricsSample], one per step plus t=0
     world: World                   # final state
     mode_changes: list             # agents that changed mode, per step
     convergence_time: float | None
-    trajectory: list | None        # optional (t, id, x, y, vx, vy, mode, alive) rows
+    trajectory: Trajectory | None  # every sample's agent states, if recorded
 
     @property
     def final(self) -> MetricsSample:
@@ -108,7 +139,7 @@ def observe(world: World, params: ctl.ControlParams) -> Observation:
     adj = adjacency_matrix(world.map_pos, world.alive, params.r, agents)
     return Observation(
         assignment=asg,
-        cluster_coverage=cluster_coverages(asg, world.msd_cluster, len(world.centroids)),
+        cluster_coverage=cluster_coverages(asg, world.msd_cluster, world.cluster_users),
         adjacency=adj,
         labels=connected_components(np.count_nonzero(world.alive), *adj),
     )
@@ -222,9 +253,7 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities
-    users = world.user_table
-    bound = min(DIVERGED_EXTENTS * (np.abs([users.mins, users.maxes]).max() + params.r),
-                MAX_COORDINATE)
+    bound = min(DIVERGED_EXTENTS * (world.user_extent + params.r), MAX_COORDINATE)
     escaped = np.flatnonzero(world.alive & ~np.all(np.abs(world.map_pos) <= bound, axis=1))
     if escaped.size:
         i = escaped[0]
@@ -269,20 +298,15 @@ def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
     params, thresholds, dt = config.control, config.thresholds, config.dt
     n_steps = math.ceil(config.t_end / dt - 1e-9)
     pending = sorted(config.failures)
-    trajectory = [] if record_trajectories else None
+    trajectory = Trajectory.allocate(n_steps + 1, world.n_maps) if record_trajectories else None
 
-    def record(t):
-        if trajectory is None:
-            return
-        n = world.n_maps
-        trajectory.extend(zip([t] * n, range(n), world.map_pos[:, 0].tolist(),
-                              world.map_pos[:, 1].tolist(), world.map_vel[:, 0].tolist(),
-                              world.map_vel[:, 1].tolist(), world.mode.tolist(),
-                              world.alive.astype(int).tolist()))
+    def record(k, t):
+        if trajectory is not None:
+            trajectory.record(k, t, world)
 
     obs = observe(world, params)
     samples = [metrics_sample(world, obs, 0.0)]
-    record(0.0)
+    record(0, 0.0)
     mode_changes = []
     for k in range(1, n_steps + 1):
         t_pre = (k - 1) * dt
@@ -292,7 +316,7 @@ def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
         sample, changed, obs = step(world, params, thresholds, dt, k * dt, obs)
         samples.append(sample)
         mode_changes.append(changed)
-        record(k * dt)
+        record(k, k * dt)
 
     return RunResult(
         config=config,

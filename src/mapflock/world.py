@@ -44,9 +44,10 @@ class World:
     goal_a: np.ndarray            # (L,) cluster id (target, or first bridge endpoint)
     goal_b: np.ndarray            # (L,) second bridge endpoint, -1 otherwise
     achieved: list                # list[set[int]] per-agent achieved-goal knowledge
-    # the users' k-d tree for matching, whose mins and maxes bound the scene for
-    # the step guard: built once by generate_scenario, since users never move
-    user_table: cKDTree
+    # fixed for the run, since users never move; generate_scenario computes them once
+    user_table: cKDTree           # the users' k-d tree, for matching
+    cluster_users: np.ndarray     # (K,) users per cluster
+    user_extent: float            # largest absolute user coordinate, for the step guard
 
     @property
     def n_maps(self):
@@ -119,7 +120,8 @@ class ScenarioConfig:
 def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World:
     """Sample a fresh world. Deterministic given the generator state.
 
-    The users' k-d tree is built here, once per run.
+    The users' k-d tree, the users per cluster and the users' extent are
+    computed here, once per run.
 
     Draw order (fixed contract): for each cluster in listed order, its
     member offsets as (n, 2) standard normals; then MAP positions as an
@@ -158,6 +160,8 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
         goal_b=np.full(n, -1, dtype=int),
         achieved=[set() for _ in range(n)],
         user_table=user_table(msd_pos),
+        cluster_users=np.bincount(msd_cluster, minlength=len(centroids)),
+        user_extent=float(np.abs(msd_pos).max()),
     )
 
 

@@ -275,7 +275,7 @@ def _measure(world, params, t):
         t=t,
         coverage_ratio=asg.coverage_ratio,
         fiedler=lam2,
-        cluster_coverage=cluster_coverages(asg, world.msd_cluster, len(world.centroids)),
+        cluster_coverage=cluster_coverages(asg, world.msd_cluster, world.cluster_users),
         alive_count=int(np.count_nonzero(world.alive)),
         mode_counts=counts,
     )
@@ -297,7 +297,7 @@ def _share_achieved_goals(world, adjacency):
 def _step(world, params, thresholds, dt, t_next):
     asg = dense_assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
                             params.r)
-    cov = cluster_coverages(asg, world.msd_cluster, len(world.centroids))
+    cov = cluster_coverages(asg, world.msd_cluster, world.cluster_users)
 
     adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)
     _share_achieved_goals(world, adj)

@@ -172,10 +172,7 @@ class TestExperimentTargets:
                 ok &= asg.owner[i] == best
 
         # mode trajectories absorbing over a full nominal run
-        per_agent = {}
-        for row in fleet_run(100, 1).trajectory:
-            per_agent.setdefault(row[1], []).append(row[6])
-        for modes in per_agent.values():
+        for modes in fleet_run(100, 1).trajectory.mode.T.tolist():
             settled = [m for m in modes if m != MODE_DYNAMIC]
             ok &= all(m == settled[0] for m in settled)
             if settled:

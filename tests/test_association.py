@@ -203,7 +203,8 @@ class TestGoalCoverage:
     """Coverage of a cluster: the share of its users assigned to any agent."""
 
     def one_cluster(self, owners):
-        return cluster_coverages(owned(owners), np.zeros(len(owners), dtype=int), 1)
+        return cluster_coverages(owned(owners), np.zeros(len(owners), dtype=int),
+                                 np.array([len(owners)]))
 
     def test_all_assigned(self):
         assert self.one_cluster([0, 1, 0, 2])[0] == 1.0
@@ -220,11 +221,11 @@ class TestGoalCoverage:
     def test_unknown_cluster(self):
         # exactly one entry per cluster id, also for a trailing cluster
         # with no user covered
-        out = cluster_coverages(owned([0, -1]), np.array([0, 1]), 2)
+        out = cluster_coverages(owned([0, -1]), np.array([0, 1]), np.array([1, 1]))
         np.testing.assert_array_equal(out, [1.0, 0.0])
 
     def test_cluster_coverages_indexing(self):
-        out = cluster_coverages(owned([0, -1, 0, 0]), np.array([0, 0, 1, 1]), 2)
+        out = cluster_coverages(owned([0, -1, 0, 0]), np.array([0, 0, 1, 1]), np.array([2, 2]))
         np.testing.assert_allclose(out, [0.5, 1.0])
 
 
@@ -242,7 +243,7 @@ class TestClusterCoveragesOracle:
         owners[msd_cluster == 0] = -1
         owners[msd_cluster == n_clusters - 1] = rng.integers(0, 5)
         asg = owned(owners)
-        got = cluster_coverages(asg, msd_cluster, n_clusters)
+        got = cluster_coverages(asg, msd_cluster, sizes)
         expect = scan_cluster_coverages(asg, msd_cluster, n_clusters)
         assert got.dtype == expect.dtype
         assert np.array_equal(got, expect)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,22 @@ class TestRunCommand:
         code = cli_main(["run", config_path, "--trajectories", "--out-dir", str(out)])
         assert code == 0
         assert (out / "trajectories.csv").exists()
+
+    def test_job_leaves_no_argparse_cycles(self, config_path, tmp_path):
+        # the parser is built once per process, so a job leaves none of its
+        # reference cycles for the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli_main(["run", config_path, "--out-dir", str(tmp_path / "out")]) == 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [obj for obj in gc.garbage if type(obj).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
 
     def test_seed_override_recorded(self, config_path, tmp_path):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mapflock.outputs as outputs
+from mapflock.control import MODE_BRIDGE, MODE_DYNAMIC, MODE_STATIC
 from mapflock.outputs import (
     TRAJECTORY_ROW,
     config_from_summary,
@@ -16,6 +17,18 @@ from mapflock.outputs import (
 )
 from mapflock.sim import run
 from mapflock.world import ScenarioConfig
+
+
+def rows_one_by_one(trajectory):
+    """A trajectory's CSV lines, each field of each row formatted on its own."""
+    lines = ["t,map_id,x,y,vx,vy,mode,alive"]
+    for k, t in enumerate(trajectory.t):
+        for i in range(trajectory.pos.shape[1]):
+            (x, y), (vx, vy) = trajectory.pos[k, i], trajectory.vel[k, i]
+            lines.append(",".join([fmt(t), str(i), fmt(x), fmt(y), fmt(vx), fmt(vy),
+                                   str(trajectory.mode[k, i]),
+                                   str(int(trajectory.alive[k, i]))]))
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -168,15 +181,31 @@ class TestTrajectoryRows:
                 assert (TRAJECTORY_ROW % tuple(row)).rstrip("\n").split(",") == want
 
     def test_chunks_join_to_the_joined_rows(self, result, tmp_path, monkeypatch):
-        monkeypatch.setattr(outputs, "_ROWS_PER_WRITE", 7)      # a partial last chunk
-        assert len(result.trajectory) % 7
+        chunks = []
+        write_chunks = outputs._write_chunks
+
+        def collect(path, parts):
+            chunks.extend(parts)
+            write_chunks(path, chunks)
+
+        monkeypatch.setattr(outputs, "_write_chunks", collect)
         path = tmp_path / "traj.csv"
         write_trajectories_csv(path, result)
-        lines = ["t,map_id,x,y,vx,vy,mode,alive"]
-        for t, i, x, y, vx, vy, mode, alive in result.trajectory:
-            lines.append(",".join([fmt(t), str(i), fmt(x), fmt(y), fmt(vx), fmt(vy),
-                                   str(mode), str(alive)]))
-        assert path.read_text() == "\n".join(lines) + "\n"
+        # the header, then one write per sample
+        assert len(chunks) == 1 + len(result.samples)
+        assert all(chunk.count("\n") == result.world.n_maps for chunk in chunks[1:])
+        assert path.read_text().split("\n") == [*rows_one_by_one(result.trajectory), ""]
+
+    def test_matches_rows_formatted_one_by_one(self, tmp_path):
+        cfg = ScenarioConfig(msds_per_cluster=60, map_count=30, t_end=15.0, seed=1,
+                             failures=((8.0, 0.5),))
+        failed = run(cfg, record_trajectories=True)
+        traj = failed.trajectory
+        assert set(traj.mode[-1].tolist()) == {MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC}
+        assert traj.alive[0].all() and not traj.alive[-1].all()
+        path = tmp_path / "traj.csv"
+        write_trajectories_csv(path, failed)
+        assert path.read_text().split("\n") == [*rows_one_by_one(traj), ""]
 
     def test_unwritable_path(self, result, tmp_path):
         with pytest.raises(OSError, match="cannot write"):

@@ -336,7 +336,8 @@ class TestShareAchievedGoals:
                      goal_a=np.zeros(n, int), goal_b=np.full(n, -1),
                      achieved=[set(rng.choice(6, size=int(rng.integers(0, 3))).tolist())
                                for _ in range(n)],
-                     user_table=user_table(np.zeros((1, 2))))
+                     user_table=user_table(np.zeros((1, 2))),
+                     cluster_users=np.bincount(np.zeros(1, int), minlength=6), user_extent=0.0)
 
     def test_matches_per_component_loop(self):
         rng = np.random.default_rng(11)
@@ -385,7 +386,8 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
             (control, "flock_accelerations", accelerations_via_dense)):
         monkeypatch.setattr(module, name, oracle)
     dense = run(cfg, record_trajectories=True)
-    assert fast.trajectory == dense.trajectory
+    for name in ("t", "pos", "vel", "mode", "alive"):
+        assert np.array_equal(getattr(fast.trajectory, name), getattr(dense.trajectory, name))
     assert fast.mode_changes == dense.mode_changes
     for a, b in zip(fast.samples, dense.samples):
         assert (a.t, a.coverage_ratio, a.fiedler, a.alive_count, a.mode_counts) \
@@ -476,10 +478,12 @@ class TestTreePath:
         res = run(ScenarioConfig(msds_per_cluster=40, map_count=20, t_end=2.0, seed=3,
                                  failures=failures))
         assert len(res.samples) == 21 and len(builds) == 1
-        # the step guard's scene extent
+        # the users' bounds, and the per-run constants computed with the tree
         users = res.world.user_table
         assert [users.mins.tolist(), users.maxes.tolist()] \
             == [res.world.msd_pos.min(axis=0).tolist(), res.world.msd_pos.max(axis=0).tolist()]
+        assert res.world.user_extent == np.abs(res.world.msd_pos).max()
+        assert res.world.cluster_users.tolist() == [40] * 4
 
     def test_one_agents_tree_per_observation(self, monkeypatch):
         built, passed = [], []

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -159,12 +160,25 @@ class TestRun:
 
     def test_trajectory_step_consistent_with_velocity(self):
         res = run(small_config(t_end=2.0), record_trajectories=True)
-        rows = np.array([r[:6] for r in res.trajectory])
-        n = res.world.n_maps
-        frames = rows.reshape(-1, n, 6)
-        for k in range(1, len(frames)):
-            dq = frames[k, :, 2:4] - frames[k - 1, :, 2:4]
-            np.testing.assert_allclose(dq, frames[k, :, 4:6] * 0.1, atol=1e-9)
+        pos, vel = res.trajectory.pos, res.trajectory.vel
+        for k in range(1, len(pos)):
+            dq = pos[k] - pos[k - 1]
+            np.testing.assert_allclose(dq, vel[k] * 0.1, atol=1e-9)
+
+    def test_trajectory_layout(self):
+        res = run(small_config(map_count=20, t_end=2.0, failures=((1.0, 0.5),)),
+                  record_trajectories=True)
+        traj, n_samples, n_agents = res.trajectory, len(res.samples), 20
+        assert traj.pos.shape == traj.vel.shape == (n_samples, n_agents, 2)
+        assert traj.mode.shape == traj.alive.shape == (n_samples, n_agents)
+        # 2 x 16 B of position and velocity, 1 B of mode, 1 B of the alive
+        # flag per agent and sample, and 8 B of time per sample
+        nbytes = sum(getattr(traj, f.name).nbytes for f in fields(traj))
+        assert nbytes <= 34 * n_samples * n_agents + 8 * n_samples
+        assert traj.t.tolist() == [s.t for s in res.samples]
+        assert traj.alive.sum(axis=1).tolist() == [s.alive_count for s in res.samples]
+        np.testing.assert_array_equal(traj.pos[-1], res.world.map_pos)
+        np.testing.assert_array_equal(traj.mode[-1], res.world.mode)
 
     def test_trajectory_disabled_by_default(self):
         assert run(small_config(t_end=1.0)).trajectory is None
@@ -181,14 +195,12 @@ class TestRun:
     def test_dead_agents_do_not_move(self):
         cfg = small_config(map_count=20, t_end=2.0, failures=((1.0, 0.5),))
         res = run(cfg, record_trajectories=True)
-        rows = res.trajectory
         n = 20
-        frames = [rows[i:i + n] for i in range(0, len(rows), n)]
         dead = [i for i in range(n) if not res.world.alive[i]]
         assert dead
         for i in dead:
-            tail = [f[i][2:4] for f in frames[12:]]
-            assert all(xy == tail[0] for xy in tail)
+            tail = res.trajectory.pos[12:, i]
+            assert (tail == tail[0]).all()
 
     def test_failure_reduces_final_coverage(self):
         base = run(small_config(map_count=24, t_end=5.0))
@@ -202,11 +214,7 @@ class TestRun:
 
     def test_modes_absorbing_over_run(self):
         res = run(small_config(map_count=30, t_end=10.0), record_trajectories=True)
-        n = 30
-        per_agent = [[] for _ in range(n)]
-        for row in res.trajectory:
-            per_agent[row[1]].append(row[6])
-        for modes in per_agent:
+        for modes in res.trajectory.mode.T.tolist():
             # legal histories: M0* then forever M1, or M0* then forever M2
             left = [m for m in modes if m != MODE_DYNAMIC]
             assert all(m == left[0] for m in left) if left else True
