@@ -11,11 +11,6 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 
-def laplacian(adjacency):
-    """L = D - A for a symmetric 0/1 adjacency matrix."""
-    return np.diag(adjacency.sum(axis=1)) - adjacency
-
-
 def connected_components(n, rows, cols):
     """Component label per node: 0..n_components-1, in the order of each
     component's smallest node.
@@ -34,27 +29,22 @@ def connected_components(n, rows, cols):
     return csgraph.connected_components(graph, directed=True, connection="strong")[1].astype(int)
 
 
-def fiedler_value(adjacency, labels=None):
+def fiedler_value(adjacency, labels):
     """Second-smallest Laplacian eigenvalue, at least 0; exactly 0 when disconnected.
 
-    Graphs with fewer than two nodes are defined to have value 0.
-    Disconnectedness is decided combinatorially (component count), not by
-    eigenvalue thresholding, so the zero is exact. `labels`, if given, are
-    the graph's :func:`connected_components` labels: they are not computed
-    again, and the graph is taken to be symmetric, as its builder made it.
+    The graph is given by its symmetric pairs ``(rows, cols)`` and its
+    :func:`connected_components` labels, as ``sim.Observation`` holds them;
+    ``L = D - A`` is filled in from the pairs. Fewer than two nodes give 0.
+    Disconnectedness is read from the labels (component count), not from a
+    thresholded eigenvalue, so the zero is exact.
     """
-    n = len(adjacency)
-    if n < 2:
+    n = labels.size
+    if n < 2 or labels.max() > 0:
         return 0.0
-    if labels is None:
-        adjacency = np.asarray(adjacency, dtype=float)
-        if not np.allclose(adjacency, adjacency.T):
-            raise ValueError("adjacency matrix must be symmetric")
-        labels = connected_components(n, *np.nonzero(adjacency))
-    if labels.max() > 0:
-        return 0.0
-    eigvals = np.linalg.eigvalsh(laplacian(np.asarray(adjacency, dtype=float)))
-    return max(float(eigvals[1]), 0.0)
+    lap = np.zeros((n, n))
+    lap[adjacency] = -1.0
+    np.fill_diagonal(lap, np.bincount(adjacency[0], minlength=n))
+    return max(float(np.linalg.eigvalsh(lap)[1]), 0.0)
 
 
 def cluster_mst(cluster_ids, centroids):

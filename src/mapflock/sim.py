@@ -23,7 +23,7 @@ One step executes, in order:
    (q moves with the new v), then the step-boundary guard, whose scene
    extent is the world's largest user coordinate, fixed for the run,
 6. the observation of the post-step state: the step's metrics (the Fiedler
-   value from its pairs' dense Laplacian) and the next step's start.
+   value from the Laplacian that its pairs fill in) and the next step's start.
 
 A run that records trajectories allocates one :class:`Trajectory` for all
 its samples up front, and each sample copies the agents' arrays into its
@@ -148,18 +148,13 @@ def observe(world: World, params: ctl.ControlParams) -> Observation:
 def metrics_sample(world: World, obs: Observation, t: float) -> MetricsSample:
     """Metrics of the world state that `obs` observed."""
     alive = world.alive
-    fiedler = 0.0                  # fewer than two agents, or disconnected
-    if obs.labels.size > 1 and obs.labels.max() == 0:
-        matrix = np.zeros((obs.labels.size,) * 2)
-        matrix[obs.adjacency] = 1.0
-        fiedler = fiedler_value(matrix, labels=obs.labels)
     modes = world.mode[alive]
     counts = tuple(int(np.count_nonzero(modes == m)) for m in
                    (ctl.MODE_DYNAMIC, ctl.MODE_BRIDGE, ctl.MODE_STATIC))
     return MetricsSample(
         t=t,
         coverage_ratio=obs.assignment.coverage_ratio,
-        fiedler=fiedler,
+        fiedler=fiedler_value(obs.adjacency, obs.labels),
         cluster_coverage=obs.cluster_coverage,
         alive_count=int(np.count_nonzero(alive)),
         mode_counts=counts,

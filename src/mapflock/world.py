@@ -12,6 +12,7 @@ Randomness comes from a single seeded ``numpy.random.Generator``
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -195,37 +196,13 @@ def adjacency_matrix(map_pos, alive, comm_range, agents):
 # ---------------------------------------------------------------------------
 #
 # Format: one `key = value` per line; blank lines and `#` comments ignored.
-# Unknown keys are rejected. Keys and units (SI):
-#
-#   cluster_centers      semicolon-separated x,y pairs [m], each within +-1e9
-#   msds_per_cluster     int
-#   cluster_sigma        Gaussian std of user clusters [m], at most 1e9
-#   map_count            int
-#   map_spawn_center     x,y [m], each within +-1e9
-#   map_spawn_halfwidth  [m], at most 1e9
-#   initial_speed        [m/s]
-#   map_height           [m], below r
-#   seed                 int
-#   dt                   [s], c1*dt^2 + 2*c2*dt < 4 (2.163 at the defaults); a run
-#                        that diverges anyway stops with a one-line message naming
-#                        the step, agent, mode, position and velocity
-#   t_end                [s]
-#   failures             semicolon-separated time:fraction pairs (may be empty)
-#   d r epsilon a b gamma n_max c1 c2 k               controller constants
-#   r0 n0 n1                                          mode-switch thresholds
-
-_SCALAR_FLOAT = ("cluster_sigma", "map_spawn_halfwidth", "initial_speed",
-                 "map_height", "dt", "t_end")
-_SCALAR_INT = ("msds_per_cluster", "map_count", "seed")
-_CONTROL_FLOAT = ("d", "r", "epsilon", "a", "b", "gamma", "c1", "c2", "k")
-_CONTROL_INT = ("n_max",)
-_THRESH_FLOAT = ("r0",)
-_THRESH_INT = ("n0", "n1")
+# Unknown keys are rejected. `_KEYS` lists each key once, with its SI unit
+# or constraint.
 
 
-def _parse_pairs(text, pair_sep=";", item_sep=","):
+def _parse_pairs(item_sep, text):
     out = []
-    for part in text.split(pair_sep):
+    for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
@@ -233,29 +210,58 @@ def _parse_pairs(text, pair_sep=";", item_sep=","):
         if len(items) != 2:
             raise ConfigError(f"expected x{item_sep}y pair, got {part!r}")
         out.append((float(items[0]), float(items[1])))
-    return out
+    return tuple(out)
+
+
+def _format_pairs(item_sep, pairs):
+    return "; ".join(f"{a!r}{item_sep}{b!r}" for a, b in pairs)
+
+
+def _parse_point(text):
+    (point,) = _parse_pairs(",", text)
+    return point
+
+
+# key -> (owner, parser, formatter), in the order that summary.txt echoes
+_KEYS = {
+    # x,y; x,y; ... [m], each coordinate within +-1e9
+    "cluster_centers": ("scenario", partial(_parse_pairs, ","), partial(_format_pairs, ",")),
+    "msds_per_cluster": ("scenario", int, str),        # positive
+    "map_count": ("scenario", int, str),               # positive
+    "seed": ("scenario", int, str),                    # non-negative
+    "cluster_sigma": ("scenario", float, repr),        # Gaussian std of user clusters [m], at most 1e9
+    "map_spawn_halfwidth": ("scenario", float, repr),  # [m], at most 1e9
+    "initial_speed": ("scenario", float, repr),        # [m/s], velocities uniform in [-v, v]^2
+    "map_height": ("scenario", float, repr),           # [m], below r
+    # [s], c1*dt^2 + 2*c2*dt < 4 (2.163 at the defaults); a run that diverges anyway
+    # stops with a one-line message naming the step, agent, mode, position and velocity
+    "dt": ("scenario", float, repr),
+    "t_end": ("scenario", float, repr),                # [s]
+    # x,y [m], each within +-1e9
+    "map_spawn_center": ("scenario", _parse_point, lambda point: _format_pairs(",", [point])),
+    # time:fraction; ... [s]:[0, 1], may be empty
+    "failures": ("scenario", partial(_parse_pairs, ":"), partial(_format_pairs, ":")),
+    "d": ("control", float, repr),                     # desired spacing [m]
+    "r": ("control", float, repr),                     # communication range [m]
+    "epsilon": ("control", float, repr),               # sigma-norm parameter, positive
+    "a": ("control", float, repr),                     # sigmoid force scale, positive
+    "b": ("control", float, repr),                     # sigmoid force scale, positive
+    "gamma": ("control", float, repr),                 # range-gate cutoff, in (0, 1)
+    "c1": ("control", float, repr),                    # goal position gain, positive
+    "c2": ("control", float, repr),                    # goal velocity gain, positive
+    "k": ("control", float, repr),                     # bridge gain, positive
+    "n_max": ("control", int, str),                    # serving capacity [users], at least 1
+    "r0": ("thresholds", float, repr),                 # coverage gate, in (0, 1]
+    "n0": ("thresholds", int, str),                    # bridge-duty load [users], 0 < n0 < n1
+    "n1": ("thresholds", int, str),                    # static-server load [users]
+}
 
 
 def config_to_lines(config: ScenarioConfig):
     """Serialize a config to the key=value line format (round-trips exactly)."""
-    centers = "; ".join(f"{x!r},{y!r}" for x, y in config.cluster_centers)
-    failures = "; ".join(f"{t!r}:{f!r}" for t, f in config.failures)
-    lines = [f"cluster_centers = {centers}"]
-    for key in _SCALAR_INT:
-        lines.append(f"{key} = {getattr(config, key)}")
-    for key in _SCALAR_FLOAT:
-        lines.append(f"{key} = {getattr(config, key)!r}")
-    lines.append(f"map_spawn_center = {config.map_spawn_center[0]!r},{config.map_spawn_center[1]!r}")
-    lines.append(f"failures = {failures}")
-    for key in _CONTROL_FLOAT:
-        lines.append(f"{key} = {getattr(config.control, key)!r}")
-    for key in _CONTROL_INT:
-        lines.append(f"{key} = {getattr(config.control, key)}")
-    for key in _THRESH_FLOAT:
-        lines.append(f"{key} = {getattr(config.thresholds, key)!r}")
-    for key in _THRESH_INT:
-        lines.append(f"{key} = {getattr(config.thresholds, key)}")
-    return lines
+    owners = {"scenario": config, "control": config.control, "thresholds": config.thresholds}
+    return [f"{key} = {fmt(getattr(owners[owner], key))}"
+            for key, (owner, _, fmt) in _KEYS.items()]
 
 
 def config_from_lines(lines):
@@ -264,9 +270,7 @@ def config_from_lines(lines):
     Unknown keys raise :class:`ConfigError`; unspecified keys keep their
     defaults.
     """
-    scenario = {}
-    control = {}
-    thresholds = {}
+    fields = {"scenario": {}, "control": {}, "thresholds": {}}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -274,35 +278,19 @@ def config_from_lines(lines):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        owner, parse, _ = _KEYS[key]
         try:
-            if key == "cluster_centers":
-                scenario["cluster_centers"] = tuple(_parse_pairs(value))
-            elif key == "map_spawn_center":
-                (scenario["map_spawn_center"],) = _parse_pairs(value, pair_sep=";")
-            elif key == "failures":
-                scenario["failures"] = tuple(_parse_pairs(value, item_sep=":"))
-            elif key in _SCALAR_FLOAT:
-                scenario[key] = float(value)
-            elif key in _SCALAR_INT:
-                scenario[key] = int(value)
-            elif key in _CONTROL_FLOAT:
-                control[key] = float(value)
-            elif key in _CONTROL_INT:
-                control[key] = int(value)
-            elif key in _THRESH_FLOAT:
-                thresholds[key] = float(value)
-            elif key in _THRESH_INT:
-                thresholds[key] = int(value)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            fields[owner][key] = parse(value)
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
     try:
-        return ScenarioConfig(control=ControlParams(**control),
-                              thresholds=ModeThresholds(**thresholds),
-                              **scenario)
+        return ScenarioConfig(control=ControlParams(**fields["control"]),
+                              thresholds=ModeThresholds(**fields["thresholds"]),
+                              **fields["scenario"])
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -16,6 +16,9 @@
   only; :func:`scan_connected_components`, the component labelling that
   scans one adjacency row per node; :func:`loop_share_achieved_goals`, the
   goal sharing that scans every label once per component.
+* :func:`dense_fiedler_value` -- the Fiedler value of a dense 0/1 matrix,
+  through :func:`dense_laplacian` ``np.diag(A.sum(1)) - A``; the library
+  fills the Laplacian in from the graph's pairs and its component labels.
 * :func:`control_input` and its terms :func:`attract_repulse`,
   :func:`velocity_consensus`, :func:`goal_term_point` and
   :func:`goal_term_bridge` -- the control law u = f + g + h for one agent,
@@ -31,7 +34,7 @@ import numpy as np
 from mapflock import control as ctl
 from mapflock.association import Assignment, cluster_coverages
 from mapflock.control import MODE_BRIDGE, ControlParams, consensus_weight, load_pull_coeff
-from mapflock.netgraph import cluster_mst, fiedler_value
+from mapflock.netgraph import cluster_mst
 from mapflock.potentials import phi_action, sigma_grad_scale, sigma_scalar
 from mapflock.sim import (
     MetricsSample,
@@ -116,6 +119,20 @@ def scan_connected_components(adjacency):
                     stack.append(int(nb))
         current += 1
     return labels
+
+
+def dense_laplacian(adjacency):
+    """L = D - A for a symmetric 0/1 adjacency matrix."""
+    return np.diag(adjacency.sum(axis=1)) - adjacency
+
+
+def dense_fiedler_value(adjacency):
+    """Second-smallest eigenvalue of the dense Laplacian, at least 0; exactly 0
+    when the graph is disconnected or has fewer than two nodes."""
+    adjacency = np.asarray(adjacency, dtype=float)
+    if len(adjacency) < 2 or scan_connected_components(adjacency).max() > 0:
+        return 0.0
+    return max(float(np.linalg.eigvalsh(dense_laplacian(adjacency))[1]), 0.0)
 
 
 def dense_flock_accelerations(positions, velocities, loads, alive, modes,
@@ -267,7 +284,7 @@ def _measure(world, params, t):
                             params.r)
     adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)
     alive_adj = adj[np.ix_(world.alive, world.alive)].astype(float)
-    lam2 = fiedler_value(alive_adj) if world.alive.any() else 0.0
+    lam2 = dense_fiedler_value(alive_adj)
     modes = world.mode[world.alive]
     counts = tuple(int(np.count_nonzero(modes == m)) for m in
                    (ctl.MODE_DYNAMIC, ctl.MODE_BRIDGE, ctl.MODE_STATIC))

@@ -17,17 +17,12 @@ import pytest
 from mapflock.association import assign_msds, user_table
 from mapflock.cli import cli_main
 from mapflock.control import MODE_DYNAMIC, ControlParams
-from mapflock.netgraph import (
-    cluster_mst,
-    connected_components,
-    fiedler_value,
-    laplacian,
-)
+from mapflock.netgraph import cluster_mst, connected_components, fiedler_value
 from mapflock.outputs import config_from_summary, metrics_header, read_csv
 from mapflock.potentials import phi_action
 from mapflock.sim import run
 from mapflock.world import ScenarioConfig, agent_tree, save_config
-from oracles import attract_repulse, power_score_assign, sigma_norm
+from oracles import attract_repulse, dense_laplacian, power_score_assign, sigma_norm
 
 SEEDS = (1, 2, 3, 4, 5)
 BASE = ScenarioConfig()          # nominal scenario: 4 x 500 users, 60 s
@@ -141,13 +136,14 @@ class TestExperimentTargets:
             adj = (rng.random((n, n)) < 0.3).astype(float)
             adj = np.triu(adj, 1)
             adj += adj.T
-            lap = laplacian(adj)
+            lap = dense_laplacian(adj)
             ok &= np.array_equal(lap, lap.T)
             ok &= np.allclose(lap.sum(1), 0.0)
             ok &= np.linalg.eigvalsh(lap)[0] >= -1e-9
             eig = np.sort(np.linalg.eigvals(lap).real)
-            expect = eig[1] if connected_components(len(adj), *np.nonzero(adj)).max() == 0 else 0.0
-            ok &= abs(fiedler_value(adj) - expect) <= 1e-7
+            labels = connected_components(len(adj), *np.nonzero(adj))
+            expect = eig[1] if labels.max() == 0 else 0.0
+            ok &= abs(fiedler_value(np.nonzero(adj), labels) - expect) <= 1e-7
 
         # MST weight vs exhaustive spanning-tree enumeration
         for _ in range(50):

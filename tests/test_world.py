@@ -235,3 +235,49 @@ class TestConfigFiles:
     def test_defaults_apply_for_missing_keys(self):
         cfg = config_from_lines(["seed = 4"])
         assert cfg == ScenarioConfig(seed=4)
+
+
+class TestConfigFormatPinned:
+    """The exact text of the config format: `summary.txt` echoes the written
+    lines, so their order and number formats are part of the outputs."""
+
+    def test_default_config_text(self):
+        assert config_to_lines(ScenarioConfig()) == [
+            "cluster_centers = 0.0,0.0; 145.0,0.0; 0.0,145.0; 145.0,145.0",
+            "msds_per_cluster = 500", "map_count = 100", "seed = 1",
+            "cluster_sigma = 13.0", "map_spawn_halfwidth = 30.0", "initial_speed = 1.0",
+            "map_height = 20.0", "dt = 0.1", "t_end = 60.0",
+            "map_spawn_center = -150.0,50.0", "failures = ",
+            "d = 20.0", "r = 24.0", "epsilon = 0.1", "a = 5.0", "b = 5.0", "gamma = 0.2",
+            "c1 = 0.3", "c2 = 0.6", "k = 10.0", "n_max = 80",
+            "r0 = 0.95", "n0 = 3", "n1 = 10",
+        ]
+
+    def test_config_text_with_failures_and_a_moved_spawn(self):
+        cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (60.0, -12.5), (1e-3, 60.0)),
+                             map_spawn_center=(30.25, -7.0),
+                             failures=((3.0, 0.5), (18.0, 0.25)))
+        lines = config_to_lines(cfg)
+        assert lines[0] == "cluster_centers = 0.0,0.0; 60.0,-12.5; 0.001,60.0"
+        assert lines[10:12] == ["map_spawn_center = 30.25,-7.0",
+                                "failures = 3.0:0.5; 18.0:0.25"]
+        assert lines[1:10] + lines[12:] == [
+            line for line in config_to_lines(ScenarioConfig())
+            if not line.startswith(("cluster_centers", "map_spawn_center", "failures"))]
+        assert config_from_lines(lines) == cfg
+
+    @pytest.mark.parametrize("lines, message", [
+        (["map_count 10"], "line 1: expected 'key = value', got 'map_count 10'"),
+        (["seed = 4", "warp_drive = 1"], "line 2: unknown key 'warp_drive'"),
+        (["map_count = ten"], "line 1: bad value for 'map_count': 'ten'"),
+        (["", "# fleet", "n_max = 1.5"], "line 3: bad value for 'n_max': '1.5'"),
+        (["dt = fast"], "line 1: bad value for 'dt': 'fast'"),
+        # a malformed pair names the pair, not the line
+        (["cluster_centers = 0,0; 1"], "expected x,y pair, got '1'"),
+        (["map_spawn_center = 1,2; 3,4"], "line 1: bad value for 'map_spawn_center': '1,2; 3,4'"),
+        (["failures = 1:0.5:7"], "expected x:y pair, got '1:0.5:7'"),
+    ])
+    def test_error_text(self, lines, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_lines(lines)
+        assert str(info.value) == message
