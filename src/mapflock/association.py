@@ -62,14 +62,18 @@ def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
     pairs = agents.sparse_distance_matrix(users, _reach(map_height, comm_range),
                                           output_type="ndarray")
     agent, user = pairs["i"], pairs["j"]
-    # np.take gathers rows of an (n, 2) array far faster than fancy indexing
-    diff = np.take(msd_pos, user, axis=0) - np.take(map_pos, alive_ids[agent], axis=0)
+    # np.take gathers rows of an (n, 2) array far faster than fancy indexing;
+    # each pair-sized temporary is reused in place or freed after its last use
+    diff = np.take(msd_pos, user, axis=0).astype(float, copy=False)
+    diff -= np.take(map_pos, alive_ids[agent], axis=0)
     d2 = np.einsum("ij,ij->i", diff, diff)
+    del diff
     near = np.sqrt(d2 + map_height * map_height) <= comm_range
     agent, user, d2 = agent[near], user[near], d2[near]
     nearest = np.full(n_msds, np.inf)
     np.minimum.at(nearest, user, d2)
     tied = d2 == nearest[user]
+    del d2, nearest
     best = np.full(n_msds, alive_ids.size)
     np.minimum.at(best, user[tied], agent[tied])   # lowest id wins ties
     reachable = best < alive_ids.size

@@ -157,35 +157,41 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     # above it, at most 2 * n_max + 1 entries
     last = min(1 << int(loads.max(initial=0)).bit_length(), 2 * params.n_max + 1) - 1
     pull, weight = load_tables(params, last + 1)
-    i, j = np.flatnonzero(alive)[np.stack(adjacency)]   # as agent ids, still row-major
-    diff = np.take(positions, j, axis=0) - np.take(positions, i, axis=0)   # q_j - q_i
-    nsq = np.einsum("ij,ij->i", diff, diff)
-    root = np.sqrt(1.0 + eps * nsq)
-    scale = 1.0 / root                                     # grad = diff * scale
-    z_sigma = (root - 1.0) / eps
+    clipped = np.minimum(loads, last)
+    ids = np.flatnonzero(alive)
+    i, j = ids[adjacency[0]], ids[adjacency[1]]         # as agent ids, still row-major
+    # each pair-sized temporary is updated in place, or freed after its last use
+    diff = np.take(positions, j, axis=0).astype(float, copy=False)
+    diff -= np.take(positions, i, axis=0)               # q_j - q_i
+    root = 1.0 + eps * np.einsum("ij,ij->i", diff, diff)
+    np.sqrt(root, out=root)
+    coeff = phi_action((root - 1.0) / eps, params)      # phi at the sigma distance
+    coeff += pull[clipped][j]
+    coeff *= np.divide(1.0, root, out=root)             # grad = diff / root
+    diff *= coeff[:, None]                              # the spacing and load pushes
+    del root, coeff
+    dv = np.take(velocities, j, axis=0)
+    dv -= np.take(velocities, i, axis=0)                # v_j - v_i
+    gain = weight[clipped]
+    u = np.empty((n, 2))
+    for k in range(2):
+        # bincount sums each agent's pairs in j order, as the per-agent loop does
+        f, dv_sum = np.bincount(i, diff[:, k], minlength=n), np.bincount(i, dv[:, k], minlength=n)
+        u[:, k] = f + gain * dv_sum
+    del diff, dv
 
-    phi = phi_action(z_sigma, params)
-    push = ((phi + pull[np.minimum(loads, last)][j]) * scale)[:, None] * diff
-    dv = np.take(velocities, j, axis=0) - np.take(velocities, i, axis=0)   # v_j - v_i
-    # bincount sums each agent's pairs in j order, as the per-agent loop does
-    f, dv_sum = (np.stack([np.bincount(i, terms[:, k], minlength=n) for k in range(2)], axis=1)
-                 for terms in (push, dv))
-    g = weight[np.minimum(loads, last)][:, None] * dv_sum
-
-    h = np.zeros_like(positions)
     point = alive & (modes != MODE_BRIDGE)
     if np.any(point):
         tgt = centroids[goal_a[point]]
-        h[point] = params.c1 * (tgt - positions[point]) - params.c2 * velocities[point]
+        u[point] += params.c1 * (tgt - positions[point]) - params.c2 * velocities[point]
     bridge = alive & (modes == MODE_BRIDGE)
     if np.any(bridge):
         da = centroids[goal_a[bridge]] - positions[bridge]
         db = centroids[goal_b[bridge]] - positions[bridge]
         sa = sigma_grad_scale(np.einsum("ij,ij->i", da, da), eps)[:, None]
         sb = sigma_grad_scale(np.einsum("ij,ij->i", db, db), eps)[:, None]
-        h[bridge] = params.k * (da * sa + db * sb) - params.c2 * velocities[bridge]
+        u[bridge] += params.k * (da * sa + db * sb) - params.c2 * velocities[bridge]
 
-    u = f + g + h
     u[~alive] = 0.0
     return u
 
@@ -226,12 +232,14 @@ def mode_switch(mode, goal_a, goal_b, n_served, achieved, cluster_coverage,
                 thresholds: ModeThresholds, comm_range):
     """One mode-machine evaluation for one alive agent.
 
-    Mutates `achieved` (the agent's achieved-goal set) in place and
-    returns the new ``(mode, goal_a, goal_b)``. Nothing changes unless the
+    `achieved` is the agent's (K,) bool row of known covered goals, a view
+    into ``World.achieved``; it is marked in place, and the new
+    ``(mode, goal_a, goal_b)`` is returned. Nothing changes unless the
     agent holds a cluster goal whose coverage strictly exceeds `r0`;
-    Connectivity and Static modes are absorbing. `mst_lookup` maps an
-    achieved-goal set to its centroid spanning tree; it is queried after
-    the newly achieved goal is folded in, so the tree is always current.
+    Connectivity and Static modes are absorbing. `mst_lookup` maps the
+    sorted tuple of achieved goal ids to their centroid spanning tree; it is
+    queried after the newly achieved goal is marked, so the tree is always
+    current.
 
     Bridge duty requires an existing tree edge, and while uncovered
     clusters remain it also requires an actual relay deficit: agents are
@@ -243,10 +251,10 @@ def mode_switch(mode, goal_a, goal_b, n_served, achieved, cluster_coverage,
         return mode, goal_a, goal_b
     if cluster_coverage[goal_a] <= thresholds.r0:
         return mode, goal_a, goal_b
-    achieved.add(int(goal_a))
+    achieved[goal_a] = True
     if mode != MODE_DYNAMIC:
         return mode, goal_a, goal_b
-    mst_edges = mst_lookup(frozenset(achieved))
+    mst_edges = mst_lookup(tuple(np.flatnonzero(achieved).tolist()))
 
     def to_bridge():
         edge = select_bridge_edge(pos_i, mst_edges, bridge_counts, centroids, comm_range)
@@ -257,7 +265,7 @@ def mode_switch(mode, goal_a, goal_b, n_served, achieved, cluster_coverage,
         dists = [float(np.hypot(*(centroids[c] - pos_i))) for c in uncovered]
         return MODE_DYNAMIC, uncovered[int(np.argmin(dists))], -1
 
-    uncovered = [c for c in range(len(centroids)) if c not in achieved]
+    uncovered = np.flatnonzero(~achieved).tolist()
     understaffed = any(required_relays(length, comm_range) > bridge_counts.get((ia, ib), 0)
                        for ia, ib, length in mst_edges)
     bridge_worthwhile = mst_edges and (understaffed or not uncovered)

@@ -12,9 +12,10 @@ One step executes, in order:
    It is the observation the previous step made of its post-step state,
    carried forward; a failure injection invalidates it, and the step
    then observes the state afresh,
-2. idealized information sharing: achieved-goal sets are unioned across
-   each connected component of the aerial graph (the protocol-level
-   message passing is emulated centrally),
+2. idealized information sharing: each alive agent's row of achieved
+   goals becomes the OR of its component's rows, one ``logical_or.at``
+   over all components of the aerial graph (the protocol-level message
+   passing is emulated centrally),
 3. the mode machine, in id order, for the agents it can change,
 4. control forces for every alive agent from the common pre-step
    position/velocity/load snapshot: the pairwise spacing, load and
@@ -167,26 +168,18 @@ def measure(world: World, params: ctl.ControlParams, t: float) -> MetricsSample:
 
 
 def share_achieved_goals(world: World, labels):
-    """Union achieved-goal knowledge within each connected alive component.
+    """OR achieved-goal knowledge within each connected alive component.
 
     `labels` holds the component label of each alive agent, in id order.
-    Only a component of two or more members, one of which knows a goal, can
-    change; its members' own sets grow in place to the union, so no two
-    agents ever share a set object.
+    Every alive agent's row of ``world.achieved`` becomes the OR of its
+    component's rows; dead agents' rows are left as they are.
     """
-    if not any(world.achieved):
+    known = world.achieved[world.alive]
+    if not known.any():
         return
-    ids = np.flatnonzero(world.alive)
-    # a stable sort groups the members of each component, in id order
-    order = np.argsort(labels, kind="stable")
-    for members in np.split(ids[order], np.flatnonzero(np.diff(labels[order])) + 1):
-        if members.size < 2:
-            continue
-        sets = [world.achieved[i] for i in members.tolist()]
-        union = set().union(*sets)
-        for own in sets:
-            if len(own) < len(union):
-                own |= union
+    union = np.zeros((labels.max() + 1, known.shape[1]), dtype=bool)
+    np.logical_or.at(union, labels, known)
+    world.achieved[world.alive] = union[labels]
 
 
 def euler_update(pos, vel, accel, alive, dt):
@@ -229,7 +222,7 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
 
     # the agents mode_switch can change: roaming agents whose goal is covered
     # above r0 (bridge and static modes are absorbing, and a static agent's goal
-    # is already in its achieved set, which only grows)
+    # is already marked in its achieved row, where no mark is ever cleared)
     changes = 0
     gated = world.alive & (world.mode == ctl.MODE_DYNAMIC) & (cov[world.goal_a] > thresholds.r0)
     for i in np.flatnonzero(gated):

@@ -44,7 +44,7 @@ class World:
     mode: np.ndarray              # (L,) int, see control.MODE_*
     goal_a: np.ndarray            # (L,) cluster id (target, or first bridge endpoint)
     goal_b: np.ndarray            # (L,) second bridge endpoint, -1 otherwise
-    achieved: list                # list[set[int]] per-agent achieved-goal knowledge
+    achieved: np.ndarray          # (L, K) bool, the goals each agent knows are covered
     # fixed for the run, since users never move; generate_scenario computes them once
     user_table: cKDTree           # the users' k-d tree, for matching
     cluster_users: np.ndarray     # (K,) users per cluster
@@ -159,7 +159,7 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
         mode=np.full(n, MODE_DYNAMIC, dtype=int),
         goal_a=goal_a,
         goal_b=np.full(n, -1, dtype=int),
-        achieved=[set() for _ in range(n)],
+        achieved=np.zeros((n, len(centroids)), dtype=bool),
         user_table=user_table(msd_pos),
         cluster_users=np.bincount(msd_cluster, minlength=len(centroids)),
         user_extent=float(np.abs(msd_pos).max()),
@@ -285,7 +285,7 @@ def config_from_lines(lines):
             fields[owner][key] = parse(value)
         except ValueError as exc:
             if isinstance(exc, ConfigError):
-                raise
+                raise ConfigError(f"line {lineno}: {exc}") from exc
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
     try:
         return ScenarioConfig(control=ControlParams(**fields["control"]),

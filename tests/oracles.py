@@ -15,7 +15,8 @@
   which the library now evaluates over the candidate pairs of k-d trees
   only; :func:`scan_connected_components`, the component labelling that
   scans one adjacency row per node; :func:`loop_share_achieved_goals`, the
-  goal sharing that scans every label once per component.
+  goal sharing that scans every label once per component and unions the
+  members' goals as Python sets, read from and written back to their rows.
 * :func:`dense_fiedler_value` -- the Fiedler value of a dense 0/1 matrix,
   through :func:`dense_laplacian` ``np.diag(A.sum(1)) - A``; the library
   fills the Laplacian in from the graph's pairs and its component labels.
@@ -175,6 +176,32 @@ def dense_flock_accelerations(positions, velocities, loads, alive, modes,
     return u
 
 
+def goal_ids(row):
+    """The goal ids marked in one agent's row of ``World.achieved``, as a set."""
+    return set(np.flatnonzero(row).tolist())
+
+
+def goal_sets(achieved):
+    """Each agent's goal ids in a ``World.achieved`` array, as a list of sets."""
+    return [goal_ids(row) for row in achieved]
+
+
+def goal_rows(sets, n_goals):
+    """The ``World.achieved`` array that marks each agent's set of goal ids."""
+    rows = np.zeros((len(sets), n_goals), dtype=bool)
+    for row, goals in zip(rows, sets):
+        row[sorted(goals)] = True
+    return rows
+
+
+def _union_rows(achieved, members):
+    """Write the union of the members' goal-id sets back into each member's row."""
+    union = set().union(*(goal_ids(achieved[i]) for i in members))
+    for i in members:
+        achieved[i] = False
+        achieved[i, sorted(union)] = True
+
+
 def loop_share_achieved_goals(world, labels):
     """Union achieved-goal knowledge within each connected alive component.
 
@@ -184,10 +211,7 @@ def loop_share_achieved_goals(world, labels):
     if ids.size == 0:
         return
     for comp in range(labels.max() + 1):
-        members = ids[labels == comp]
-        union = set().union(*(world.achieved[i] for i in members))
-        for i in members:
-            world.achieved[i] = set(union)
+        _union_rows(world.achieved, ids[labels == comp])
 
 
 def scan_cluster_coverages(assignment, msd_cluster, n_clusters):
@@ -305,10 +329,7 @@ def _share_achieved_goals(world, adjacency):
     sub = adjacency[np.ix_(ids, ids)]
     labels = scan_connected_components(sub.astype(float))
     for comp in range(labels.max() + 1):
-        members = ids[labels == comp]
-        union = set().union(*(world.achieved[i] for i in members))
-        for i in members:
-            world.achieved[i] = set(union)
+        _union_rows(world.achieved, ids[labels == comp])
 
 
 def _step(world, params, thresholds, dt, t_next):

@@ -24,6 +24,8 @@ from oracles import (
     attract_repulse,
     control_input,
     dense_flock_accelerations,
+    goal_ids,
+    goal_rows,
     goal_term_bridge,
     goal_term_point,
     velocity_consensus,
@@ -315,15 +317,21 @@ class TestBridgeStaffing:
 class TestModeSwitch:
     CENTROIDS = np.array([[0.0, 0.0], [150.0, 0.0], [0.0, 150.0], [150.0, 150.0]])
 
-    def call(self, mode, goal_a, n_served, coverage, achieved=None, counts=None,
+    @classmethod
+    def row(cls, goals):
+        """An agent's achieved row with the given goal ids marked."""
+        return goal_rows([goals], len(cls.CENTROIDS))[0]
+
+    def call(self, mode, goal_a, n_served, coverage, achieved=(), counts=None,
              pos=(0.0, 0.0), goal_b=-1):
-        achieved = set() if achieved is None else achieved
+        """Run the machine on a fresh row; returns its outcome and the row's goal ids."""
+        row = self.row(achieved)
         counts = {} if counts is None else counts
         lookup = lambda key: cluster_tree(key, self.CENTROIDS)
-        out = mode_switch(mode, goal_a, goal_b, n_served, achieved,
+        out = mode_switch(mode, goal_a, goal_b, n_served, row,
                           np.asarray(coverage, float), self.CENTROIDS,
                           np.asarray(pos, float), lookup, counts, THRESH, 24.0)
-        return out, achieved, counts
+        return out, goal_ids(row), counts
 
     def test_switch_to_bridge_at_mid_load(self):
         # goal covered above r0, load in [n0, n1), a tree edge exists: bridge
@@ -391,11 +399,12 @@ class TestModeSwitch:
             seen.append(key)
             return cluster_tree(key, self.CENTROIDS)
 
-        achieved = {1}
+        achieved = self.row({1})
         mode_switch(MODE_DYNAMIC, 0, -1, 5, achieved,
                     np.array([0.96, 0.96, 0.0, 0.0]), self.CENTROIDS,
                     np.zeros(2), lookup, {}, THRESH, 24.0)
-        assert seen == [frozenset({0, 1})]
+        assert seen == [(0, 1)]
+        assert goal_ids(achieved) == {0, 1}
 
     def test_single_achieved_goal_has_no_tree(self):
         # mid load, first cluster only: no edges exist yet -> keep roaming

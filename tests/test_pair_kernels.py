@@ -3,10 +3,10 @@
 Matching and adjacency look only at the candidate pairs of k-d trees,
 forces only at the in-range pairs, the aerial graph is the list of those
 pairs, component labelling reads that list as a sparse matrix and goal
-sharing groups members by one sort.
+sharing ORs each component's rows at once.
 Each must give bit-identical results to its dense or looping oracle in
 ``tests/oracles.py``: owners, loads, adjacency, labels, accelerations and
-achieved-goal sets.
+achieved goals.
 """
 
 from dataclasses import replace
@@ -27,6 +27,8 @@ from oracles import (
     dense_adjacency_matrix,
     dense_assign_msds,
     dense_flock_accelerations,
+    goal_rows,
+    goal_sets,
     loop_share_achieved_goals,
     scan_connected_components,
 )
@@ -334,8 +336,8 @@ class TestShareAchievedGoals:
                      map_vel=np.zeros((n, 2)), map_height=H,
                      alive=rng.random(n) > 0.3, mode=np.zeros(n, int),
                      goal_a=np.zeros(n, int), goal_b=np.full(n, -1),
-                     achieved=[set(rng.choice(6, size=int(rng.integers(0, 3))).tolist())
-                               for _ in range(n)],
+                     achieved=goal_rows([rng.choice(6, size=int(rng.integers(0, 3))).tolist()
+                                         for _ in range(n)], 6),
                      user_table=user_table(np.zeros((1, 2))),
                      cluster_users=np.bincount(np.zeros(1, int), minlength=6), user_extent=0.0)
 
@@ -347,26 +349,37 @@ class TestShareAchievedGoals:
             alive_count = int(grouped.alive.sum())
             # any labeling, gaps in the label range included
             labels = rng.integers(0, max(1, alive_count), size=alive_count)
-            looped = replace(grouped, achieved=[set(a) for a in grouped.achieved])
+            looped = replace(grouped, achieved=grouped.achieved.copy())
             share_achieved_goals(grouped, labels)
             loop_share_achieved_goals(looped, labels)
-            assert grouped.achieved == looped.achieved
-            ids = np.flatnonzero(grouped.alive)
-            shared = [grouped.achieved[i] for i in ids]
-            assert len({id(s) for s in shared}) == len(shared)   # no set is shared
+            np.testing.assert_array_equal(grouped.achieved, looped.achieved)
+            # each agent keeps its own row: marking one through its view, as
+            # mode_switch does, leaves every other row unchanged
+            k, goal = int(rng.integers(n)), int(rng.integers(6))
+            grouped.achieved[k][goal] = True
+            looped.achieved[k, goal] = True
+            np.testing.assert_array_equal(grouped.achieved, looped.achieved)
 
     def test_members_keep_their_own_sets(self):
-        # mode_switch adds to an agent's set in place: after sharing, that must
+        # mode_switch marks an agent's row in place: after sharing, that must
         # not reach the other members of its component
         world = self._world(np.random.default_rng(2), 6)
         world.alive[:] = True
-        world.achieved = [{1}, set(), {2}, set(), set(), {4}]
+        world.achieved = goal_rows([{1}, set(), {2}, set(), set(), {4}], 6)
         labels = np.array([0, 0, 0, 1, 1, 2])
         share_achieved_goals(world, labels)
-        assert world.achieved == [{1, 2}, {1, 2}, {1, 2}, set(), set(), {4}]
-        world.achieved[1].add(5)
-        world.achieved[3].add(3)
-        assert world.achieved == [{1, 2}, {1, 2, 5}, {1, 2}, {3}, set(), {4}]
+        assert goal_sets(world.achieved) == [{1, 2}, {1, 2}, {1, 2}, set(), set(), {4}]
+        world.achieved[1][5] = True
+        world.achieved[3][3] = True
+        assert goal_sets(world.achieved) == [{1, 2}, {1, 2, 5}, {1, 2}, {3}, set(), {4}]
+
+    def test_dead_agents_and_other_components_untouched(self):
+        world = self._world(np.random.default_rng(3), 7)
+        world.alive[:] = [True, False, True, True, False, True, True]
+        world.achieved = goal_rows([{0}, {1}, set(), {2}, {3}, set(), set()], 6)
+        # alive agents 0, 2 | 3 | 5, 6: only the first component knows goal 0
+        share_achieved_goals(world, np.array([0, 0, 1, 2, 2]))
+        assert goal_sets(world.achieved) == [{0}, {1}, {0}, {2}, {3}, set(), set()]
 
 
 @pytest.mark.parametrize("failures", [(), ((1.0, 0.5),)])
@@ -394,7 +407,7 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
             == (b.t, b.coverage_ratio, b.fiedler, b.alive_count, b.mode_counts)
         np.testing.assert_array_equal(a.cluster_coverage, b.cluster_coverage)
     np.testing.assert_array_equal(fast.world.map_pos, dense.world.map_pos)
-    assert fast.world.achieved == dense.world.achieved
+    np.testing.assert_array_equal(fast.world.achieved, dense.world.achieved)
 
 
 def _fleet_with_outlier(outlier):

@@ -61,6 +61,13 @@ class TestGenerateScenario:
         d = np.linalg.norm(world.map_pos[:, None, :] - world.centroids[None], axis=2)
         np.testing.assert_array_equal(world.goal_a, np.argmin(d, axis=1))
 
+    def test_achieved_starts_as_an_all_false_bool_array(self):
+        cfg = small_config(cluster_centers=((0.0, 0.0), (60.0, 0.0), (0.0, 60.0)))
+        world = generate_scenario(cfg, np.random.default_rng(4))
+        assert world.achieved.dtype == bool
+        assert world.achieved.shape == (12, 3)
+        assert not world.achieved.any()
+
     def test_centroids_are_config_inputs(self):
         cfg = small_config(cluster_sigma=40.0)
         world = generate_scenario(cfg, np.random.default_rng(3))
@@ -272,10 +279,10 @@ class TestConfigFormatPinned:
         (["map_count = ten"], "line 1: bad value for 'map_count': 'ten'"),
         (["", "# fleet", "n_max = 1.5"], "line 3: bad value for 'n_max': '1.5'"),
         (["dt = fast"], "line 1: bad value for 'dt': 'fast'"),
-        # a malformed pair names the pair, not the line
-        (["cluster_centers = 0,0; 1"], "expected x,y pair, got '1'"),
+        # a malformed pair names its line and the pair
+        (["cluster_centers = 0,0; 1"], "line 1: expected x,y pair, got '1'"),
         (["map_spawn_center = 1,2; 3,4"], "line 1: bad value for 'map_spawn_center': '1,2; 3,4'"),
-        (["failures = 1:0.5:7"], "expected x:y pair, got '1:0.5:7'"),
+        (["seed = 4", "failures = 1:0.5:7"], "line 2: expected x:y pair, got '1:0.5:7'"),
     ])
     def test_error_text(self, lines, message):
         with pytest.raises(ConfigError) as info:
