@@ -7,8 +7,8 @@ Subcommands:
 * ``sweep-failure <config>``  -- failure-ratio sweep at a fixed injection time
 * ``plot <csv>``              -- SVG line chart of selected CSV columns
 
-Exit codes: 0 success, 1 config/IO error or a diverged simulation
-(one-line diagnostic on stderr), 2 usage error.
+Exit codes: 0 success, 1 config/IO error, a diverged simulation or a run
+too large for memory (one-line diagnostic on stderr), 2 usage error.
 """
 
 import argparse
@@ -147,8 +147,8 @@ def cli_main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, OSError, ValueError, SimulationDiverged) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, OSError, ValueError, SimulationDiverged, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

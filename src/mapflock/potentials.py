@@ -8,6 +8,10 @@ smooth cutoff (``bump``) with an uneven sigmoid (``phi_uneven``) whose root
 sits at the desired agent spacing.
 
 Every function here is pure and accepts scalars or numpy arrays.
+:func:`bump`, :func:`phi_uneven` and :func:`phi_action` work in place:
+each computes its result into one fresh array it owns, never into its
+argument, so a :func:`phi_action` call over P pairs holds at most three
+P-sized arrays at once.
 """
 
 import numpy as np
@@ -34,8 +38,14 @@ def bump(z, lower, upper):
     z = np.asarray(z, dtype=float)
     if np.any(z < 0):
         raise ValueError("bump input must be non-negative")
-    ramp = 0.5 * (1.0 + np.cos(np.pi * (z - lower) / (upper - lower)))
-    out = np.where(z < lower, 1.0, np.where(z < upper, ramp, 0.0))
+    out = np.subtract(z, lower, out=np.empty_like(z))
+    out *= np.pi
+    out /= upper - lower
+    np.cos(out, out=out)
+    out += 1.0
+    out *= 0.5                  # the half-cosine ramp, over every entry
+    out[z < lower] = 1.0
+    out[~(z < upper)] = 0.0     # NaN included, as beyond the upper cutoff
     return float(out) if out.ndim == 0 else out
 
 
@@ -69,9 +79,16 @@ def phi_uneven(z, a, b, c):
     """
     if a <= 0 or b <= 0:
         raise ValueError("sigmoid scales a, b must be positive")
-    s = np.asarray(z, dtype=float) + c
-    out = 0.5 * ((a + b) * s / np.sqrt(1.0 + s * s) + (a - b))
-    return float(out) if out.ndim == 0 else out
+    z = np.asarray(z, dtype=float)
+    s = np.add(z, c, out=np.empty_like(z))
+    root = np.multiply(s, s, out=np.empty_like(s))
+    root += 1.0
+    np.sqrt(root, out=root)
+    s *= a + b
+    s /= root
+    s += a - b
+    s *= 0.5
+    return float(s) if s.ndim == 0 else s
 
 
 def phi_action(z_sigma, params):
@@ -83,6 +100,7 @@ def phi_action(z_sigma, params):
     :class:`mapflock.control.ControlParams`; :func:`bump` rejects negatives.
     """
     z = np.asarray(z_sigma, dtype=float)
-    gate = bump(z / params.r_sigma, params.gamma, 1.0)
-    out = gate * phi_uneven(z - params.d_sigma, params.a, params.b, params.c)
-    return float(out) if np.ndim(out) == 0 else out
+    out = phi_uneven(z - params.d_sigma, params.a, params.b, params.c)
+    # gated last: IEEE products commute, so the bits are those of gate * sigmoid
+    out *= bump(z / params.r_sigma, params.gamma, 1.0)
+    return out

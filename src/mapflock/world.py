@@ -176,19 +176,26 @@ def adjacency_matrix(map_pos, alive, comm_range, agents):
     order: ``np.nonzero`` of the graph's matrix over the alive agents.
 
     `agents` is the :func:`agent_tree` of `map_pos` and `alive`; only the
-    pairs it finds within a slightly wider range are tested.
+    pairs it finds within a slightly wider range are tested, at the
+    positions the tree holds.
     Agents i != j are adjacent when ``d2 <= comm_range**2``, with ``d2`` the
     squared distance of ``q_i - q_j``; the range is inclusive.
     """
-    pos = map_pos[alive]
+    pos = agents.data                       # map_pos[alive], as the tree keeps it
+    n = len(pos)
     # the 1e-9 widening keeps every pair the exact test admits a candidate,
     # whatever the rounding of the tree's own distances
     i, j = agents.query_pairs(comm_range * (1.0 + 1e-9), output_type="ndarray").T
-    diff = np.take(pos, i, axis=0) - np.take(pos, j, axis=0)
+    diff = np.take(pos, i, axis=0)
+    diff -= np.take(pos, j, axis=0)
     within = np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range
-    i, j = np.concatenate([i[within], j[within]]), np.concatenate([j[within], i[within]])
-    order = np.argsort(i * len(pos) + j)
-    return i[order], j[order]
+    del diff
+    i, j = i[within], j[within]
+    # each pair once per direction as its row-major key; the keys are unique
+    key = np.concatenate([i * n + j, j * n + i])
+    del i, j
+    key.sort()
+    return np.divmod(key, n)
 
 
 # ---------------------------------------------------------------------------

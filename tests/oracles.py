@@ -20,6 +20,11 @@
 * :func:`dense_fiedler_value` -- the Fiedler value of a dense 0/1 matrix,
   through :func:`dense_laplacian` ``np.diag(A.sum(1)) - A``; the library
   fills the Laplacian in from the graph's pairs and its component labels.
+* :func:`closed_form_bump`, :func:`closed_form_phi_uneven` and
+  :func:`closed_form_phi_action` -- the range gate as two nested
+  ``np.where``s, the uneven sigmoid as one expression and the action
+  potential as gate times sigmoid; the library computes each in place.
+  The force oracles below call these, not ``mapflock.potentials``.
 * :func:`control_input` and its terms :func:`attract_repulse`,
   :func:`velocity_consensus`, :func:`goal_term_point` and
   :func:`goal_term_bridge` -- the control law u = f + g + h for one agent,
@@ -36,7 +41,7 @@ from mapflock import control as ctl
 from mapflock.association import Assignment, cluster_coverages
 from mapflock.control import MODE_BRIDGE, ControlParams, consensus_weight, load_pull_coeff
 from mapflock.netgraph import cluster_mst
-from mapflock.potentials import phi_action, sigma_grad_scale, sigma_scalar
+from mapflock.potentials import sigma_grad_scale, sigma_scalar
 from mapflock.sim import (
     MetricsSample,
     RunResult,
@@ -136,6 +141,29 @@ def dense_fiedler_value(adjacency):
     return max(float(np.linalg.eigvalsh(dense_laplacian(adjacency))[1]), 0.0)
 
 
+def closed_form_bump(z, lower, upper):
+    """1 below `lower`, a half-cosine ramp to `upper`, 0 at and beyond it (and at NaN)."""
+    z = np.asarray(z, dtype=float)
+    ramp = 0.5 * (1.0 + np.cos(np.pi * (z - lower) / (upper - lower)))
+    out = np.where(z < lower, 1.0, np.where(z < upper, ramp, 0.0))
+    return float(out) if out.ndim == 0 else out
+
+
+def closed_form_phi_uneven(z, a, b, c):
+    """0.5*[(a+b)*(z+c)/sqrt(1+(z+c)^2) + (a-b)]."""
+    s = np.asarray(z, dtype=float) + c
+    out = 0.5 * ((a + b) * s / np.sqrt(1.0 + s * s) + (a - b))
+    return float(out) if out.ndim == 0 else out
+
+
+def closed_form_phi_action(z_sigma, params):
+    """The range gate at z / r_sigma times the sigmoid at z - d_sigma."""
+    z = np.asarray(z_sigma, dtype=float)
+    gate = closed_form_bump(z / params.r_sigma, params.gamma, 1.0)
+    out = gate * closed_form_phi_uneven(z - params.d_sigma, params.a, params.b, params.c)
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def dense_flock_accelerations(positions, velocities, loads, alive, modes,
                               goal_a, goal_b, centroids, adjacency,
                               params: ControlParams):
@@ -148,7 +176,7 @@ def dense_flock_accelerations(positions, velocities, loads, alive, modes,
     z_sigma = (root - 1.0) / eps
     del root
 
-    phi = phi_action(z_sigma, params)
+    phi = closed_form_phi_action(z_sigma, params)
     coeff = (phi + load_pull_coeff(loads, params)[None, :]) * adjacency
     f = np.einsum("ij,ijk->ik", coeff * scale, diff)
 
@@ -248,7 +276,7 @@ def attract_repulse(i, positions, loads, neighbor_ids, params: ControlParams):
         dq = positions[j] - qi
         nsq = float(dq @ dq)
         z_sigma = sigma_scalar(math.sqrt(nsq), params.epsilon)
-        coeff = phi_action(z_sigma, params) + load_pull_coeff(loads[j], params)
+        coeff = closed_form_phi_action(z_sigma, params) + load_pull_coeff(loads[j], params)
         out += coeff * dq * sigma_grad_scale(nsq, params.epsilon)
     return out
 

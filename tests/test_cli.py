@@ -1,8 +1,13 @@
 import gc
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mapflock
 from mapflock.cli import cli_main
 from mapflock.outputs import config_from_summary, read_csv
 from mapflock.sim import SimulationDiverged
@@ -94,6 +99,28 @@ class TestRunCommand:
         code = cli_main(["run", config_path, "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == "error: step 7: non-finite state at t=0.700\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_is_one_line_error(self, tmp_path):
+        # a trajectory of 10^9 samples cannot be allocated under a 4 GiB
+        # address-space limit, which only the child process gets
+        cfg = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=1000000.0, dt=0.001)
+        path = tmp_path / "huge.cfg"
+        save_config(cfg, path)
+        src = os.path.dirname(os.path.dirname(mapflock.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "mapflock", "run", str(path), "--trajectories",
+             "--out-dir", str(tmp_path / "out")],
+            env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mapflock.control import ControlParams
 from mapflock.potentials import bump, phi_action, phi_uneven, sigma_scalar
-from oracles import sigma_norm
+from oracles import (
+    closed_form_bump,
+    closed_form_phi_action,
+    closed_form_phi_uneven,
+    sigma_norm,
+)
 
 
 class TestBump:
@@ -175,3 +181,82 @@ class TestPhiAction:
     def test_negative_sigma_distance_rejected(self):
         with pytest.raises(ValueError):
             phi_action(-1.0, self.params)
+
+
+def around(*points):
+    """Each point and its neighbouring floats on either side, then NaN."""
+    points = np.asarray(points, dtype=float)
+    return np.concatenate([np.nextafter(points, -np.inf), points,
+                           np.nextafter(points, np.inf), [np.nan]])
+
+
+def non_negative(z):
+    return z[~(z < 0.0)]
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def assert_same_bits_everywhere(kernel, oracle, points, grid):
+    """Scalars, 0-d arrays, a dense array and two strided views of it."""
+    for x in points:
+        assert_same_bits(kernel(float(x)), oracle(float(x)))
+        assert_same_bits(kernel(np.array(x)), oracle(np.array(x)))
+    z = np.concatenate([points, grid])
+    for view in (z, z[::3], z[:20000].reshape(200, 100).T):
+        assert_same_bits(kernel(view), oracle(view))
+
+
+ACTION_PARAMS = (ControlParams(), ControlParams(a=8.0, b=2.0, gamma=0.35))
+
+
+class TestAgainstClosedForm:
+    """The in-place kernels against the closed-form expressions of the
+    oracle: equal values, NaN where it is NaN, and equal sign bits."""
+
+    @pytest.mark.parametrize("lower,upper", [(0.2, 1.0), (0.0, 1.0), (1.0, 2.0)])
+    def test_bump(self, lower, upper):
+        assert_same_bits_everywhere(lambda z: bump(z, lower, upper),
+                                    lambda z: closed_form_bump(z, lower, upper),
+                                    non_negative(around(0.0, lower, upper, 1e150)),
+                                    np.linspace(0.0, 2.0 * upper, 20001))
+
+    @pytest.mark.parametrize("a,b", [(5.0, 5.0), (8.0, 2.0), (2.0, 8.0)])
+    def test_phi_uneven(self, a, b):
+        c = ControlParams(a=a, b=b).c
+        points = np.append(around(-c, 0.0, 1e150, -1e150), -0.0)
+        assert_same_bits_everywhere(lambda z: phi_uneven(z, a, b, c),
+                                    lambda z: closed_form_phi_uneven(z, a, b, c),
+                                    points, np.linspace(-60.0, 60.0, 20001))
+
+    @pytest.mark.parametrize("p", ACTION_PARAMS)
+    def test_phi_action(self, p):
+        assert_same_bits_everywhere(lambda z: phi_action(z, p),
+                                    lambda z: closed_form_phi_action(z, p),
+                                    non_negative(around(0.0, p.d_sigma, p.gamma * p.r_sigma,
+                                                        p.r_sigma, 1e150)),
+                                    np.linspace(0.0, 2.0 * p.r_sigma, 20001))
+
+    def test_inputs_unchanged(self):
+        p = ACTION_PARAMS[1]
+        z = np.concatenate([around(p.d_sigma, p.r_sigma), np.linspace(0.0, 80.0, 501)])
+        before = z.copy()
+        for out in (bump(z, p.gamma, p.r_sigma), phi_uneven(z, p.a, p.b, p.c),
+                    phi_action(z, p)):
+            assert not np.shares_memory(out, z)
+        assert np.array_equal(z, before, equal_nan=True)
+
+    def test_phi_action_holds_at_most_three_pair_arrays(self):
+        p = ACTION_PARAMS[0]
+        z = np.linspace(0.0, 1.2 * p.r_sigma, 3000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            phi_action(z, p)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * z.nbytes

@@ -269,9 +269,10 @@ class TestMeasure:
 class TestStepMemory:
     """The step's working memory on a 1000-agent fleet over an 800 m field,
     the benchmark's relay_wide scene: achieved goals are one bool array and
-    the pair kernels free their temporaries, so the tracemalloc peak above
-    the step's entry is about 0.27 MiB; with a set per agent and every pair
-    temporary held to the end it was about 0.39 MiB."""
+    the pair kernels and potentials work in place, so the tracemalloc peak
+    above the step's entry is about 0.22 MiB; with potentials that built
+    each intermediate anew it was about 0.27 MiB, and with a set per agent
+    and every pair temporary held to the end about 0.39 MiB."""
 
     def test_peak_above_entry_is_bounded(self):
         cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (600.0, 0.0), (0.0, 600.0),
@@ -288,7 +289,7 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 0.34 * 2**20
+        assert peak < 0.24 * 2**20
 
 
 class TestLoneAgentStability:
