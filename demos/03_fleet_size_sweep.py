@@ -7,7 +7,7 @@ so the network stays disconnected (Fiedler value exactly zero); past the
 threshold both coverage and connectivity are achieved. Writes
 ``demo_out/fleet_size_sweep.svg``.
 
-Run:  python3 demos/03_fleet_size_sweep.py     (a few minutes)
+Run:  python3 demos/03_fleet_size_sweep.py     (about 10 s: twelve 60 s missions)
 """
 
 import os

@@ -17,11 +17,13 @@ serve); Connectivity and Static are absorbing.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
+from .netgraph import cluster_mst
 from .potentials import bump, phi_action, sigma_grad_scale, sigma_scalar
 
 MODE_DYNAMIC = 0   # travel to nearest uncovered cluster
@@ -217,7 +219,7 @@ def select_bridge_edge(pos_i, mst_edges, bridge_counts, centroids, comm_range):
         raise ValueError("cannot select a bridge edge from an empty tree")
     rows = []
     for ia, ib, length in mst_edges:
-        deficit = required_relays(length, comm_range) - bridge_counts.get((ia, ib), 0)
+        deficit = required_relays(length, comm_range) - bridge_counts[ia, ib]
         mid = 0.5 * (centroids[ia] + centroids[ib])
         dist = float(np.hypot(*(mid - pos_i)))
         rows.append((deficit, dist, (ia, ib)))
@@ -227,19 +229,16 @@ def select_bridge_edge(pos_i, mst_edges, bridge_counts, centroids, comm_range):
     return min(rows, key=lambda row: (row[1], row[2]))[2]
 
 
-def mode_switch(mode, goal_a, goal_b, n_served, achieved, cluster_coverage,
-                centroids, pos_i, mst_lookup, bridge_counts,
-                thresholds: ModeThresholds, comm_range):
-    """One mode-machine evaluation for one alive agent.
+def mode_switch(goal_a, n_served, achieved, cluster_coverage, centroids, pos_i,
+                mst_lookup, bridge_counts, thresholds: ModeThresholds, comm_range):
+    """One mode-machine decision for a roaming agent whose goal is covered above r0.
 
     `achieved` is the agent's (K,) bool row of known covered goals, a view
-    into ``World.achieved``; it is marked in place, and the new
-    ``(mode, goal_a, goal_b)`` is returned. Nothing changes unless the
-    agent holds a cluster goal whose coverage strictly exceeds `r0`;
-    Connectivity and Static modes are absorbing. `mst_lookup` maps the
-    sorted tuple of achieved goal ids to their centroid spanning tree; it is
-    queried after the newly achieved goal is marked, so the tree is always
-    current.
+    into ``World.achieved``; the goal is marked in it before `mst_lookup`,
+    from the sorted tuple of achieved goal ids to their centroid spanning
+    tree, is queried. `bridge_counts` is a ``Counter`` of the relays per
+    edge ``(id_a, id_b)``; the agent is counted on the edge it adopts.
+    Returns the new ``(mode, goal_a, goal_b)``.
 
     Bridge duty requires an existing tree edge, and while uncovered
     clusters remain it also requires an actual relay deficit: agents are
@@ -247,18 +246,12 @@ def mode_switch(mode, goal_a, goal_b, n_served, achieved, cluster_coverage,
     every known cluster is covered, surplus agents take (possibly
     redundant) bridge duty instead of parking.
     """
-    if mode == MODE_BRIDGE:
-        return mode, goal_a, goal_b
-    if cluster_coverage[goal_a] <= thresholds.r0:
-        return mode, goal_a, goal_b
     achieved[goal_a] = True
-    if mode != MODE_DYNAMIC:
-        return mode, goal_a, goal_b
     mst_edges = mst_lookup(tuple(np.flatnonzero(achieved).tolist()))
 
     def to_bridge():
         edge = select_bridge_edge(pos_i, mst_edges, bridge_counts, centroids, comm_range)
-        bridge_counts[edge] = bridge_counts.get(edge, 0) + 1
+        bridge_counts[edge] += 1
         return MODE_BRIDGE, edge[0], edge[1]
 
     def retarget():
@@ -266,7 +259,7 @@ def mode_switch(mode, goal_a, goal_b, n_served, achieved, cluster_coverage,
         return MODE_DYNAMIC, uncovered[int(np.argmin(dists))], -1
 
     uncovered = np.flatnonzero(~achieved).tolist()
-    understaffed = any(required_relays(length, comm_range) > bridge_counts.get((ia, ib), 0)
+    understaffed = any(required_relays(length, comm_range) > bridge_counts[ia, ib]
                        for ia, ib, length in mst_edges)
     bridge_worthwhile = mst_edges and (understaffed or not uncovered)
 
@@ -276,11 +269,33 @@ def mode_switch(mode, goal_a, goal_b, n_served, achieved, cluster_coverage,
             return retarget()
         if bridge_worthwhile:
             return to_bridge()
-        return mode, goal_a, goal_b
+        return MODE_DYNAMIC, goal_a, -1
     if n_served < thresholds.n1:
         if bridge_worthwhile:
             return to_bridge()
         if uncovered:
             return retarget()
-        return mode, goal_a, goal_b
+        return MODE_DYNAMIC, goal_a, -1
     return MODE_STATIC, goal_a, -1
+
+
+def switch_modes(world, loads, coverage, thresholds: ModeThresholds, comm_range):
+    """Phase 3 of a step, in place: :func:`mode_switch` for the alive roaming
+    agents whose goal is covered above r0, in id order; returns the mode changes.
+
+    Connectivity and Static are absorbing, and a static agent's goal is
+    already marked in its row. Each adoption is counted before the next
+    agent decides, so simultaneous switchers spread over the edges.
+    """
+    bridge = world.alive & (world.mode == MODE_BRIDGE)
+    bridge_counts = Counter(zip(world.goal_a[bridge].tolist(), world.goal_b[bridge].tolist()))
+    mst_lookup = cache(partial(cluster_mst, centroids=world.centroids))
+    gated = world.alive & (world.mode == MODE_DYNAMIC) & (coverage[world.goal_a] > thresholds.r0)
+    changes = 0
+    for i in np.flatnonzero(gated):
+        new_mode, ga, gb = mode_switch(
+            int(world.goal_a[i]), int(loads[i]), world.achieved[i], coverage, world.centroids,
+            world.map_pos[i], mst_lookup, bridge_counts, thresholds, comm_range)
+        changes += new_mode != MODE_DYNAMIC
+        world.mode[i], world.goal_a[i], world.goal_b[i] = new_mode, ga, gb
+    return changes

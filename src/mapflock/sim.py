@@ -16,7 +16,8 @@ One step executes, in order:
    goals becomes the OR of its component's rows, one ``logical_or.at``
    over all components of the aerial graph (the protocol-level message
    passing is emulated centrally),
-3. the mode machine, in id order, for the agents it can change,
+3. the mode machine, :func:`control.switch_modes`, in id order, for the
+   agents it can change: roaming agents whose goal is covered above r0,
 4. control forces for every alive agent from the common pre-step
    position/velocity/load snapshot: the pairwise spacing, load and
    velocity-consensus terms, summed over the in-range pairs only,
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import control as ctl
 from .association import Assignment, assign_msds, cluster_coverages
-from .netgraph import cluster_mst, connected_components, fiedler_value
+from .netgraph import connected_components, fiedler_value
 from .world import ScenarioConfig, World, adjacency_matrix, agent_tree, generate_scenario
 
 # sliding-window convergence criterion (reported, not used for early exit)
@@ -137,7 +138,7 @@ def observe(world: World, params: ctl.ControlParams) -> Observation:
     agents = agent_tree(world.map_pos, world.alive)
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
                       params.r, world.user_table, agents)
-    adj = adjacency_matrix(world.map_pos, world.alive, params.r, agents)
+    adj = adjacency_matrix(agents, params.r)
     return Observation(
         assignment=asg,
         cluster_coverage=cluster_coverages(asg, world.msd_cluster, world.cluster_users),
@@ -207,32 +208,8 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     share_achieved_goals(world, obs.labels)
     obs.labels = None
 
-    # 3: mode machine, deterministic id order; bridge staffing counts are
-    # updated as agents adopt edges so simultaneous switchers spread out
-    bridge_counts = {}
-    for i in np.flatnonzero(world.alive & (world.mode == ctl.MODE_BRIDGE)):
-        edge = (int(world.goal_a[i]), int(world.goal_b[i]))
-        bridge_counts[edge] = bridge_counts.get(edge, 0) + 1
-    mst_cache = {}
-
-    def mst_lookup(key):
-        if key not in mst_cache:
-            mst_cache[key] = cluster_mst(key, world.centroids)
-        return mst_cache[key]
-
-    # the agents mode_switch can change: roaming agents whose goal is covered
-    # above r0 (bridge and static modes are absorbing, and a static agent's goal
-    # is already marked in its achieved row, where no mark is ever cleared)
-    changes = 0
-    gated = world.alive & (world.mode == ctl.MODE_DYNAMIC) & (cov[world.goal_a] > thresholds.r0)
-    for i in np.flatnonzero(gated):
-        new_mode, ga, gb = ctl.mode_switch(
-            int(world.mode[i]), int(world.goal_a[i]), int(world.goal_b[i]),
-            int(loads[i]), world.achieved[i], cov, world.centroids,
-            world.map_pos[i], mst_lookup, bridge_counts, thresholds, params.r)
-        if new_mode != world.mode[i]:
-            changes += 1
-        world.mode[i], world.goal_a[i], world.goal_b[i] = new_mode, ga, gb
+    # 3: mode machine, in id order, for the agents it can change
+    changes = ctl.switch_modes(world, loads, cov, thresholds, params.r)
 
     # 4-5: forces from the shared pre-step snapshot, then integration
     accel = ctl.flock_accelerations(world.map_pos, world.map_vel, loads,

@@ -171,11 +171,11 @@ def agent_tree(map_pos, alive):
     return cKDTree(map_pos[alive], balanced_tree=False, compact_nodes=False)
 
 
-def adjacency_matrix(map_pos, alive, comm_range, agents):
+def adjacency_matrix(agents, comm_range):
     """The in-range pairs ``(rows, cols)`` of alive agents, numbered in id
     order: ``np.nonzero`` of the graph's matrix over the alive agents.
 
-    `agents` is the :func:`agent_tree` of `map_pos` and `alive`; only the
+    `agents` is the :func:`agent_tree` of the agents' positions; only the
     pairs it finds within a slightly wider range are tested, at the
     positions the tree holds.
     Agents i != j are adjacent when ``d2 <= comm_range**2``, with ``d2`` the
@@ -274,10 +274,11 @@ def config_to_lines(config: ScenarioConfig):
 def config_from_lines(lines):
     """Parse the key=value line format into a ScenarioConfig.
 
-    Unknown keys raise :class:`ConfigError`; unspecified keys keep their
-    defaults.
+    Unknown and repeated keys raise :class:`ConfigError`; unspecified keys
+    keep their defaults.
     """
     fields = {"scenario": {}, "control": {}, "thresholds": {}}
+    seen = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -287,6 +288,8 @@ def config_from_lines(lines):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if seen.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {seen[key]})")
         owner, parse, _ = _KEYS[key]
         try:
             fields[owner][key] = parse(value)

@@ -4,8 +4,9 @@
   received power ``rho * dist ** -eta`` over in-range agents.
 * :func:`recompute_run` -- the original step loop, which recomputes the
   matching, the adjacency and the connected components in every phase
-  that needs them instead of carrying one observation forward, and runs
-  the mode machine for every alive agent; it calls the dense kernels
+  that needs them instead of carrying one observation forward, and visits
+  every alive agent with the mode machine's rule written out per agent
+  before it calls ``control.mode_switch``; it calls the dense kernels
   below, not the library's pair kernels.
 * :func:`scan_cluster_coverages` -- per-cluster coverage by one scan of
   the users per cluster.
@@ -34,6 +35,7 @@
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -368,10 +370,9 @@ def _step(world, params, thresholds, dt, t_next):
     adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)
     _share_achieved_goals(world, adj)
 
-    bridge_counts = {}
+    bridge_counts = Counter()
     for i in np.flatnonzero(world.alive & (world.mode == ctl.MODE_BRIDGE)):
-        edge = (int(world.goal_a[i]), int(world.goal_b[i]))
-        bridge_counts[edge] = bridge_counts.get(edge, 0) + 1
+        bridge_counts[int(world.goal_a[i]), int(world.goal_b[i])] += 1
     mst_cache = {}
 
     def mst_lookup(key):
@@ -379,13 +380,20 @@ def _step(world, params, thresholds, dt, t_next):
             mst_cache[key] = cluster_mst(key, world.centroids)
         return mst_cache[key]
 
+    # the machine's rule agent by agent: bridge mode is absorbing, a goal covered
+    # above r0 is marked, and only a roaming agent decides
     changes = 0
     for i in np.flatnonzero(world.alive):
+        mode, goal_a = int(world.mode[i]), int(world.goal_a[i])
+        if mode == ctl.MODE_BRIDGE or cov[goal_a] <= thresholds.r0:
+            continue
+        world.achieved[i, goal_a] = True
+        if mode != ctl.MODE_DYNAMIC:
+            continue
         new_mode, ga, gb = ctl.mode_switch(
-            int(world.mode[i]), int(world.goal_a[i]), int(world.goal_b[i]),
-            int(asg.loads[i]), world.achieved[i], cov, world.centroids,
+            goal_a, int(asg.loads[i]), world.achieved[i], cov, world.centroids,
             world.map_pos[i], mst_lookup, bridge_counts, thresholds, params.r)
-        if new_mode != world.mode[i]:
+        if new_mode != mode:
             changes += 1
         world.mode[i], world.goal_a[i], world.goal_b[i] = new_mode, ga, gb
 

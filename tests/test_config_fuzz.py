@@ -56,7 +56,8 @@ line = st.one_of(
 
 # a fixed set of examples keeps the suite deterministic and leaves no files behind
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.lists(line, max_size=8))
+# one line per key: a repeated key is rejected before its values are checked or run
+@given(st.lists(line, max_size=8, unique_by=lambda text: text.split(" = ", 1)[0]))
 @example(["r = inf"])
 @example(["k = inf"])
 @example(["rho = 1"])

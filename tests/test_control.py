@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -18,8 +19,9 @@ from mapflock.control import (
     mode_switch,
     required_relays,
     select_bridge_edge,
+    switch_modes,
 )
-from mapflock.world import adjacency_matrix, agent_tree
+from mapflock.world import ScenarioConfig, adjacency_matrix, agent_tree, generate_scenario
 from oracles import (
     attract_repulse,
     control_input,
@@ -135,7 +137,7 @@ class TestLoadTables:
         pos, vel, _, alive, modes, ga, gb, cent = TestVectorizedAgreement().random_state(rng, 80)
         loads = rng.multinomial(2000, np.full(80, 1 / 80))
         loads[3] = 2000
-        adj = adjacency_matrix(pos, alive, params.r, agent_tree(pos, alive))
+        adj = adjacency_matrix(agent_tree(pos, alive), params.r)
         load_tables.cache_clear()
         tracemalloc.start()
         try:
@@ -157,7 +159,7 @@ class TestLoadTables:
     def test_forces_at_extreme_loads_match_oracle(self):
         rng = np.random.default_rng(13)
         pos, vel, _, alive, modes, ga, gb, cent = TestVectorizedAgreement().random_state(rng, 30)
-        adj = adjacency_matrix(pos, alive, PARAMS.r, agent_tree(pos, alive))
+        adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
         dense = np.zeros((30, 30), dtype=bool)
         ids = np.flatnonzero(alive)
         dense[ids[adj[0]], ids[adj[1]]] = True
@@ -247,7 +249,7 @@ class TestVectorizedAgreement:
         for _ in range(60):
             n = int(rng.integers(2, 18))
             pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, n)
-            adj = adjacency_matrix(pos, alive, PARAMS.r, agent_tree(pos, alive))
+            adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
             ids = np.flatnonzero(alive)
             nb = [ids[adj[1][ids[adj[0]] == i]] for i in range(n)]
             u = flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent,
@@ -264,12 +266,12 @@ class TestVectorizedAgreement:
     def test_translation_invariance(self):
         rng = np.random.default_rng(19)
         pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, 12)
-        adj = adjacency_matrix(pos, alive, PARAMS.r, agent_tree(pos, alive))
+        adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
         u = flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent,
                                 adj, PARAMS)
         shift = np.array([37.5, -12.25])
         moved = pos + shift
-        adj2 = adjacency_matrix(moved, alive, PARAMS.r, agent_tree(moved, alive))
+        adj2 = adjacency_matrix(agent_tree(moved, alive), PARAMS.r)
         u2 = flock_accelerations(moved, vel, loads, alive, modes, ga, gb,
                                  cent + shift, adj2, PARAMS)
         np.testing.assert_allclose(u2, u, atol=1e-9)
@@ -292,26 +294,26 @@ class TestBridgeStaffing:
     def test_deficit_priority(self):
         centroids = np.array([[0.0, 0.0], [150.0, 0.0], [0.0, 150.0]])
         edges = [(0, 1, 150.0), (0, 2, 150.0)]
-        counts = {(0, 1): 6}      # fully staffed; (0, 2) needs all 6
+        counts = Counter({(0, 1): 6})   # fully staffed; (0, 2) needs all 6
         pick = select_bridge_edge(np.array([75.0, 0.0]), edges, counts, centroids, 24.0)
         assert pick == (0, 2)
 
     def test_nearest_edge_when_all_staffed(self):
         centroids = np.array([[0.0, 0.0], [150.0, 0.0], [0.0, 150.0]])
         edges = [(0, 1, 150.0), (0, 2, 150.0)]
-        counts = {(0, 1): 6, (0, 2): 6}
+        counts = Counter({(0, 1): 6, (0, 2): 6})
         pick = select_bridge_edge(np.array([75.0, 0.0]), edges, counts, centroids, 24.0)
         assert pick == (0, 1)
 
     def test_lexicographic_tie(self):
         centroids = np.array([[0.0, 0.0], [100.0, 0.0], [-100.0, 0.0]])
         edges = [(0, 1, 100.0), (0, 2, 100.0)]
-        pick = select_bridge_edge(np.zeros(2), edges, {}, centroids, 24.0)
+        pick = select_bridge_edge(np.zeros(2), edges, Counter(), centroids, 24.0)
         assert pick == (0, 1)
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
-            select_bridge_edge(np.zeros(2), [], {}, np.zeros((1, 2)), 24.0)
+            select_bridge_edge(np.zeros(2), [], Counter(), np.zeros((1, 2)), 24.0)
 
 
 class TestModeSwitch:
@@ -322,75 +324,90 @@ class TestModeSwitch:
         """An agent's achieved row with the given goal ids marked."""
         return goal_rows([goals], len(cls.CENTROIDS))[0]
 
-    def call(self, mode, goal_a, n_served, coverage, achieved=(), counts=None,
-             pos=(0.0, 0.0), goal_b=-1):
+    def call(self, goal_a, n_served, coverage, achieved=(), counts=None, pos=(0.0, 0.0)):
         """Run the machine on a fresh row; returns its outcome and the row's goal ids."""
         row = self.row(achieved)
-        counts = {} if counts is None else counts
+        counts = Counter() if counts is None else counts
         lookup = lambda key: cluster_tree(key, self.CENTROIDS)
-        out = mode_switch(mode, goal_a, goal_b, n_served, row,
-                          np.asarray(coverage, float), self.CENTROIDS,
+        out = mode_switch(goal_a, n_served, row, np.asarray(coverage, float), self.CENTROIDS,
                           np.asarray(pos, float), lookup, counts, THRESH, 24.0)
         return out, goal_ids(row), counts
 
+    @classmethod
+    def world(cls, agents):
+        """A world over CENTROIDS whose agents are ``(mode, goal_a, goal_b,
+        achieved goal ids, position)``, one tuple each."""
+        cfg = ScenarioConfig(cluster_centers=tuple(map(tuple, cls.CENTROIDS)),
+                             msds_per_cluster=5, map_count=len(agents))
+        world = generate_scenario(cfg, np.random.default_rng(0))
+        for i, (mode, goal_a, goal_b, achieved, pos) in enumerate(agents):
+            world.mode[i], world.goal_a[i], world.goal_b[i] = mode, goal_a, goal_b
+            world.achieved[i] = cls.row(achieved)
+            world.map_pos[i] = pos
+        return world
+
+    def switch_unchanged(self, agents, coverage, loads=5):
+        """Run `switch_modes` and check that it changes no agent."""
+        world = self.world(agents)
+        before = [getattr(world, name).copy() for name in ("mode", "goal_a", "goal_b", "achieved")]
+        changes = switch_modes(world, np.full(len(agents), loads), np.asarray(coverage, float),
+                               THRESH, 24.0)
+        assert changes == 0
+        for want, name in zip(before, ("mode", "goal_a", "goal_b", "achieved")):
+            np.testing.assert_array_equal(getattr(world, name), want)
+
     def test_switch_to_bridge_at_mid_load(self):
         # goal covered above r0, load in [n0, n1), a tree edge exists: bridge
-        (mode, ga, gb), achieved, counts = self.call(
-            MODE_DYNAMIC, 0, 5, [0.96, 0.96, 0.0, 0.0], achieved={1})
+        (mode, ga, gb), achieved, counts = self.call(0, 5, [0.96, 0.96, 0.0, 0.0], achieved={1})
         assert mode == MODE_BRIDGE
         assert (ga, gb) in counts and counts[(ga, gb)] == 1
         assert achieved == {0, 1}
 
     def test_no_switch_below_coverage_gate(self):
-        (mode, ga, gb), achieved, _ = self.call(
-            MODE_DYNAMIC, 0, 5, [0.90, 0.0, 0.0, 0.0])
-        assert (mode, ga, gb) == (MODE_DYNAMIC, 0, -1)
-        assert achieved == set()
+        self.switch_unchanged([(MODE_DYNAMIC, 0, -1, (), (0.0, 0.0))], [0.90, 0.0, 0.0, 0.0])
 
     def test_coverage_gate_is_strict(self):
-        (mode, _, _), achieved, _ = self.call(
-            MODE_DYNAMIC, 0, 5, [0.95, 0.0, 0.0, 0.0])
-        assert mode == MODE_DYNAMIC
-        assert achieved == set()
+        # coverage exactly r0 = 0.95 is not above the gate: the goal is not marked
+        self.switch_unchanged([(MODE_DYNAMIC, 0, -1, (), (0.0, 0.0)),
+                               (MODE_DYNAMIC, 1, -1, {2}, (150.0, 0.0))],
+                              [0.95, 0.95, 1.0, 0.0])
 
     def test_switch_to_static_at_high_load(self):
-        (mode, ga, gb), _, _ = self.call(MODE_DYNAMIC, 0, 15, [0.96, 0.0, 0.0, 0.0])
+        (mode, ga, gb), _, _ = self.call(0, 15, [0.96, 0.0, 0.0, 0.0])
         assert (mode, ga, gb) == (MODE_STATIC, 0, -1)
 
     def test_low_load_retargets_nearest_uncovered(self):
-        (mode, ga, gb), _, _ = self.call(
-            MODE_DYNAMIC, 0, 1, [0.96, 0.0, 0.0, 0.0], pos=(10.0, 140.0))
+        (mode, ga, gb), _, _ = self.call(0, 1, [0.96, 0.0, 0.0, 0.0], pos=(10.0, 140.0))
         assert (mode, gb) == (MODE_DYNAMIC, -1)
         assert ga == 2          # nearest of the uncovered clusters
 
     def test_low_load_bridges_when_all_covered(self):
         (mode, ga, gb), _, _ = self.call(
-            MODE_DYNAMIC, 0, 1, [0.96, 0.96, 0.96, 0.96],
-            achieved={1, 2, 3}, pos=(75.0, 0.0))
+            0, 1, [0.96, 0.96, 0.96, 0.96], achieved={1, 2, 3}, pos=(75.0, 0.0))
         assert mode == MODE_BRIDGE
         assert (ga, gb) == (0, 1)
 
     def test_mid_load_prefers_understaffed_bridge_over_retarget(self):
-        (mode, _, _), _, counts = self.call(
-            MODE_DYNAMIC, 0, 5, [0.96, 0.96, 0.0, 0.0], achieved={1})
+        (mode, _, _), _, counts = self.call(0, 5, [0.96, 0.96, 0.0, 0.0], achieved={1})
         assert mode == MODE_BRIDGE
         assert sum(counts.values()) == 1
 
     def test_mid_load_retargets_when_bridges_full(self):
-        full = {(0, 1): 6}
+        full = Counter({(0, 1): 6})
         (mode, ga, _), _, _ = self.call(
-            MODE_DYNAMIC, 0, 5, [0.96, 0.96, 0.0, 0.0], achieved={1},
-            counts=full, pos=(140.0, 10.0))
+            0, 5, [0.96, 0.96, 0.0, 0.0], achieved={1}, counts=full, pos=(140.0, 10.0))
         assert (mode, ga) == (MODE_DYNAMIC, 3)
 
     def test_bridge_mode_absorbing(self):
-        (mode, ga, gb), _, _ = self.call(
-            MODE_BRIDGE, 0, 50, [1.0, 1.0, 1.0, 1.0], goal_b=1)
-        assert (mode, ga, gb) == (MODE_BRIDGE, 0, 1)
+        # every goal covered and a high load, yet the relay keeps its edge, and its
+        # row is not marked
+        self.switch_unchanged([(MODE_BRIDGE, 0, 1, (), (75.0, 0.0))], [1.0, 1.0, 1.0, 1.0],
+                              loads=50)
 
     def test_static_mode_absorbing(self):
-        (mode, ga, gb), _, _ = self.call(MODE_STATIC, 0, 2, [1.0, 1.0, 1.0, 1.0])
-        assert (mode, ga, gb) == (MODE_STATIC, 0, -1)
+        # a low load and uncovered clusters left, yet the server stays
+        self.switch_unchanged([(MODE_STATIC, 0, -1, {0}, (0.0, 0.0))], [1.0, 0.0, 0.0, 0.0],
+                              loads=2)
 
     def test_tree_queried_after_goal_is_added(self):
         seen = []
@@ -400,19 +417,43 @@ class TestModeSwitch:
             return cluster_tree(key, self.CENTROIDS)
 
         achieved = self.row({1})
-        mode_switch(MODE_DYNAMIC, 0, -1, 5, achieved,
-                    np.array([0.96, 0.96, 0.0, 0.0]), self.CENTROIDS,
-                    np.zeros(2), lookup, {}, THRESH, 24.0)
+        mode_switch(0, 5, achieved, np.array([0.96, 0.96, 0.0, 0.0]), self.CENTROIDS,
+                    np.zeros(2), lookup, Counter(), THRESH, 24.0)
         assert seen == [(0, 1)]
         assert goal_ids(achieved) == {0, 1}
 
     def test_single_achieved_goal_has_no_tree(self):
         # mid load, first cluster only: no edges exist yet -> keep roaming
-        (mode, ga, _), _, counts = self.call(
-            MODE_DYNAMIC, 0, 5, [0.96, 0.0, 0.0, 0.0], pos=(140.0, 10.0))
+        (mode, ga, _), _, counts = self.call(0, 5, [0.96, 0.0, 0.0, 0.0], pos=(140.0, 10.0))
         assert mode == MODE_DYNAMIC
         assert ga == 1          # nearest uncovered cluster from (140, 10)
         assert not counts
+
+    def test_dead_bridge_agent_does_not_staff_its_edge(self):
+        # edge (0, 1) needs 6 relays; 5 alive ones leave a deficit, so a mid-load
+        # agent bridges it rather than retargeting to cluster 3
+        relays = [(MODE_BRIDGE, 0, 1, {0, 1}, (75.0, 0.0))] * 6
+        world = self.world(relays + [(MODE_DYNAMIC, 0, -1, {1}, (140.0, 10.0))])
+        world.alive[0] = False
+        changes = switch_modes(world, np.full(7, 5), np.array([0.96, 0.96, 0.0, 0.0]),
+                               THRESH, 24.0)
+        assert changes == 1
+        assert (world.mode[6], world.goal_a[6], world.goal_b[6]) == (MODE_BRIDGE, 0, 1)
+        world.alive[0], world.mode[6], world.goal_a[6], world.goal_b[6] = True, MODE_DYNAMIC, 0, -1
+        assert switch_modes(world, np.full(7, 5), np.array([0.96, 0.96, 0.0, 0.0]),
+                            THRESH, 24.0) == 0
+        assert (world.mode[6], world.goal_a[6]) == (MODE_DYNAMIC, 3)
+
+    def test_agents_of_one_call_spread_over_the_edges(self):
+        # clusters 0, 1 and 2 covered: the tree's edges (0, 1) and (0, 2) need 6
+        # relays each, and both agents are nearer (0, 1); the first takes it, and
+        # the second, counting that adoption, takes (0, 2), now the larger deficit
+        world = self.world([(MODE_DYNAMIC, 0, -1, {0, 1, 2}, (70.0, 0.0))] * 2)
+        changes = switch_modes(world, np.full(2, 5), np.array([0.96, 0.96, 0.96, 0.0]),
+                               THRESH, 24.0)
+        assert changes == 2
+        assert all(world.mode == MODE_BRIDGE)
+        assert [(world.goal_a[i], world.goal_b[i]) for i in (0, 1)] == [(0, 1), (0, 2)]
 
 
 def cluster_tree(key, centroids):

@@ -18,7 +18,7 @@ def alive_graph(map_pos, alive, comm_range):
     """0/1 adjacency over the alive agents only, and their global ids."""
     ids = np.flatnonzero(alive)
     adj = np.zeros((len(ids), len(ids)))
-    adj[adjacency_matrix(map_pos, alive, comm_range, agent_tree(map_pos, alive))] = 1.0
+    adj[adjacency_matrix(agent_tree(map_pos, alive), comm_range)] = 1.0
     return adj, ids
 
 
@@ -56,7 +56,7 @@ class TestBuildGraph:
         assert adj.shape == (2, 2)
         np.testing.assert_array_equal(ids, [0, 2])
         assert adj[0, 1] == 1.0
-        rows, cols = adjacency_matrix(pos, alive, 24.0, agent_tree(pos, alive))
+        rows, cols = adjacency_matrix(agent_tree(pos, alive), 24.0)
         assert 1 not in ids[rows] and 1 not in ids[cols]
 
     def test_laplacian_invariants_random_graphs(self):

@@ -54,20 +54,30 @@ class TestObservationCount:
 
 
 class TestModeMachineGate:
-    """`step` runs the mode machine only for the alive agents it can change:
-    roaming (Dynamic) agents with goal coverage above r0. The recompute loop in
-    ``tests/oracles.py`` runs it for every alive agent, and
-    :class:`TestRecomputeOracle` shows that both give the same run."""
+    """`switch_modes` runs the mode machine only for the alive agents it can
+    change: roaming (Dynamic) agents with goal coverage above r0. The recompute
+    loop in ``tests/oracles.py`` visits every alive agent with the rule written
+    out per agent, and :class:`TestRecomputeOracle` shows that both give the
+    same run."""
 
     @staticmethod
     def record_calls(monkeypatch):
-        calls = []
-        original = control.mode_switch
+        """Record each `mode_switch` call's agent mode and goal coverage; the
+        agent is the one whose row of ``World.achieved`` the call marks."""
+        calls, worlds = [], []
+        switch_modes, mode_switch = control.switch_modes, control.mode_switch
 
-        def recorded(mode, goal_a, goal_b, n_served, achieved, coverage, *rest):
-            calls.append((mode, coverage[goal_a]))
-            return original(mode, goal_a, goal_b, n_served, achieved, coverage, *rest)
+        def stepped(world, *args):
+            worlds.append(world)
+            return switch_modes(world, *args)
 
+        def recorded(goal_a, n_served, achieved, coverage, *rest):
+            world = worlds[-1]
+            (i,) = [i for i in range(world.n_maps) if np.shares_memory(achieved, world.achieved[i])]
+            calls.append((world.mode[i], coverage[goal_a]))
+            return mode_switch(goal_a, n_served, achieved, coverage, *rest)
+
+        monkeypatch.setattr(control, "switch_modes", stepped)
         monkeypatch.setattr(control, "mode_switch", recorded)
         return calls
 
@@ -95,6 +105,23 @@ class TestModeMachineGate:
         res = run(ScenarioConfig(**far, t_end=2.0, seed=4))
         assert max(s.coverage_ratio for s in res.samples) == 0.0
         assert len(res.mode_changes) == 20 and calls == []
+
+    def test_roaming_agents_hold_no_second_endpoint(self, monkeypatch):
+        # mode_switch answers a kept roaming agent with goal_b = -1, which is
+        # what that agent already holds
+        checked = []
+
+        def checked_step(world, *args, **kwargs):
+            out = sim_step(world, *args, **kwargs)
+            checked.append(np.all(world.goal_b[world.mode == MODE_DYNAMIC] == -1))
+            return out
+
+        sim_step = sim.step
+        monkeypatch.setattr(sim, "step", checked_step)
+        # the acceptance failure replay: half of 80 agents fail at 18 s
+        res = run(ScenarioConfig(map_count=80, failures=((18.0, 0.5),), t_end=24.0))
+        assert len(checked) == 240 and all(checked)
+        assert res.final.alive_count == 40 and min(s.mode_counts[1] for s in res.samples[-60:]) > 0
 
 
 class TestRecomputeOracle:

@@ -110,15 +110,21 @@ IDS = [name for name, *_ in SNAPSHOTS]
 
 def tree_pairs(map_pos, alive, comm_range):
     """The library's in-range pairs, over the alive agents' own tree."""
-    return adjacency_matrix(map_pos, alive, comm_range, agent_tree(map_pos, alive))
+    return adjacency_matrix(agent_tree(map_pos, alive), comm_range)
 
 
-def dense_pairs(map_pos, alive, comm_range, agents=None):
+def dense_pairs(map_pos, alive, comm_range):
     """The in-range pairs as the dense oracle gives them: ``np.nonzero`` of
-    its block over the alive agents. `agents`, the library's tree, is
-    accepted and not used."""
+    its block over the alive agents."""
     ids = np.flatnonzero(alive)
     return np.nonzero(dense_adjacency_matrix(map_pos, alive, comm_range)[np.ix_(ids, ids)])
+
+
+def dense_tree_pairs(agents, comm_range):
+    """:func:`dense_pairs` over the positions that the library's agents' tree
+    holds (the alive agents', in id order), so that it can stand in for
+    ``adjacency_matrix`` in a whole run."""
+    return dense_pairs(agents.data, np.ones(agents.n, dtype=bool), comm_range)
 
 
 def pair_matrix(n_alive, rows, cols):
@@ -393,7 +399,7 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
     fast = run(cfg, record_trajectories=True)
     for module, name, oracle in (
             (sim, "assign_msds", dense_assign_msds),
-            (sim, "adjacency_matrix", dense_pairs),
+            (sim, "adjacency_matrix", dense_tree_pairs),
             (sim, "connected_components", components_via_scan),
             (sim, "share_achieved_goals", loop_share_achieved_goals),
             (control, "flock_accelerations", accelerations_via_dense)):
@@ -473,7 +479,7 @@ class TestTreePath:
         got = assign_msds(users, agents, H, alive, R, *trees)
         want = dense_assign_msds(users, agents, H, alive, R)
         np.testing.assert_array_equal(got.owner, want.owner)
-        for got, want in zip(adjacency_matrix(agents, alive, R, trees[1]),
+        for got, want in zip(adjacency_matrix(trees[1], R),
                              dense_pairs(agents, alive, R)):
             np.testing.assert_array_equal(got, want)
 
@@ -505,15 +511,15 @@ class TestTreePath:
             built.append(world_module.agent_tree(*args))
             return built[-1]
 
-        def spy(kernel):
+        def spy(kernel, at):
             def wrapped(*args):
-                passed.append(args[-1])
+                passed.append(args[at])
                 return kernel(*args)
             return wrapped
 
         monkeypatch.setattr(sim, "agent_tree", build)
-        monkeypatch.setattr(sim, "assign_msds", spy(sim.assign_msds))
-        monkeypatch.setattr(sim, "adjacency_matrix", spy(sim.adjacency_matrix))
+        monkeypatch.setattr(sim, "assign_msds", spy(sim.assign_msds, -1))
+        monkeypatch.setattr(sim, "adjacency_matrix", spy(sim.adjacency_matrix, 0))
         cfg = ScenarioConfig(msds_per_cluster=40, map_count=20, t_end=2.0, seed=3,
                              failures=((1.0, 0.5),))
         world = generate_scenario(cfg, np.random.default_rng(cfg.seed))

@@ -368,8 +368,7 @@ class TestDivergenceGuard:
         self.config = small_config(seed=1)
         self.world = generate_scenario(self.config, np.random.default_rng(1))
         world = self.world
-        rows, cols = adjacency_matrix(world.map_pos, world.alive, PARAMS.r,
-                                      agent_tree(world.map_pos, world.alive))
+        rows, cols = adjacency_matrix(agent_tree(world.map_pos, world.alive), PARAMS.r)
         ids = np.flatnonzero(self.world.alive)
         reached = np.union1d([3], ids[cols[ids[rows] == 3]])
         np.testing.assert_array_equal(reached, [1, 3, 9, 10])

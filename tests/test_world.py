@@ -77,7 +77,7 @@ class TestGenerateScenario:
 def neighbors(map_pos, alive, comm_range):
     """Neighbour ids of each agent, from the in-range pairs of alive agents."""
     ids = np.flatnonzero(alive)
-    rows, cols = adjacency_matrix(map_pos, alive, comm_range, agent_tree(map_pos, alive))
+    rows, cols = adjacency_matrix(agent_tree(map_pos, alive), comm_range)
     return [ids[cols[ids[rows] == i]] for i in range(len(map_pos))]
 
 
@@ -171,6 +171,15 @@ class TestConfigHoles:
     def test_rejected_with_one_line_error(self, line):
         with pytest.raises(ConfigError) as info:
             config_from_lines([line])
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("lines", [
+        ["dt = 0.1", "dt = 0.2"], ["dt = 0.1", "dt = 0.1"], ["seed = 4", "", "seed=4 # again"],
+    ])
+    def test_repeated_key_rejected(self, lines):
+        # the later value used to win silently
+        with pytest.raises(ConfigError, match="duplicate key") as info:
+            config_from_lines(lines)
         assert "\n" not in str(info.value)
 
     def test_distinct_close_centres_accepted(self):
@@ -283,6 +292,7 @@ class TestConfigFormatPinned:
         (["cluster_centers = 0,0; 1"], "line 1: expected x,y pair, got '1'"),
         (["map_spawn_center = 1,2; 3,4"], "line 1: bad value for 'map_spawn_center': '1,2; 3,4'"),
         (["seed = 4", "failures = 1:0.5:7"], "line 2: expected x:y pair, got '1:0.5:7'"),
+        (["dt = 0.1", "dt = 0.2"], "line 2: duplicate key 'dt' (first on line 1)"),
     ])
     def test_error_text(self, lines, message):
         with pytest.raises(ConfigError) as info:
