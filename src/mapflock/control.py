@@ -145,13 +145,14 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
                         params: ControlParams):
     """Accelerations for all agents at once; dead agents get zero.
 
-    `adjacency` holds the in-range pairs of alive agents as
-    :func:`world.adjacency_matrix` gives them. The spacing, load and
-    velocity-consensus terms are evaluated on those pairs only and summed
-    per agent in neighbour id order, so the result equals, bit for bit,
-    the reference law u = f + g + h summed agent by agent in
-    ``tests/oracles.py``. The load coefficients are read from :func:`load_tables`
-    at the loads clipped to 2 * n_max, past which both are constant.
+    `adjacency` holds the graph of the alive agents as the int32 CSR arrays
+    ``(indptr, indices)`` that :func:`world.adjacency_matrix` gives. The
+    spacing, load and velocity-consensus terms are evaluated on its pairs
+    only, in row-major order, and summed per agent in neighbour id order, so
+    the result equals, bit for bit, the reference law u = f + g + h summed
+    agent by agent in ``tests/oracles.py``. The load coefficients are read
+    from :func:`load_tables` at the loads clipped to 2 * n_max, past which
+    both are constant.
     """
     n = len(positions)
     eps = params.epsilon
@@ -160,8 +161,11 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     last = min(1 << int(loads.max(initial=0)).bit_length(), 2 * params.n_max + 1) - 1
     pull, weight = load_tables(params, last + 1)
     clipped = np.minimum(loads, last)
-    ids = np.flatnonzero(alive)
-    i, j = ids[adjacency[0]], ids[adjacency[1]]         # as agent ids, still row-major
+    indptr, indices = adjacency
+    # int32 agent ids: the pair arrays take half the memory; take and bincount
+    # convert them to intp one at a time, each copy freed after its call
+    ids = np.flatnonzero(alive).astype(np.int32)
+    i, j = np.repeat(ids, np.diff(indptr)), ids[indices]    # as agent ids, row-major
     # each pair-sized temporary is updated in place, or freed after its last use
     diff = np.take(positions, j, axis=0).astype(float, copy=False)
     diff -= np.take(positions, i, axis=0)               # q_j - q_i
@@ -172,15 +176,17 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     coeff *= np.divide(1.0, root, out=root)             # grad = diff / root
     diff *= coeff[:, None]                              # the spacing and load pushes
     del root, coeff
+    # bincount sums each agent's pairs in j order, as the per-agent loop does;
+    # the pushes are summed and freed before the velocity differences exist
+    f = [np.bincount(i, diff[:, k], minlength=n) for k in range(2)]
+    del diff
     dv = np.take(velocities, j, axis=0)
     dv -= np.take(velocities, i, axis=0)                # v_j - v_i
     gain = weight[clipped]
     u = np.empty((n, 2))
     for k in range(2):
-        # bincount sums each agent's pairs in j order, as the per-agent loop does
-        f, dv_sum = np.bincount(i, diff[:, k], minlength=n), np.bincount(i, dv[:, k], minlength=n)
-        u[:, k] = f + gain * dv_sum
-    del diff, dv
+        u[:, k] = f[k] + gain * np.bincount(i, dv[:, k], minlength=n)
+    del f, dv
 
     point = alive & (modes != MODE_BRIDGE)
     if np.any(point):
@@ -229,8 +235,8 @@ def select_bridge_edge(pos_i, mst_edges, bridge_counts, centroids, comm_range):
     return min(rows, key=lambda row: (row[1], row[2]))[2]
 
 
-def mode_switch(goal_a, n_served, achieved, cluster_coverage, centroids, pos_i,
-                mst_lookup, bridge_counts, thresholds: ModeThresholds, comm_range):
+def mode_switch(goal_a, n_served, achieved, centroids, pos_i, mst_lookup, bridge_counts,
+                thresholds: ModeThresholds, comm_range):
     """One mode-machine decision for a roaming agent whose goal is covered above r0.
 
     `achieved` is the agent's (K,) bool row of known covered goals, a view
@@ -294,7 +300,7 @@ def switch_modes(world, loads, coverage, thresholds: ModeThresholds, comm_range)
     changes = 0
     for i in np.flatnonzero(gated):
         new_mode, ga, gb = mode_switch(
-            int(world.goal_a[i]), int(loads[i]), world.achieved[i], coverage, world.centroids,
+            int(world.goal_a[i]), int(loads[i]), world.achieved[i], world.centroids,
             world.map_pos[i], mst_lookup, bridge_counts, thresholds, comm_range)
         changes += new_mode != MODE_DYNAMIC
         world.mode[i], world.goal_a[i], world.goal_b[i] = new_mode, ga, gb

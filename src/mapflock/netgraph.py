@@ -1,49 +1,55 @@
 """Graph analytics over the aerial network.
 
 Adjacency uses the 0/1 disk model (alive agents within communication
-range); connectivity is summarized by the Fiedler value, the
-second-smallest eigenvalue of the graph Laplacian, which is positive
-exactly when the graph is connected. The inter-cluster relay structure is
-a Euclidean minimum spanning tree over the centroids of covered clusters.
+range), held as the int32 CSR arrays ``(indptr, indices)`` that
+``world.adjacency_matrix`` builds once per observation; components and the
+Laplacian read those arrays as they are. Connectivity is summarized by the
+Fiedler value, the second-smallest eigenvalue of the graph Laplacian, which
+is positive exactly when the graph is connected. The inter-cluster relay
+structure is a Euclidean minimum spanning tree over the centroids of
+covered clusters.
 """
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 
-def connected_components(n, rows, cols):
+def connected_components(n, indptr, indices):
     """Component label per node: 0..n_components-1, in the order of each
     component's smallest node.
 
-    The graph on nodes 0..n-1 is given by its pairs ``(rows, cols)`` as
-    ``np.nonzero`` of its symmetric matrix gives them; they are read as the
-    graph's CSR matrix, which ``scipy.sparse.csgraph`` labels. The pairs must
-    be symmetric, as ``world.adjacency_matrix`` emits them: each strong
+    The graph on nodes 0..n-1 is given by its CSR arrays, as
+    ``world.adjacency_matrix`` builds them; ``scipy.sparse.csgraph`` labels
+    the CSR matrix that wraps them. The graph must be symmetric: each strong
     component is then an undirected one, and the directed (Pearce) labels,
     in the same smallest-node order, skip the undirected path's transpose.
     """
-    # the matrix holds int32 indices whenever they fit; handing them over as
-    # int32 spares it a scan and a copy of both index arrays
-    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
-    graph = csr_matrix((np.ones(rows.size), cols.astype(np.int32), indptr), shape=(n, n))
+    graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     return csgraph.connected_components(graph, directed=True, connection="strong")[1].astype(int)
 
 
 def fiedler_value(adjacency, labels):
     """Second-smallest Laplacian eigenvalue, at least 0; exactly 0 when disconnected.
 
-    The graph is given by its symmetric pairs ``(rows, cols)`` and its
+    The graph is given by its CSR arrays ``(indptr, indices)`` and its
     :func:`connected_components` labels, as ``sim.Observation`` holds them;
-    ``L = D - A`` is filled in from the pairs. Fewer than two nodes give 0.
+    ``L = D - A`` is filled in from the arrays. Fewer than two nodes give 0.
     Disconnectedness is read from the labels (component count), not from a
     thresholded eigenvalue, so the zero is exact.
     """
     n = labels.size
     if n < 2 or labels.max() > 0:
         return 0.0
+    indptr, indices = adjacency
+    degree = np.diff(indptr)
+    # each pair's flat index r * n + c: one pair-sized array, where indexing
+    # by (rows, indices) would add an intp copy of the int32 indices
+    flat = np.repeat(np.arange(0, n * n, n), degree)
+    flat += indices
     lap = np.zeros((n, n))
-    lap[adjacency] = -1.0
-    np.fill_diagonal(lap, np.bincount(adjacency[0], minlength=n))
+    lap.reshape(-1)[flat] = -1.0
+    del flat
+    np.fill_diagonal(lap, degree)
     return max(float(np.linalg.eigvalsh(lap)[1]), 0.0)
 
 

@@ -3,8 +3,9 @@
 One step executes, in order:
 
 1. the observation of the pre-step state: user-to-agent matching,
-   per-cluster coverage, the aerial graph as its in-range agent pairs and
-   its connected components, labelled by ``scipy.sparse.csgraph``.
+   per-cluster coverage, the aerial graph as one pair of int32 CSR arrays
+   and its connected components, labelled by ``scipy.sparse.csgraph`` from
+   those arrays.
    Matching and the graph test only the candidate pairs that k-d trees
    find within the reach, with the exact range and lowest-id tie rules of
    a test over all pairs. The users' tree is the world's, built once per
@@ -20,12 +21,13 @@ One step executes, in order:
    agents it can change: roaming agents whose goal is covered above r0,
 4. control forces for every alive agent from the common pre-step
    position/velocity/load snapshot: the pairwise spacing, load and
-   velocity-consensus terms, summed over the in-range pairs only,
+   velocity-consensus terms, summed over the graph's pairs only,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
    (q moves with the new v), then the step-boundary guard, whose scene
    extent is the world's largest user coordinate, fixed for the run,
 6. the observation of the post-step state: the step's metrics (the Fiedler
-   value from the Laplacian that its pairs fill in) and the next step's start.
+   value from the Laplacian that its CSR arrays fill in) and the next
+   step's start.
 
 A run that records trajectories allocates one :class:`Trajectory` for all
 its samples up front, and each sample copies the agents' arrays into its
@@ -129,7 +131,7 @@ class Observation:
 
     assignment: Assignment
     cluster_coverage: np.ndarray   # (K,) per-cluster coverage
-    adjacency: tuple               # (rows, cols) in-range pairs over the alive agents
+    adjacency: tuple               # int32 CSR (indptr, indices) of the alive agents' graph
     labels: np.ndarray | None      # component label per alive agent, in id order
 
 

@@ -172,8 +172,9 @@ def agent_tree(map_pos, alive):
 
 
 def adjacency_matrix(agents, comm_range):
-    """The in-range pairs ``(rows, cols)`` of alive agents, numbered in id
-    order: ``np.nonzero`` of the graph's matrix over the alive agents.
+    """The graph of the alive agents, numbered in id order, as int32 CSR
+    arrays ``(indptr, indices)``: row r's neighbours are
+    ``indices[indptr[r]:indptr[r + 1]]``, in ascending order.
 
     `agents` is the :func:`agent_tree` of the agents' positions; only the
     pairs it finds within a slightly wider range are tested, at the
@@ -191,11 +192,15 @@ def adjacency_matrix(agents, comm_range):
     within = np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range
     del diff
     i, j = i[within], j[within]
-    # each pair once per direction as its row-major key; the keys are unique
+    # each pair once per direction as its row-major key; the keys are unique,
+    # so row r's sorted keys start at the first key at or above r * n
     key = np.concatenate([i * n + j, j * n + i])
     del i, j
     key.sort()
-    return np.divmod(key, n)
+    indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32)
+    indices = np.remainder(key, n, out=key).astype(np.int32)
+    del key
+    return indptr, indices
 
 
 # ---------------------------------------------------------------------------

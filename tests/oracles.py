@@ -20,7 +20,12 @@
   members' goals as Python sets, read from and written back to their rows.
 * :func:`dense_fiedler_value` -- the Fiedler value of a dense 0/1 matrix,
   through :func:`dense_laplacian` ``np.diag(A.sum(1)) - A``; the library
-  fills the Laplacian in from the graph's pairs and its component labels.
+  builds the Laplacian from the graph's CSR arrays and its component
+  labels.
+* :func:`csr_pairs` -- the graph's pairs ``(rows, cols)``, expanded from
+  the int32 CSR arrays ``(indptr, indices)`` that the library holds, and
+  :func:`dense_csr`, the CSR arrays of a dense 0/1 matrix, so that tests can
+  hand dense oracles' graphs to the library and back.
 * :func:`closed_form_bump`, :func:`closed_form_phi_uneven` and
   :func:`closed_form_phi_action` -- the range gate as two nested
   ``np.where``s, the uneven sigmoid as one expression and the action
@@ -38,6 +43,7 @@ import math
 from collections import Counter
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from mapflock import control as ctl
 from mapflock.association import Assignment, cluster_coverages
@@ -107,6 +113,19 @@ def dense_adjacency_matrix(map_pos, alive, comm_range):
     adj = within & ok[:, None] & ok[None, :]
     np.fill_diagonal(adj, False)
     return adj
+
+
+def csr_pairs(indptr, indices):
+    """The pairs ``(rows, cols)`` of a graph's CSR arrays, in row-major
+    order: ``np.nonzero`` of the graph's matrix."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices
+
+
+def dense_csr(adjacency):
+    """The CSR arrays ``(indptr, indices)`` of a dense 0/1 matrix, by
+    ``scipy.sparse.csr_matrix``; int32, as ``world.adjacency_matrix`` gives them."""
+    graph = csr_matrix(np.asarray(adjacency, dtype=bool))
+    return graph.indptr, graph.indices
 
 
 def scan_connected_components(adjacency):
@@ -391,7 +410,7 @@ def _step(world, params, thresholds, dt, t_next):
         if mode != ctl.MODE_DYNAMIC:
             continue
         new_mode, ga, gb = ctl.mode_switch(
-            goal_a, int(asg.loads[i]), world.achieved[i], cov, world.centroids,
+            goal_a, int(asg.loads[i]), world.achieved[i], world.centroids,
             world.map_pos[i], mst_lookup, bridge_counts, thresholds, params.r)
         if new_mode != mode:
             changes += 1

@@ -25,6 +25,7 @@ from mapflock.world import ScenarioConfig, adjacency_matrix, agent_tree, generat
 from oracles import (
     attract_repulse,
     control_input,
+    csr_pairs,
     dense_flock_accelerations,
     goal_ids,
     goal_rows,
@@ -162,7 +163,8 @@ class TestLoadTables:
         adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
         dense = np.zeros((30, 30), dtype=bool)
         ids = np.flatnonzero(alive)
-        dense[ids[adj[0]], ids[adj[1]]] = True
+        rows, cols = csr_pairs(*adj)
+        dense[ids[rows], ids[cols]] = True
         for loads in (np.zeros(30, int), rng.integers(0, 3 * PARAMS.n_max, 30),
                       rng.choice([0, PARAMS.n_max, 10**12], 30)):
             np.testing.assert_array_equal(
@@ -251,7 +253,8 @@ class TestVectorizedAgreement:
             pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, n)
             adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
             ids = np.flatnonzero(alive)
-            nb = [ids[adj[1][ids[adj[0]] == i]] for i in range(n)]
+            rows, cols = csr_pairs(*adj)
+            nb = [ids[cols[ids[rows] == i]] for i in range(n)]
             u = flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent,
                                     adj, PARAMS)
             for i in range(n):
@@ -324,13 +327,14 @@ class TestModeSwitch:
         """An agent's achieved row with the given goal ids marked."""
         return goal_rows([goals], len(cls.CENTROIDS))[0]
 
-    def call(self, goal_a, n_served, coverage, achieved=(), counts=None, pos=(0.0, 0.0)):
-        """Run the machine on a fresh row; returns its outcome and the row's goal ids."""
+    def call(self, goal_a, n_served, achieved=(), counts=None, pos=(0.0, 0.0)):
+        """Run the machine, as past the coverage gate, on a fresh row; returns
+        its outcome and the row's goal ids."""
         row = self.row(achieved)
         counts = Counter() if counts is None else counts
         lookup = lambda key: cluster_tree(key, self.CENTROIDS)
-        out = mode_switch(goal_a, n_served, row, np.asarray(coverage, float), self.CENTROIDS,
-                          np.asarray(pos, float), lookup, counts, THRESH, 24.0)
+        out = mode_switch(goal_a, n_served, row, self.CENTROIDS, np.asarray(pos, float),
+                          lookup, counts, THRESH, 24.0)
         return out, goal_ids(row), counts
 
     @classmethod
@@ -358,7 +362,7 @@ class TestModeSwitch:
 
     def test_switch_to_bridge_at_mid_load(self):
         # goal covered above r0, load in [n0, n1), a tree edge exists: bridge
-        (mode, ga, gb), achieved, counts = self.call(0, 5, [0.96, 0.96, 0.0, 0.0], achieved={1})
+        (mode, ga, gb), achieved, counts = self.call(0, 5, achieved={1})
         assert mode == MODE_BRIDGE
         assert (ga, gb) in counts and counts[(ga, gb)] == 1
         assert achieved == {0, 1}
@@ -373,29 +377,29 @@ class TestModeSwitch:
                               [0.95, 0.95, 1.0, 0.0])
 
     def test_switch_to_static_at_high_load(self):
-        (mode, ga, gb), _, _ = self.call(0, 15, [0.96, 0.0, 0.0, 0.0])
+        (mode, ga, gb), _, _ = self.call(0, 15)
         assert (mode, ga, gb) == (MODE_STATIC, 0, -1)
 
     def test_low_load_retargets_nearest_uncovered(self):
-        (mode, ga, gb), _, _ = self.call(0, 1, [0.96, 0.0, 0.0, 0.0], pos=(10.0, 140.0))
+        (mode, ga, gb), _, _ = self.call(0, 1, pos=(10.0, 140.0))
         assert (mode, gb) == (MODE_DYNAMIC, -1)
         assert ga == 2          # nearest of the uncovered clusters
 
     def test_low_load_bridges_when_all_covered(self):
         (mode, ga, gb), _, _ = self.call(
-            0, 1, [0.96, 0.96, 0.96, 0.96], achieved={1, 2, 3}, pos=(75.0, 0.0))
+            0, 1, achieved={1, 2, 3}, pos=(75.0, 0.0))
         assert mode == MODE_BRIDGE
         assert (ga, gb) == (0, 1)
 
     def test_mid_load_prefers_understaffed_bridge_over_retarget(self):
-        (mode, _, _), _, counts = self.call(0, 5, [0.96, 0.96, 0.0, 0.0], achieved={1})
+        (mode, _, _), _, counts = self.call(0, 5, achieved={1})
         assert mode == MODE_BRIDGE
         assert sum(counts.values()) == 1
 
     def test_mid_load_retargets_when_bridges_full(self):
         full = Counter({(0, 1): 6})
         (mode, ga, _), _, _ = self.call(
-            0, 5, [0.96, 0.96, 0.0, 0.0], achieved={1}, counts=full, pos=(140.0, 10.0))
+            0, 5, achieved={1}, counts=full, pos=(140.0, 10.0))
         assert (mode, ga) == (MODE_DYNAMIC, 3)
 
     def test_bridge_mode_absorbing(self):
@@ -417,14 +421,13 @@ class TestModeSwitch:
             return cluster_tree(key, self.CENTROIDS)
 
         achieved = self.row({1})
-        mode_switch(0, 5, achieved, np.array([0.96, 0.96, 0.0, 0.0]), self.CENTROIDS,
-                    np.zeros(2), lookup, Counter(), THRESH, 24.0)
+        mode_switch(0, 5, achieved, self.CENTROIDS, np.zeros(2), lookup, Counter(), THRESH, 24.0)
         assert seen == [(0, 1)]
         assert goal_ids(achieved) == {0, 1}
 
     def test_single_achieved_goal_has_no_tree(self):
         # mid load, first cluster only: no edges exist yet -> keep roaming
-        (mode, ga, _), _, counts = self.call(0, 5, [0.96, 0.0, 0.0, 0.0], pos=(140.0, 10.0))
+        (mode, ga, _), _, counts = self.call(0, 5, pos=(140.0, 10.0))
         assert mode == MODE_DYNAMIC
         assert ga == 1          # nearest uncovered cluster from (140, 10)
         assert not counts

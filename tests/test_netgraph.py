@@ -5,7 +5,7 @@ import pytest
 
 from mapflock.netgraph import cluster_mst, connected_components, fiedler_value
 from mapflock.world import adjacency_matrix, agent_tree
-from oracles import dense_fiedler_value, dense_laplacian
+from oracles import csr_pairs, dense_csr, dense_fiedler_value, dense_laplacian
 
 
 def random_adjacency(rng, n, p=0.3):
@@ -18,19 +18,19 @@ def alive_graph(map_pos, alive, comm_range):
     """0/1 adjacency over the alive agents only, and their global ids."""
     ids = np.flatnonzero(alive)
     adj = np.zeros((len(ids), len(ids)))
-    adj[adjacency_matrix(agent_tree(map_pos, alive), comm_range)] = 1.0
+    adj[csr_pairs(*adjacency_matrix(agent_tree(map_pos, alive), comm_range))] = 1.0
     return adj, ids
 
 
 def components(adj):
     """Component labels of a dense adjacency matrix."""
-    return connected_components(len(adj), *np.nonzero(adj))
+    return connected_components(len(adj), *dense_csr(adj))
 
 
 def fiedler(adj):
     """The library's Fiedler value of a dense adjacency matrix, handed over
-    as the simulation holds the graph: its pairs and its component labels."""
-    return fiedler_value(np.nonzero(adj), components(adj))
+    as the simulation holds the graph: its CSR arrays and its component labels."""
+    return fiedler_value(dense_csr(adj), components(adj))
 
 
 class TestBuildGraph:
@@ -56,7 +56,7 @@ class TestBuildGraph:
         assert adj.shape == (2, 2)
         np.testing.assert_array_equal(ids, [0, 2])
         assert adj[0, 1] == 1.0
-        rows, cols = adjacency_matrix(agent_tree(pos, alive), 24.0)
+        rows, cols = csr_pairs(*adjacency_matrix(agent_tree(pos, alive), 24.0))
         assert 1 not in ids[rows] and 1 not in ids[cols]
 
     def test_laplacian_invariants_random_graphs(self):

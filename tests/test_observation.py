@@ -11,7 +11,7 @@ import mapflock.sim as sim
 from mapflock.control import MODE_BRIDGE, MODE_DYNAMIC, ControlParams
 from mapflock.sim import measure, observe, run
 from mapflock.world import ScenarioConfig, generate_scenario
-from oracles import recompute_run
+from oracles import csr_pairs, recompute_run
 
 # three clusters 60 m apart with the fleet spawned between them, so that
 # agents share goals, bridge and settle within a few seconds
@@ -63,19 +63,20 @@ class TestModeMachineGate:
     @staticmethod
     def record_calls(monkeypatch):
         """Record each `mode_switch` call's agent mode and goal coverage; the
-        agent is the one whose row of ``World.achieved`` the call marks."""
-        calls, worlds = [], []
+        agent is the one whose row of ``World.achieved`` the call marks, and
+        the coverage is the step's observed cluster coverage."""
+        calls, steps = [], []
         switch_modes, mode_switch = control.switch_modes, control.mode_switch
 
-        def stepped(world, *args):
-            worlds.append(world)
-            return switch_modes(world, *args)
+        def stepped(world, loads, coverage, *args):
+            steps.append((world, coverage))
+            return switch_modes(world, loads, coverage, *args)
 
-        def recorded(goal_a, n_served, achieved, coverage, *rest):
-            world = worlds[-1]
+        def recorded(goal_a, n_served, achieved, *rest):
+            world, coverage = steps[-1]
             (i,) = [i for i in range(world.n_maps) if np.shares_memory(achieved, world.achieved[i])]
             calls.append((world.mode[i], coverage[goal_a]))
-            return mode_switch(goal_a, n_served, achieved, coverage, *rest)
+            return mode_switch(goal_a, n_served, achieved, *rest)
 
         monkeypatch.setattr(control, "switch_modes", stepped)
         monkeypatch.setattr(control, "mode_switch", recorded)
@@ -160,7 +161,7 @@ class TestObserve:
         world.alive[::3] = False
         params = ControlParams()
         obs = observe(world, params)
-        rows, cols = obs.adjacency
+        rows, cols = csr_pairs(*obs.adjacency)
         assert len(rows) == len(cols) and max(rows.max(), cols.max()) < 16
         assert len(obs.labels) == np.count_nonzero(world.alive)
         s = measure(world, params, 2.5)

@@ -1,9 +1,9 @@
 """The pair kernels agree exactly with the dense kernels they replaced.
 
 Matching and adjacency look only at the candidate pairs of k-d trees,
-forces only at the in-range pairs, the aerial graph is the list of those
-pairs, component labelling reads that list as a sparse matrix and goal
-sharing ORs each component's rows at once.
+forces only at the in-range pairs, the aerial graph is the int32 CSR
+arrays of those pairs, component labelling reads those arrays as a sparse
+matrix and goal sharing ORs each component's rows at once.
 Each must give bit-identical results to its dense or looping oracle in
 ``tests/oracles.py``: owners, loads, adjacency, labels, accelerations and
 achieved goals.
@@ -24,7 +24,9 @@ from mapflock.netgraph import connected_components
 from mapflock.sim import observe, run, share_achieved_goals
 from mapflock.world import ScenarioConfig, World, adjacency_matrix, agent_tree, generate_scenario
 from oracles import (
+    csr_pairs,
     dense_adjacency_matrix,
+    dense_csr,
     dense_assign_msds,
     dense_flock_accelerations,
     goal_rows,
@@ -109,8 +111,9 @@ IDS = [name for name, *_ in SNAPSHOTS]
 
 
 def tree_pairs(map_pos, alive, comm_range):
-    """The library's in-range pairs, over the alive agents' own tree."""
-    return adjacency_matrix(agent_tree(map_pos, alive), comm_range)
+    """The library's in-range pairs, over the alive agents' own tree,
+    expanded from its CSR arrays."""
+    return csr_pairs(*adjacency_matrix(agent_tree(map_pos, alive), comm_range))
 
 
 def dense_pairs(map_pos, alive, comm_range):
@@ -120,11 +123,12 @@ def dense_pairs(map_pos, alive, comm_range):
     return np.nonzero(dense_adjacency_matrix(map_pos, alive, comm_range)[np.ix_(ids, ids)])
 
 
-def dense_tree_pairs(agents, comm_range):
-    """:func:`dense_pairs` over the positions that the library's agents' tree
-    holds (the alive agents', in id order), so that it can stand in for
-    ``adjacency_matrix`` in a whole run."""
-    return dense_pairs(agents.data, np.ones(agents.n, dtype=bool), comm_range)
+def dense_tree_graph(agents, comm_range):
+    """The CSR arrays of the dense oracle's matrix over the positions that the
+    library's agents' tree holds (the alive agents', in id order), so that it
+    can stand in for ``adjacency_matrix`` in a whole run."""
+    return dense_csr(dense_adjacency_matrix(agents.data, np.ones(agents.n, dtype=bool),
+                                            comm_range))
 
 
 def pair_matrix(n_alive, rows, cols):
@@ -143,14 +147,15 @@ def id_matrix(alive, rows, cols):
     return out
 
 
-def components_via_scan(n, rows, cols):
-    return scan_connected_components(pair_matrix(n, rows, cols))
+def components_via_scan(n, indptr, indices):
+    return scan_connected_components(pair_matrix(n, *csr_pairs(indptr, indices)))
 
 
 def accelerations_via_dense(positions, velocities, loads, alive, modes, goal_a, goal_b,
                             centroids, adjacency, params):
     return dense_flock_accelerations(positions, velocities, loads, alive, modes, goal_a,
-                                     goal_b, centroids, id_matrix(alive, *adjacency), params)
+                                     goal_b, centroids, id_matrix(alive, *csr_pairs(*adjacency)),
+                                     params)
 
 
 @pytest.mark.parametrize("name, users, agents, alive", SNAPSHOTS, ids=IDS)
@@ -167,7 +172,10 @@ class TestAgainstDenseOracles:
     def test_adjacency(self, name, users, agents, alive):
         n_alive = np.count_nonzero(alive)
         for comm_range in (R, 12.0, 5.0):
-            rows, cols = tree_pairs(agents, alive, comm_range)
+            indptr, indices = adjacency_matrix(agent_tree(agents, alive), comm_range)
+            assert indptr.dtype == indices.dtype == np.int32
+            assert len(indptr) == n_alive + 1 and indptr[-1] == len(indices)
+            rows, cols = csr_pairs(indptr, indices)
             want_rows, want_cols = dense_pairs(agents, alive, comm_range)
             np.testing.assert_array_equal(rows, want_rows)
             np.testing.assert_array_equal(cols, want_cols)
@@ -183,9 +191,10 @@ class TestAgainstDenseOracles:
 
     def test_labels(self, name, users, agents, alive):
         n_alive = np.count_nonzero(alive)
-        rows, cols = tree_pairs(agents, alive, R)
-        np.testing.assert_array_equal(connected_components(n_alive, rows, cols),
-                                      scan_connected_components(pair_matrix(n_alive, rows, cols)))
+        graph = adjacency_matrix(agent_tree(agents, alive), R)
+        np.testing.assert_array_equal(connected_components(n_alive, *graph),
+                                      scan_connected_components(pair_matrix(n_alive,
+                                                                            *csr_pairs(*graph))))
 
     def test_accelerations(self, name, users, agents, alive):
         rng = np.random.default_rng(len(agents))
@@ -196,9 +205,9 @@ class TestAgainstDenseOracles:
                 rng.integers(0, 2 * params.n_max, size=n), alive,
                 rng.choice([MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC], size=n),
                 rng.integers(0, 2, size=n), np.full(n, 2), centroids)
-        pairs = tree_pairs(agents, alive, params.r)
+        graph = adjacency_matrix(agent_tree(agents, alive), params.r)
         np.testing.assert_array_equal(
-            flock_accelerations(*args, pairs, params),
+            flock_accelerations(*args, graph, params),
             dense_flock_accelerations(*args, dense_adjacency_matrix(agents, alive, params.r),
                                       params))
 
@@ -212,8 +221,9 @@ class TestEmptyGraphs:
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_no_pairs_give_one_component_per_node(self, n):
-        none = np.zeros(0, dtype=int)
-        np.testing.assert_array_equal(connected_components(n, none, none), np.arange(n))
+        none = np.zeros(0, dtype=np.int32)
+        np.testing.assert_array_equal(connected_components(n, np.zeros(n + 1, np.int32), none),
+                                      np.arange(n))
 
 
 # (x_min, x_i, x_j) with x_j - x_i within 24 m, where (x - x_min) / 24 rounds
@@ -292,7 +302,7 @@ class TestRandomGraphLabels:
             n = int(rng.integers(0, 60))
             adj = np.triu(rng.random((n, n)) < rng.random() * 0.15, 1)
             adj = adj | adj.T
-            got = connected_components(n, *np.nonzero(adj))
+            got = connected_components(n, *dense_csr(adj))
             np.testing.assert_array_equal(got, scan_connected_components(adj))
 
     def test_large_sparse_graphs(self):
@@ -304,7 +314,7 @@ class TestRandomGraphLabels:
             adj = np.zeros((n, n), dtype=bool)
             adj[i, j] = adj[j, i] = True
             np.fill_diagonal(adj, False)
-            got = connected_components(n, *np.nonzero(adj))
+            got = connected_components(n, *dense_csr(adj))
             np.testing.assert_array_equal(got, scan_connected_components(adj))
 
     def test_isolated_first_node(self):
@@ -312,7 +322,7 @@ class TestRandomGraphLabels:
         adj = np.zeros((n, n), dtype=bool)
         path = np.arange(1, n)
         adj[path[:-1], path[1:]] = adj[path[1:], path[:-1]] = True
-        got = connected_components(n, *np.nonzero(adj))
+        got = connected_components(n, *dense_csr(adj))
         np.testing.assert_array_equal(got, [0] + [1] * (n - 1))
         np.testing.assert_array_equal(got, scan_connected_components(adj))
 
@@ -328,7 +338,7 @@ class TestRandomGraphLabels:
             adj[small, small + 1] = adj[small + 1, small] = True
             path = np.r_[rng.permutation(np.arange(2 * pairs + 1, n)), 2 * pairs]
             adj[path[:-1], path[1:]] = adj[path[1:], path[:-1]] = True
-            got = connected_components(n, *np.nonzero(adj))
+            got = connected_components(n, *dense_csr(adj))
             np.testing.assert_array_equal(got, np.r_[np.repeat(np.arange(pairs), 2),
                                                      np.full(n - 2 * pairs, pairs)])
             np.testing.assert_array_equal(got, scan_connected_components(adj))
@@ -391,7 +401,7 @@ class TestShareAchievedGoals:
 @pytest.mark.parametrize("failures", [(), ((1.0, 0.5),)])
 def test_run_identical_to_dense_kernels(monkeypatch, failures):
     """A whole run with the dense kernels swapped in, behind adapters between
-    pairs and matrices, gives the same samples, trajectory and final world."""
+    CSR arrays and matrices, gives the same samples, trajectory and final world."""
     cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (60.0, 0.0), (0.0, 60.0)),
                          msds_per_cluster=60, cluster_sigma=6.0, map_count=24,
                          map_spawn_center=(30.0, 30.0), map_spawn_halfwidth=20.0,
@@ -399,7 +409,7 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
     fast = run(cfg, record_trajectories=True)
     for module, name, oracle in (
             (sim, "assign_msds", dense_assign_msds),
-            (sim, "adjacency_matrix", dense_tree_pairs),
+            (sim, "adjacency_matrix", dense_tree_graph),
             (sim, "connected_components", components_via_scan),
             (sim, "share_achieved_goals", loop_share_achieved_goals),
             (control, "flock_accelerations", accelerations_via_dense)):
@@ -479,7 +489,7 @@ class TestTreePath:
         got = assign_msds(users, agents, H, alive, R, *trees)
         want = dense_assign_msds(users, agents, H, alive, R)
         np.testing.assert_array_equal(got.owner, want.owner)
-        for got, want in zip(adjacency_matrix(trees[1], R),
+        for got, want in zip(csr_pairs(*adjacency_matrix(trees[1], R)),
                              dense_pairs(agents, alive, R)):
             np.testing.assert_array_equal(got, want)
 

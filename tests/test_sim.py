@@ -31,7 +31,7 @@ from mapflock.world import (
     agent_tree,
     generate_scenario,
 )
-from oracles import attract_repulse
+from oracles import attract_repulse, csr_pairs
 
 PARAMS = ControlParams()
 
@@ -268,11 +268,13 @@ class TestMeasure:
 
 class TestStepMemory:
     """The step's working memory on a 1000-agent fleet over an 800 m field,
-    the benchmark's relay_wide scene: achieved goals are one bool array and
-    the pair kernels and potentials work in place, so the tracemalloc peak
-    above the step's entry is about 0.22 MiB; with potentials that built
-    each intermediate anew it was about 0.27 MiB, and with a set per agent
-    and every pair temporary held to the end about 0.39 MiB."""
+    the benchmark's relay_wide scene: achieved goals are one bool array, the
+    graph is int32 CSR arrays, and the pair kernels and potentials work in
+    place, so the tracemalloc peak above the step's entry is about 0.19 MiB;
+    with int64 pairs and the velocity differences gathered while the pushes
+    were still held it was about 0.22 MiB, with potentials that built each
+    intermediate anew about 0.27 MiB, and with a set per agent and every
+    pair temporary held to the end about 0.39 MiB."""
 
     def test_peak_above_entry_is_bounded(self):
         cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (600.0, 0.0), (0.0, 600.0),
@@ -307,8 +309,8 @@ class TestLoneAgentStability:
         alive, one = np.ones(1, bool), np.zeros(1, int)
         for _ in range(steps):
             accel = flock_accelerations(pos, vel, one, alive, one + MODE_DYNAMIC, one,
-                                        one - 1, np.zeros((1, 2)), (one[:0], one[:0]),
-                                        PARAMS)
+                                        one - 1, np.zeros((1, 2)),
+                                        (np.zeros(2, np.int32), np.zeros(0, np.int32)), PARAMS)
             euler_update(pos, vel, accel, alive, dt)
         return float(np.hypot(*pos[0]))
 
@@ -368,7 +370,7 @@ class TestDivergenceGuard:
         self.config = small_config(seed=1)
         self.world = generate_scenario(self.config, np.random.default_rng(1))
         world = self.world
-        rows, cols = adjacency_matrix(agent_tree(world.map_pos, world.alive), PARAMS.r)
+        rows, cols = csr_pairs(*adjacency_matrix(agent_tree(world.map_pos, world.alive), PARAMS.r))
         ids = np.flatnonzero(self.world.alive)
         reached = np.union1d([3], ids[cols[ids[rows] == 3]])
         np.testing.assert_array_equal(reached, [1, 3, 9, 10])

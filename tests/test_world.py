@@ -16,6 +16,7 @@ from mapflock.world import (
     load_config,
     save_config,
 )
+from oracles import csr_pairs
 
 
 def small_config(**kwargs):
@@ -77,7 +78,7 @@ class TestGenerateScenario:
 def neighbors(map_pos, alive, comm_range):
     """Neighbour ids of each agent, from the in-range pairs of alive agents."""
     ids = np.flatnonzero(alive)
-    rows, cols = adjacency_matrix(agent_tree(map_pos, alive), comm_range)
+    rows, cols = csr_pairs(*adjacency_matrix(agent_tree(map_pos, alive), comm_range))
     return [ids[cols[ids[rows] == i]] for i in range(len(map_pos))]
 
 
