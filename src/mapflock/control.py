@@ -13,7 +13,8 @@ terms:
 
 The mode machine moves agents between Dynamic (travel to an uncovered
 cluster), Connectivity (serve as a bridge relay), and Static (stay and
-serve); Connectivity and Static are absorbing.
+serve); Connectivity and Static are absorbing. Each decision is the one
+rule written out in :func:`mode_switch`.
 """
 
 import math
@@ -214,25 +215,20 @@ def required_relays(edge_length, comm_range):
 
 
 def select_bridge_edge(pos_i, mst_edges, bridge_counts, centroids, comm_range):
-    """Pick the bridge edge an agent should staff.
+    """Pick the bridge edge an agent should staff: the least
+    ``(-max(deficit, 0), midpoint distance, (id_a, id_b))``.
 
-    Priority: largest relay deficit (required minus currently assigned);
-    ties broken by nearest edge midpoint, then lexicographic edge id. If
-    no edge is under-staffed, the nearest edge is returned (redundancy is
-    allowed).
+    The deficit is the relays an edge requires minus those assigned to it:
+    the largest deficit wins, ties go to the nearest edge midpoint, then to
+    the lower edge id. If no edge is under-staffed, the nearest edge is
+    returned (redundancy is allowed).
     """
     if not mst_edges:
         raise ValueError("cannot select a bridge edge from an empty tree")
-    rows = []
-    for ia, ib, length in mst_edges:
-        deficit = required_relays(length, comm_range) - bridge_counts[ia, ib]
-        mid = 0.5 * (centroids[ia] + centroids[ib])
-        dist = float(np.hypot(*(mid - pos_i)))
-        rows.append((deficit, dist, (ia, ib)))
-    max_deficit = max(row[0] for row in rows)
-    if max_deficit > 0:
-        rows = [row for row in rows if row[0] == max_deficit]
-    return min(rows, key=lambda row: (row[1], row[2]))[2]
+    keys = ((-max(required_relays(length, comm_range) - bridge_counts[ia, ib], 0),
+             float(np.hypot(*(0.5 * (centroids[ia] + centroids[ib]) - pos_i))), (ia, ib))
+            for ia, ib, length in mst_edges)
+    return min(keys)[2]
 
 
 def mode_switch(goal_a, n_served, achieved, centroids, pos_i, mst_lookup, bridge_counts,
@@ -244,45 +240,31 @@ def mode_switch(goal_a, n_served, achieved, centroids, pos_i, mst_lookup, bridge
     from the sorted tuple of achieved goal ids to their centroid spanning
     tree, is queried. `bridge_counts` is a ``Counter`` of the relays per
     edge ``(id_a, id_b)``; the agent is counted on the edge it adopts.
-    Returns the new ``(mode, goal_a, goal_b)``.
 
-    Bridge duty requires an existing tree edge, and while uncovered
-    clusters remain it also requires an actual relay deficit: agents are
-    not spent on redundant relays while exploration is still useful. Once
-    every known cluster is covered, surplus agents take (possibly
-    redundant) bridge duty instead of parking.
+    Returns the new ``(mode, goal_a, goal_b)`` by one rule. A load of n1 or
+    more goes Static. A bridge is worthwhile when the tree has an edge and
+    either an edge lacks relays or no cluster is uncovered: agents are not
+    spent on redundant relays while exploration is useful. While clusters
+    are uncovered, a load below n0 (an unused agent included) or no
+    worthwhile bridge retargets to the nearest one. Otherwise the agent
+    bridges if that is worthwhile, and keeps its goal if not.
     """
     achieved[goal_a] = True
+    if n_served >= thresholds.n1:
+        return MODE_STATIC, goal_a, -1
     mst_edges = mst_lookup(tuple(np.flatnonzero(achieved).tolist()))
-
-    def to_bridge():
+    uncovered = np.flatnonzero(~achieved).tolist()
+    bridge = mst_edges and (not uncovered or any(
+        required_relays(length, comm_range) > bridge_counts[ia, ib]
+        for ia, ib, length in mst_edges))
+    if uncovered and (n_served < thresholds.n0 or not bridge):
+        dists = [float(np.hypot(*(centroids[c] - pos_i))) for c in uncovered]
+        return MODE_DYNAMIC, uncovered[int(np.argmin(dists))], -1
+    if bridge:
         edge = select_bridge_edge(pos_i, mst_edges, bridge_counts, centroids, comm_range)
         bridge_counts[edge] += 1
         return MODE_BRIDGE, edge[0], edge[1]
-
-    def retarget():
-        dists = [float(np.hypot(*(centroids[c] - pos_i))) for c in uncovered]
-        return MODE_DYNAMIC, uncovered[int(np.argmin(dists))], -1
-
-    uncovered = np.flatnonzero(~achieved).tolist()
-    understaffed = any(required_relays(length, comm_range) > bridge_counts[ia, ib]
-                       for ia, ib, length in mst_edges)
-    bridge_worthwhile = mst_edges and (understaffed or not uncovered)
-
-    if n_served < thresholds.n0:
-        # includes n_served == 0: an unused agent keeps roaming rather than parking
-        if uncovered:
-            return retarget()
-        if bridge_worthwhile:
-            return to_bridge()
-        return MODE_DYNAMIC, goal_a, -1
-    if n_served < thresholds.n1:
-        if bridge_worthwhile:
-            return to_bridge()
-        if uncovered:
-            return retarget()
-        return MODE_DYNAMIC, goal_a, -1
-    return MODE_STATIC, goal_a, -1
+    return MODE_DYNAMIC, goal_a, -1
 
 
 def switch_modes(world, loads, coverage, thresholds: ModeThresholds, comm_range):

@@ -7,7 +7,7 @@ Laplacian read those arrays as they are. Connectivity is summarized by the
 Fiedler value, the second-smallest eigenvalue of the graph Laplacian, which
 is positive exactly when the graph is connected. The inter-cluster relay
 structure is a Euclidean minimum spanning tree over the centroids of
-covered clusters.
+covered clusters, built by Prim's algorithm.
 """
 
 import numpy as np
@@ -56,36 +56,23 @@ def fiedler_value(adjacency, labels):
 def cluster_mst(cluster_ids, centroids):
     """Euclidean minimum spanning tree over the given covered clusters.
 
-    Kruskal with edges ordered by (length, id, id): deterministic under
-    ties and under input permutation. Returns a list of
-    ``(id_a, id_b, length)`` with ``id_a < id_b``; fewer than two clusters
-    yield an empty tree.
+    Prim's algorithm over edges ordered by (length, id_a, id_b): the order
+    is strict, so the tree is unique under ties and under input
+    permutation, and is the one Kruskal's algorithm builds. Returns a list
+    of ``(id_a, id_b, length)`` with ``id_a < id_b``, sorted by that order;
+    repeated ids count once, and fewer than two clusters yield an empty tree.
     """
-    ids = sorted(int(c) for c in cluster_ids)
-    if len(ids) < 2:
-        return []
-    edges = []
-    for ai in range(len(ids)):
-        for bi in range(ai + 1, len(ids)):
-            a, b = ids[ai], ids[bi]
-            length = float(np.hypot(*(np.asarray(centroids[a], float)
-                                      - np.asarray(centroids[b], float))))
-            edges.append((length, a, b))
-    edges.sort()
-    parent = {i: i for i in ids}
+    def edge(a, b):
+        a, b = min(a, b), max(a, b)
+        return float(np.hypot(*(np.asarray(centroids[a], float)
+                                - np.asarray(centroids[b], float)))), a, b
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    ids = sorted({int(c) for c in cluster_ids})
+    reach = {c: edge(ids[0], c) for c in ids[1:]}   # each id's cheapest edge into the tree
     tree = []
-    for length, a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append((a, b, length))
-            if len(tree) == len(ids) - 1:
-                break
-    return tree
+    while reach:
+        c = min(reach, key=reach.get)
+        tree.append(reach.pop(c))
+        for other in reach:
+            reach[other] = min(reach[other], edge(c, other))
+    return [(a, b, length) for length, a, b in sorted(tree)]

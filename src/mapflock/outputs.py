@@ -101,17 +101,30 @@ def write_run_outputs(result, out_dir):
 
 
 def read_csv(path):
-    """Parse a metrics-style CSV into (column names, dict of float arrays)."""
+    """Parse a metrics-style CSV into (column names, dict of float arrays).
+
+    No data rows, a ragged row or a cell that is not a finite number raise
+    a one-line ``ValueError`` naming the path, and the line and column.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    names = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:]]
-    if any(len(row) != len(names) for row in rows):
-        raise ValueError(f"{path}: ragged CSV rows")
-    cols = {name: np.array([float(row[j]) for row in rows])
-            for j, name in enumerate(names)}
+        lines = [(no, line.split(",")) for no, line in enumerate(fh.read().splitlines(), 1)
+                 if line.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: {'no data rows under the header' if lines else 'empty CSV'}")
+    (_, names), rows = lines[0], lines[1:]
+    cols = {name: np.empty(len(rows)) for name in names}
+    for r, (no, row) in enumerate(rows):
+        if len(row) != len(names):
+            raise ValueError(f"{path}: line {no}: ragged CSV row, "
+                             f"{len(row)} of {len(names)} columns")
+        for name, text in zip(names, row):
+            try:
+                cols[name][r] = float(text)
+            except ValueError:
+                cols[name][r] = np.nan
+            if not np.isfinite(cols[name][r]):
+                raise ValueError(f"{path}: line {no}, column {name}: "
+                                 f"{text.strip()!r} is not a finite number")
     return names, cols
 
 

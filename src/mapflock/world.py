@@ -124,18 +124,16 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
     The users' k-d tree, the users per cluster and the users' extent are
     computed here, once per run.
 
-    Draw order (fixed contract): for each cluster in listed order, its
-    member offsets as (n, 2) standard normals; then MAP positions as an
-    (L, 2) uniform block over the spawn square; then MAP velocities as an
-    (L, 2) uniform block over [-v, v]^2.
+    Draw order (fixed contract): the member offsets of every user as one
+    (K * n, 2) block of standard normals, cluster by cluster in listed
+    order; then MAP positions as an (L, 2) uniform block over the spawn
+    square; then MAP velocities as an (L, 2) uniform block over [-v, v]^2.
     """
     centroids = np.asarray(config.cluster_centers, dtype=float)
-    chunks = []
-    for center in centroids:
-        offsets = rng.standard_normal((config.msds_per_cluster, 2)) * config.cluster_sigma
-        chunks.append(center + offsets)
-    msd_pos = np.concatenate(chunks, axis=0)
-    msd_cluster = np.repeat(np.arange(len(centroids)), config.msds_per_cluster)
+    per_cluster = config.msds_per_cluster
+    offsets = rng.standard_normal((len(centroids) * per_cluster, 2)) * config.cluster_sigma
+    msd_pos = np.repeat(centroids, per_cluster, axis=0) + offsets
+    msd_cluster = np.repeat(np.arange(len(centroids)), per_cluster)
 
     spawn = np.asarray(config.map_spawn_center, dtype=float)
     hw = config.map_spawn_halfwidth

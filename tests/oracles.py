@@ -10,6 +10,10 @@
   below, not the library's pair kernels.
 * :func:`scan_cluster_coverages` -- per-cluster coverage by one scan of
   the users per cluster.
+* :func:`brute_force_spanning_tree` -- the clusters' spanning tree as the
+  least, by its sorted ``(length, id_a, id_b)`` keys, of every acyclic
+  edge subset of the complete graph; the library grows it by Prim's
+  algorithm.
 * :func:`dense_assign_msds`, :func:`dense_adjacency_matrix`,
   :func:`dense_flock_accelerations` -- the matcher, the adjacency matrix
   and the force kernel over all M x L user-agent and L x L agent pairs,
@@ -39,6 +43,7 @@
   its gradient.
 """
 
+import itertools
 import math
 from collections import Counter
 
@@ -271,6 +276,35 @@ def scan_cluster_coverages(assignment, msd_cluster, n_clusters):
         out[cluster_id] = float(np.count_nonzero(assignment.owner[members] >= 0)) \
             / len(members)
     return out
+
+
+def _acyclic(edges, ids):
+    """Whether the ``(length, a, b)`` edges over the node ids hold no cycle."""
+    component = {c: {c} for c in ids}
+    for _, a, b in edges:
+        if b in component[a]:
+            return False
+        merged = component[a] | component[b]
+        for c in merged:
+            component[c] = merged
+    return True
+
+
+def brute_force_spanning_tree(cluster_ids, centroids):
+    """The spanning tree over at most 6 distinct cluster ids whose edge keys
+    ``(length, id_a, id_b)``, sorted, are lexicographically least among every
+    acyclic (k - 1)-edge subset of the complete graph; returned as
+    ``(id_a, id_b, length)`` in that sorted order."""
+    ids = sorted({int(c) for c in cluster_ids})
+    assert len(ids) <= 6, "the subsets of more edges are too many to enumerate"
+    if len(ids) < 2:
+        return []
+    edges = sorted((float(np.hypot(*(np.asarray(centroids[a], float)
+                                     - np.asarray(centroids[b], float)))), a, b)
+                   for a, b in itertools.combinations(ids, 2))
+    best = min(sorted(subset) for subset in itertools.combinations(edges, len(ids) - 1)
+               if _acyclic(subset, ids))
+    return [(a, b, length) for length, a, b in best]
 
 
 def sigma_norm(v, epsilon):

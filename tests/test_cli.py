@@ -212,3 +212,14 @@ class TestPlot:
                          "--cols", "bogus", "--out", str(tmp_path / "x.svg")])
         assert code == 1
         assert "unknown columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["t,rc\n60,nan\n780,nan\n", "t,rc\n", "t,rc\n60,abc\n"],
+                             ids=["nan", "header-only", "word"])
+    def test_bad_csv_is_one_line_error(self, tmp_path, capsys, text):
+        csv, svg = tmp_path / "bad.csv", tmp_path / "bad.svg"
+        csv.write_text(text)
+        code = cli_main(["plot", str(csv), "--out", str(svg)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {csv}: ")
+        assert not svg.exists()

@@ -402,6 +402,31 @@ class TestModeSwitch:
             0, 5, achieved={1}, counts=full, pos=(140.0, 10.0))
         assert (mode, ga) == (MODE_DYNAMIC, 3)
 
+    def test_decision_table(self):
+        # goal 0 covered, at (140, 10): the nearest uncovered cluster is 1 with
+        # only goal 0 achieved, and 3 with goals 0 and 1; edge (0, 1) of the
+        # tree over CENTROIDS[:k] needs 6 relays, and `relays` are on it
+        assert (THRESH.n0, THRESH.n1) == (3, 10)
+        static, bridge, keep = (MODE_STATIC, 0, -1), (MODE_BRIDGE, 0, 1), (MODE_DYNAMIC, 0, -1)
+        to_1, to_3 = (MODE_DYNAMIC, 1, -1), (MODE_DYNAMIC, 3, -1)
+        table = [   # k, other achieved goals, relays: the outcome at loads 0, 2, 3, 9, 10
+            (4, (), 0, [to_1, to_1, to_1, to_1, static]),          # uncovered; no edge
+            (4, {1}, 0, [to_3, to_3, bridge, bridge, static]),     # uncovered; understaffed
+            (4, {1}, 6, [to_3, to_3, to_3, to_3, static]),         # uncovered; staffed
+            (1, (), 0, [keep, keep, keep, keep, static]),          # none uncovered; no edge
+            (2, {1}, 0, [bridge, bridge, bridge, bridge, static]),  # none uncovered; understaffed
+            (2, {1}, 6, [bridge, bridge, bridge, bridge, static]),  # none uncovered; staffed
+        ]
+        for k, achieved, relays, outcomes in table:
+            centroids = self.CENTROIDS[:k]
+            for load, want in zip((0, 2, 3, 9, 10), outcomes):
+                counts = Counter({(0, 1): relays})
+                got = mode_switch(0, load, goal_rows([achieved], k)[0], centroids,
+                                  np.array([140.0, 10.0]), lambda key: cluster_tree(key, centroids),
+                                  counts, THRESH, 24.0)
+                assert got == want, (k, achieved, relays, load)
+                assert counts == Counter({(0, 1): relays + (want == bridge)})
+
     def test_bridge_mode_absorbing(self):
         # every goal covered and a high load, yet the relay keeps its edge, and its
         # row is not marked

@@ -5,7 +5,13 @@ import pytest
 
 from mapflock.netgraph import cluster_mst, connected_components, fiedler_value
 from mapflock.world import adjacency_matrix, agent_tree
-from oracles import csr_pairs, dense_csr, dense_fiedler_value, dense_laplacian
+from oracles import (
+    brute_force_spanning_tree,
+    csr_pairs,
+    dense_csr,
+    dense_fiedler_value,
+    dense_laplacian,
+)
 
 
 def random_adjacency(rng, n, p=0.3):
@@ -223,3 +229,13 @@ class TestClusterMst:
         centroids = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         tree = cluster_mst([0, 1, 2, 3], centroids)
         assert [(a, b) for a, b, _ in tree] == [(0, 1), (0, 2), (1, 3)]
+
+    def test_lattice_ties_match_brute_force(self):
+        # lattice centroids tie most edge lengths, and the ids are permuted
+        # subsets: the (length, id_a, id_b) order decides the tree and its order
+        rng = np.random.default_rng(44)
+        lattice = np.array([(x, y) for x in range(3) for y in range(3)], float)
+        for _ in range(150):
+            centroids = lattice[rng.permutation(9)] * rng.choice([1.0, 24.0, 0.1])
+            ids = rng.permutation(9)[:int(rng.integers(0, 7))].tolist()
+            assert cluster_mst(ids, centroids) == brute_force_spanning_tree(ids, centroids)

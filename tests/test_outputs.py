@@ -147,6 +147,21 @@ class TestReadCsv:
             read_csv(path)
 
 
+    @pytest.mark.parametrize("text, where", [
+        ("t,rc\n60,0.5\n\n780,nan\n", "line 4, column rc: 'nan' is not a finite number"),
+        ("t,rc\n60,-inf\n", "line 2, column rc: '-inf' is not a finite number"),
+        ("t,rc\n60,0.5\n780, x1 \n", "line 3, column rc: 'x1' is not a finite number"),
+        ("t,rc\n60,0.5\n780\n", "line 3: ragged CSV row, 1 of 2 columns"),
+        ("t,rc\n\n", "no data rows under the header"),
+    ], ids=["nan", "inf", "word", "ragged", "header-only"])
+    def test_bad_cell_named_in_one_line(self, tmp_path, text, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}: {where}"
+
+
 class TestSvg:
     def test_polyline_per_series(self, tmp_path):
         path = tmp_path / "plot.svg"
