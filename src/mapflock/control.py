@@ -154,6 +154,11 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     agent by agent in ``tests/oracles.py``. The load coefficients are read
     from :func:`load_tables` at the loads clipped to 2 * n_max, past which
     both are constant.
+
+    Over E pairs, the (E, 2) difference q_j - q_i lives only until the
+    squared distances are taken. After the potentials, the pushes and the
+    velocity differences are gathered again one coordinate at a time as
+    contiguous (E,) arrays, which bincount sums without a column copy.
     """
     n = len(positions)
     eps = params.epsilon
@@ -163,31 +168,43 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     pull, weight = load_tables(params, last + 1)
     clipped = np.minimum(loads, last)
     indptr, indices = adjacency
-    # int32 agent ids: the pair arrays take half the memory; take and bincount
-    # convert them to intp one at a time, each copy freed after its call
-    ids = np.flatnonzero(alive).astype(np.int32)
-    i, j = np.repeat(ids, np.diff(indptr)), ids[indices]    # as agent ids, row-major
+    # as agent ids, row-major, in intp: bincount and the gathers would copy
+    # int32 ids to intp at every call
+    ids = np.flatnonzero(alive)
+    i, j = np.repeat(ids, np.diff(indptr)), ids[indices]
+    del ids
     # each pair-sized temporary is updated in place, or freed after its last use
     diff = np.take(positions, j, axis=0).astype(float, copy=False)
     diff -= np.take(positions, i, axis=0)               # q_j - q_i
-    root = 1.0 + eps * np.einsum("ij,ij->i", diff, diff)
+    root = np.einsum("ij,ij->i", diff, diff)
+    del diff
+    root *= eps
+    root += 1.0
     np.sqrt(root, out=root)
-    coeff = phi_action((root - 1.0) / eps, params)      # phi at the sigma distance
+    z = np.subtract(root, 1.0)
+    z /= eps
+    coeff = phi_action(z, params)                       # phi at the sigma distance
+    del z
     coeff += pull[clipped][j]
     coeff *= np.divide(1.0, root, out=root)             # grad = diff / root
-    diff *= coeff[:, None]                              # the spacing and load pushes
-    del root, coeff
-    # bincount sums each agent's pairs in j order, as the per-agent loop does;
-    # the pushes are summed and freed before the velocity differences exist
-    f = [np.bincount(i, diff[:, k], minlength=n) for k in range(2)]
-    del diff
-    dv = np.take(velocities, j, axis=0)
-    dv -= np.take(velocities, i, axis=0)                # v_j - v_i
+    del root
+    # the pushes (q_j - q_i) * coeff and the velocity differences v_j - v_i,
+    # one coordinate at a time; bincount sums each agent's pairs in j order,
+    # as the per-agent loop does
     gain = weight[clipped]
     u = np.empty((n, 2))
     for k in range(2):
-        u[:, k] = f[k] + gain * np.bincount(i, dv[:, k], minlength=n)
-    del f, dv
+        q, v = positions[:, k], velocities[:, k]
+        push = q[j].astype(float, copy=False)
+        push -= q[i]
+        push *= coeff
+        u[:, k] = np.bincount(i, push, minlength=n)
+        del push
+        dv = v[j]
+        dv -= v[i]
+        u[:, k] += gain * np.bincount(i, dv, minlength=n)
+        del dv
+    del coeff, i, j
 
     point = alive & (modes != MODE_BRIDGE)
     if np.any(point):

@@ -103,16 +103,21 @@ def write_run_outputs(result, out_dir):
 def read_csv(path):
     """Parse a metrics-style CSV into (column names, dict of float arrays).
 
-    No data rows, a ragged row or a cell that is not a finite number raise
-    a one-line ``ValueError`` naming the path, and the line and column.
+    No data rows, a header that repeats a column name, a ragged row or a
+    cell that is not a finite number raise a one-line ``ValueError`` naming
+    the path, and the line and column.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [(no, line.split(",")) for no, line in enumerate(fh.read().splitlines(), 1)
                  if line.strip()]
     if len(lines) < 2:
         raise ValueError(f"{path}: {'no data rows under the header' if lines else 'empty CSV'}")
-    (_, names), rows = lines[0], lines[1:]
-    cols = {name: np.empty(len(rows)) for name in names}
+    (header, names), rows = lines[0], lines[1:]
+    cols = {}
+    for name in names:
+        if name in cols:
+            raise ValueError(f"{path}: line {header}: the header repeats column {name}")
+        cols[name] = np.empty(len(rows))
     for r, (no, row) in enumerate(rows):
         if len(row) != len(names):
             raise ValueError(f"{path}: line {no}: ragged CSV row, "

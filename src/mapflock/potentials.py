@@ -8,13 +8,33 @@ smooth cutoff (``bump``) with an uneven sigmoid (``phi_uneven``) whose root
 sits at the desired agent spacing.
 
 Every function here is pure and accepts scalars or numpy arrays.
-:func:`bump`, :func:`phi_uneven` and :func:`phi_action` work in place:
-each computes its result into one fresh array it owns, never into its
-argument, so a :func:`phi_action` call over P pairs holds at most three
-P-sized arrays at once.
+:func:`bump` and :func:`phi_uneven` copy their argument and compute in
+place in the copy. :func:`phi_action` runs the sigmoid in one buffer it
+owns, ``z - d_sigma``, and the range gate in a second, ``z / r_sigma``,
+through the same in-place helpers, so a call over P pairs holds two
+P-sized float arrays and the gate's P-sized bool masks at once.
 """
 
 import numpy as np
+
+
+def _bump_in_place(x, lower, upper):
+    """:func:`bump` over `x`, a float array it overwrites and returns."""
+    if not (0.0 <= lower < upper):
+        raise ValueError(f"bump cutoffs must satisfy 0 <= lower < upper, got {lower}, {upper}")
+    if np.any(x < 0):
+        raise ValueError("bump input must be non-negative")
+    # the masks come first, so the ramp can overwrite its own input
+    below, beyond = x < lower, ~(x < upper)     # NaN included, as beyond the upper cutoff
+    x -= lower
+    x *= np.pi
+    x /= upper - lower
+    np.cos(x, out=x)
+    x += 1.0
+    x *= 0.5                    # the half-cosine ramp, over every entry
+    x[below] = 1.0
+    x[beyond] = 0.0
+    return x
 
 
 def bump(z, lower, upper):
@@ -33,19 +53,7 @@ def bump(z, lower, upper):
     ValueError
         If the cutoffs are out of order or any input is negative.
     """
-    if not (0.0 <= lower < upper):
-        raise ValueError(f"bump cutoffs must satisfy 0 <= lower < upper, got {lower}, {upper}")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise ValueError("bump input must be non-negative")
-    out = np.subtract(z, lower, out=np.empty_like(z))
-    out *= np.pi
-    out /= upper - lower
-    np.cos(out, out=out)
-    out += 1.0
-    out *= 0.5                  # the half-cosine ramp, over every entry
-    out[z < lower] = 1.0
-    out[~(z < upper)] = 0.0     # NaN included, as beyond the upper cutoff
+    out = _bump_in_place(np.array(z, dtype=float), lower, upper)
     return float(out) if out.ndim == 0 else out
 
 
@@ -71,16 +79,11 @@ def sigma_grad_scale(norm_sq, epsilon):
     return 1.0 / np.sqrt(1.0 + epsilon * np.asarray(norm_sq, dtype=float))
 
 
-def phi_uneven(z, a, b, c):
-    """Uneven sigmoid: 0.5*[(a+b)*(z+c)/sqrt(1+(z+c)^2) + (a-b)].
-
-    Strictly increasing with limits -b (z -> -inf) and a (z -> +inf).
-    With c = (b-a)/sqrt(4ab) the root sits exactly at z = 0.
-    """
+def _phi_uneven_in_place(s, a, b, c):
+    """:func:`phi_uneven` over `s`, a float array it overwrites and returns."""
     if a <= 0 or b <= 0:
         raise ValueError("sigmoid scales a, b must be positive")
-    z = np.asarray(z, dtype=float)
-    s = np.add(z, c, out=np.empty_like(z))
+    s += c
     root = np.multiply(s, s, out=np.empty_like(s))
     root += 1.0
     np.sqrt(root, out=root)
@@ -88,7 +91,17 @@ def phi_uneven(z, a, b, c):
     s /= root
     s += a - b
     s *= 0.5
-    return float(s) if s.ndim == 0 else s
+    return s
+
+
+def phi_uneven(z, a, b, c):
+    """Uneven sigmoid: 0.5*[(a+b)*(z+c)/sqrt(1+(z+c)^2) + (a-b)].
+
+    Strictly increasing with limits -b (z -> -inf) and a (z -> +inf).
+    With c = (b-a)/sqrt(4ab) the root sits exactly at z = 0.
+    """
+    out = _phi_uneven_in_place(np.array(z, dtype=float), a, b, c)
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_action(z_sigma, params):
@@ -97,10 +110,13 @@ def phi_action(z_sigma, params):
     Zero at the sigma-image of the desired spacing (equilibrium), negative
     (repulsive) below it, non-negative above, and identically zero at or
     beyond the sigma-image of the communication range. `params` is a
-    :class:`mapflock.control.ControlParams`; :func:`bump` rejects negatives.
+    :class:`mapflock.control.ControlParams`; negative distances are rejected.
     """
     z = np.asarray(z_sigma, dtype=float)
-    out = phi_uneven(z - params.d_sigma, params.a, params.b, params.c)
+    # out= keeps the buffers arrays for a 0-d z, so the helpers can write in them
+    out = _phi_uneven_in_place(np.subtract(z, params.d_sigma, out=np.empty_like(z)),
+                               params.a, params.b, params.c)
     # gated last: IEEE products commute, so the bits are those of gate * sigmoid
-    out *= bump(z / params.r_sigma, params.gamma, 1.0)
-    return out
+    out *= _bump_in_place(np.divide(z, params.r_sigma, out=np.empty_like(z)),
+                          params.gamma, 1.0)
+    return float(out) if out.ndim == 0 else out

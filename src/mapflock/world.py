@@ -141,11 +141,19 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
     map_vel = rng.uniform(-config.initial_speed, config.initial_speed,
                           size=(config.map_count, 2))
 
-    # every agent starts in Dynamic mode, aimed at its nearest cluster center
-    d2 = ((map_pos[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    goal_a = np.argmin(d2, axis=1).astype(int)
-
+    # every agent starts in Dynamic mode, aimed at its nearest cluster center:
+    # a running minimum over the centers in O(L) memory, where a strict < keeps
+    # an exact tie on the first center, as argmin does
     n = config.map_count
+    goal_a = np.zeros(n, dtype=int)
+    nearest = np.full(n, np.inf)
+    x, y = map_pos.T
+    for k, (cx, cy) in enumerate(centroids.tolist()):
+        dx, dy = x - cx, y - cy
+        d2 = dx * dx + dy * dy
+        goal_a[d2 < nearest] = k
+        np.minimum(nearest, d2, out=nearest)
+
     return World(
         centroids=centroids,
         msd_pos=msd_pos,

@@ -213,8 +213,9 @@ class TestPlot:
         assert code == 1
         assert "unknown columns" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["t,rc\n60,nan\n780,nan\n", "t,rc\n", "t,rc\n60,abc\n"],
-                             ids=["nan", "header-only", "word"])
+    @pytest.mark.parametrize("text", ["t,rc\n60,nan\n780,nan\n", "t,rc\n", "t,rc\n60,abc\n",
+                                      "t,a,a\n1,2,3\n2,4,5\n"],
+                             ids=["nan", "header-only", "word", "repeated-column"])
     def test_bad_csv_is_one_line_error(self, tmp_path, capsys, text):
         csv, svg = tmp_path / "bad.csv", tmp_path / "bad.svg"
         csv.write_text(text)

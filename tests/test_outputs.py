@@ -153,7 +153,9 @@ class TestReadCsv:
         ("t,rc\n60,0.5\n780, x1 \n", "line 3, column rc: 'x1' is not a finite number"),
         ("t,rc\n60,0.5\n780\n", "line 3: ragged CSV row, 1 of 2 columns"),
         ("t,rc\n\n", "no data rows under the header"),
-    ], ids=["nan", "inf", "word", "ragged", "header-only"])
+        ("t,a,a\n1,2,3\n2,4,5\n", "line 1: the header repeats column a"),
+        ("\nt,rc,t\n1,2,3\n", "line 2: the header repeats column t"),
+    ], ids=["nan", "inf", "word", "ragged", "header-only", "repeated", "repeated-x"])
     def test_bad_cell_named_in_one_line(self, tmp_path, text, where):
         path = tmp_path / "bad.csv"
         path.write_text(text)

@@ -259,4 +259,4 @@ class TestAgainstClosedForm:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 4 * z.nbytes
+        assert peak < 3 * z.nbytes

@@ -269,29 +269,50 @@ class TestMeasure:
 class TestStepMemory:
     """The step's working memory on a 1000-agent fleet over an 800 m field,
     the benchmark's relay_wide scene: achieved goals are one bool array, the
-    graph is int32 CSR arrays, and the pair kernels and potentials work in
-    place, so the tracemalloc peak above the step's entry is about 0.19 MiB;
-    with int64 pairs and the velocity differences gathered while the pushes
-    were still held it was about 0.22 MiB, with potentials that built each
-    intermediate anew about 0.27 MiB, and with a set per agent and every
-    pair temporary held to the end about 0.39 MiB."""
+    graph is int32 CSR arrays, the force kernel frees its (E, 2) pair
+    differences before the potentials and gathers the pushes one coordinate
+    at a time, and the potentials work in buffers they own, so the
+    tracemalloc peak above the step's entry is about 0.14 MiB, nearly all of
+    it the force kernel's; with the differences held through the potentials,
+    a third pair-sized buffer in the action potential and each bincount fed
+    column copies and an int32 index it was about 0.19 MiB (0.185 MiB in the
+    kernel), with int64 pairs and the velocity differences gathered while
+    the pushes were still held about 0.22 MiB, with potentials that built
+    each intermediate anew about 0.27 MiB, and with a set per agent and
+    every pair temporary held to the end about 0.39 MiB."""
 
-    def test_peak_above_entry_is_bounded(self):
+    def world_and_observation(self):
         cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (600.0, 0.0), (0.0, 600.0),
                                               (600.0, 600.0)),
                              msds_per_cluster=200, cluster_sigma=100.0, map_count=1000,
                              map_spawn_center=(300.0, 300.0), map_spawn_halfwidth=400.0,
                              seed=1)
         world = generate_scenario(cfg, np.random.default_rng(cfg.seed))
-        obs = observe(world, cfg.control)
+        return cfg, world, observe(world, cfg.control)
+
+    @staticmethod
+    def peak_above_entry(call):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt, obs)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < 0.24 * 2**20
+
+    def test_peak_above_entry_is_bounded(self):
+        cfg, world, obs = self.world_and_observation()
+        peak = self.peak_above_entry(
+            lambda: step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt, obs))
+        assert peak < 0.17 * 2**20
+
+    def test_force_kernel_peak_is_bounded(self):
+        cfg, w, obs = self.world_and_observation()     # 2692 pairs at t = 0
+        peak = self.peak_above_entry(
+            lambda: flock_accelerations(w.map_pos, w.map_vel, obs.assignment.loads, w.alive,
+                                        w.mode, w.goal_a, w.goal_b, w.centroids,
+                                        obs.adjacency, cfg.control))
+        assert peak < 0.16 * 2**20
 
 
 class TestLoneAgentStability:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,38 @@ class TestGenerateScenario:
         # initial goal is the nearest cluster center
         d = np.linalg.norm(world.map_pos[:, None, :] - world.centroids[None], axis=2)
         np.testing.assert_array_equal(world.goal_a, np.argmin(d, axis=1))
+
+    @pytest.mark.parametrize("centers,goal", [
+        (((40.0, 40.0), (3.0, 4.0), (5.0, 0.0), (0.0, -5.0)), 1),
+        (((0.0, -5.0), (5.0, 0.0), (3.0, 4.0)), 0),
+        (((9.0, 9.0), (-4.0, 3.0), (40.0, 40.0), (4.0, -3.0)), 1),
+    ])
+    def test_exact_ties_go_to_the_first_center(self, centers, goal):
+        # every agent spawns at the origin, exactly 5 m from each tied center
+        cfg = small_config(cluster_centers=centers, map_spawn_center=(0.0, 0.0),
+                           map_spawn_halfwidth=0.0)
+        world = generate_scenario(cfg, np.random.default_rng(6))
+        assert np.all(world.map_pos == 0.0)
+        assert np.all(world.goal_a == goal)
+
+    def test_initial_goal_needs_no_agent_by_center_temporaries(self):
+        # 2000 agents and 100 centers: an (L, K, 2) broadcast of the squared
+        # differences peaked at 4.6 MiB; the running minimum's temporaries are
+        # L-sized, and the peak, 0.38 MiB, is mostly the world's (L, K)
+        # achieved table
+        centers = tuple((float(x), float(y)) for x in range(0, 1000, 100)
+                        for y in range(0, 1000, 100))
+        cfg = small_config(cluster_centers=centers, msds_per_cluster=1, map_count=2000,
+                           map_spawn_center=(450.0, 450.0), map_spawn_halfwidth=450.0)
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            generate_scenario(cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
     def test_achieved_starts_as_an_all_false_bool_array(self):
         cfg = small_config(cluster_centers=((0.0, 0.0), (60.0, 0.0), (0.0, 60.0)))
