@@ -44,8 +44,7 @@ else:
 os.makedirs("demo_out", exist_ok=True)
 write_run_outputs(result, "demo_out/formation_run")
 
-t, cov = result.coverage_series()
-_, lam = result.fiedler_series()
-write_line_svg("demo_out/formation_metrics.svg", t,
-               {"coverage ratio": cov, "fiedler value": lam}, x_label="t [s]")
+write_line_svg("demo_out/formation_metrics.svg", [s.t for s in result.samples],
+               {"coverage ratio": [s.coverage_ratio for s in result.samples],
+                "fiedler value": [s.fiedler for s in result.samples]}, x_label="t [s]")
 print("wrote demo_out/formation_run/ and demo_out/formation_metrics.svg")

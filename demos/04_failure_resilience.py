@@ -22,7 +22,8 @@ curves = {}
 for label, fractions in (("baseline", ()), ("10% loss", ((18.0, 0.1),)),
                          ("50% loss", ((18.0, 0.5),))):
     result = run(replace(base, failures=fractions))
-    t, cov = result.coverage_series()
+    t = np.array([s.t for s in result.samples])
+    cov = np.array([s.coverage_ratio for s in result.samples])
     curves[label] = cov
     final = result.final
     post_min = cov[int(18.0 / base.dt) + 1:].min() if fractions else cov.min()

@@ -66,21 +66,24 @@ def _build_parser():
 
 def _sweep(args, base, values, make_config, label):
     """Run replicate seeds per sweep point and write per-run + mean outputs."""
+    names = [f"{label}_{value:g}" for value in values]
+    if len(set(names)) < len(names):
+        print(f"error: sweep point names must be distinct, got {' '.join(names)}", file=sys.stderr)
+        return 2
     first = base.seed if args.seed is None else args.seed
     seeds = [first + k for k in range(args.replicates)]
     os.makedirs(args.out_dir, exist_ok=True)
     lines = []
-    for value in values:
+    for name, value in zip(names, values):
         finals_rc, finals_lam = [], []
         for seed in seeds:
             result = run(make_config(value, seed))
-            run_dir = os.path.join(args.out_dir, f"{label}_{value:g}", f"seed_{seed}")
-            write_run_outputs(result, run_dir)
+            write_run_outputs(result, os.path.join(args.out_dir, name, f"seed_{seed}"))
             finals_rc.append(result.final.coverage_ratio)
             finals_lam.append(result.final.fiedler)
-        lines.append(f"{label}_{value:g}.mean_final_coverage_ratio = {fmt(np.mean(finals_rc))}")
-        lines.append(f"{label}_{value:g}.mean_final_fiedler = {fmt(np.mean(finals_lam))}")
-        lines.append(f"{label}_{value:g}.seeds = {','.join(str(s) for s in seeds)}")
+        lines.append(f"{name}.mean_final_coverage_ratio = {fmt(np.mean(finals_rc))}")
+        lines.append(f"{name}.mean_final_fiedler = {fmt(np.mean(finals_lam))}")
+        lines.append(f"{name}.seeds = {','.join(str(s) for s in seeds)}")
     path = os.path.join(args.out_dir, "sweep_summary.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

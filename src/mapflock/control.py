@@ -106,60 +106,39 @@ class ModeThresholds:
 
 
 # ---------------------------------------------------------------------------
-# force coefficients
-# ---------------------------------------------------------------------------
-
-def load_pull_coeff(load_j, params: ControlParams):
-    """Extra attraction toward neighbor j when it serves beyond capacity.
-
-    Coefficient a * (1 - bump(sigma((load_j - n_max)^+) / sigma(n_max), 0, 1));
-    zero while the neighbor is at or under capacity, saturating at `a`.
-    """
-    excess = np.maximum(np.asarray(load_j, dtype=float) - params.n_max, 0.0)
-    ratio = sigma_scalar(excess, params.epsilon) / sigma_scalar(params.n_max, params.epsilon)
-    return params.a * (1.0 - bump(ratio, 0.0, 1.0))
-
-
-def consensus_weight(load_i, params: ControlParams):
-    """Own-capacity gate on velocity consensus.
-
-    1 - bump(sigma((n_max - load_i)^+) / sigma(n_max), 0, 1): an idle agent
-    fully matches neighbor velocities, a fully loaded one ignores them.
-    """
-    headroom = np.maximum(params.n_max - np.asarray(load_i, dtype=float), 0.0)
-    ratio = sigma_scalar(headroom, params.epsilon) / sigma_scalar(params.n_max, params.epsilon)
-    return 1.0 - bump(ratio, 0.0, 1.0)
-
-
-@lru_cache(maxsize=64)
-def load_tables(params: ControlParams, size):
-    """`load_pull_coeff` and `consensus_weight` at the loads 0..size-1."""
-    return load_pull_coeff(np.arange(size), params), consensus_weight(np.arange(size), params)
-
-
-# ---------------------------------------------------------------------------
 # vectorized force evaluation (used by the simulation loop)
 # ---------------------------------------------------------------------------
 
-def flock_accelerations(positions, velocities, loads, alive, modes,
-                        goal_a, goal_b, centroids, adjacency,
-                        params: ControlParams):
-    """Accelerations for all agents at once; dead agents get zero.
+@lru_cache(maxsize=64)
+def load_tables(params: ControlParams, size):
+    """The load coefficients ``(pull, weight)`` at the loads 0..size-1.
+
+    pull = a * (1 - bump(sigma((load - n_max)^+) / sigma(n_max), 0, 1)) draws
+    agents toward a neighbour serving beyond capacity, saturating at `a`;
+    weight = 1 - bump(sigma((n_max - load)^+) / sigma(n_max), 0, 1) gates an
+    agent's velocity consensus: 1 when idle, 0 at capacity.
+    """
+    loads = np.arange(size, dtype=float)
+    scale = sigma_scalar(params.n_max, params.epsilon)
+    excess = sigma_scalar(np.maximum(loads - params.n_max, 0.0), params.epsilon) / scale
+    headroom = sigma_scalar(np.maximum(params.n_max - loads, 0.0), params.epsilon) / scale
+    return params.a * (1.0 - bump(excess, 0.0, 1.0)), 1.0 - bump(headroom, 0.0, 1.0)
+
+
+def flock_accelerations(world, adjacency, loads, params: ControlParams):
+    """Accelerations u = f + g + h of every agent of `world`; dead agents get +0.0.
 
     `adjacency` holds the graph of the alive agents as the int32 CSR arrays
-    ``(indptr, indices)`` that :func:`world.adjacency_matrix` gives. The
-    spacing, load and velocity-consensus terms are evaluated on its pairs
-    only, in row-major order, and summed per agent in neighbour id order, so
-    the result equals, bit for bit, the reference law u = f + g + h summed
-    agent by agent in ``tests/oracles.py``. The load coefficients are read
-    from :func:`load_tables` at the loads clipped to 2 * n_max, past which
-    both are constant.
-
-    Over E pairs, the (E, 2) difference q_j - q_i lives only until the
-    squared distances are taken. After the potentials, the pushes and the
-    velocity differences are gathered again one coordinate at a time as
-    contiguous (E,) arrays, which bincount sums without a column copy.
+    ``(indptr, indices)`` that :func:`world.adjacency_matrix` gives, and
+    `loads` the users each agent serves. The spacing, load and
+    velocity-consensus terms are summed over the graph's pairs per agent in
+    neighbour id order, and each alive agent's goal term is added last, so
+    the result equals, bit for bit, the law summed agent by agent in
+    ``tests/oracles.py``. The load coefficients are read from one
+    :func:`load_tables` at the loads clipped to 2 * n_max, past which both
+    are constant.
     """
+    positions, velocities = world.map_pos, world.map_vel
     n = len(positions)
     eps = params.epsilon
     # sized by the largest load, never by n_max alone: the next power of two
@@ -170,7 +149,7 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     indptr, indices = adjacency
     # as agent ids, row-major, in intp: bincount and the gathers would copy
     # int32 ids to intp at every call
-    ids = np.flatnonzero(alive)
+    ids = np.flatnonzero(world.alive)
     i, j = np.repeat(ids, np.diff(indptr)), ids[indices]
     del ids
     # each pair-sized temporary is updated in place, or freed after its last use
@@ -188,9 +167,8 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
     coeff += pull[clipped][j]
     coeff *= np.divide(1.0, root, out=root)             # grad = diff / root
     del root
-    # the pushes (q_j - q_i) * coeff and the velocity differences v_j - v_i,
-    # one coordinate at a time; bincount sums each agent's pairs in j order,
-    # as the per-agent loop does
+    # per coordinate, bincount sums each agent's pushes (q_j - q_i) * coeff
+    # and velocity differences v_j - v_i in j order, as the per-agent law does
     gain = weight[clipped]
     u = np.empty((n, 2))
     for k in range(2):
@@ -206,19 +184,22 @@ def flock_accelerations(positions, velocities, loads, alive, modes,
         del dv
     del coeff, i, j
 
-    point = alive & (modes != MODE_BRIDGE)
-    if np.any(point):
-        tgt = centroids[goal_a[point]]
-        u[point] += params.c1 * (tgt - positions[point]) - params.c2 * velocities[point]
-    bridge = alive & (modes == MODE_BRIDGE)
-    if np.any(bridge):
-        da = centroids[goal_a[bridge]] - positions[bridge]
-        db = centroids[goal_b[bridge]] - positions[bridge]
+    # the goal terms of the alive agents: c1 (c_a - q), or on a bridge
+    # k (da sa + db sb) with d = c - q, then the damping - c2 v
+    ids = np.flatnonzero(world.alive)
+    h = np.take(world.centroids, np.take(world.goal_a, ids), axis=0)
+    h -= np.take(positions, ids, axis=0)
+    bridge = np.flatnonzero(np.take(world.mode, ids) == MODE_BRIDGE)
+    da = h[bridge]
+    h *= params.c1
+    if bridge.size:
+        db = np.take(world.centroids, np.take(world.goal_b, ids[bridge]), axis=0)
+        db -= np.take(positions, ids[bridge], axis=0)
         sa = sigma_grad_scale(np.einsum("ij,ij->i", da, da), eps)[:, None]
         sb = sigma_grad_scale(np.einsum("ij,ij->i", db, db), eps)[:, None]
-        u[bridge] += params.k * (da * sa + db * sb) - params.c2 * velocities[bridge]
-
-    u[~alive] = 0.0
+        h[bridge] = params.k * (da * sa + db * sb)
+    h -= params.c2 * np.take(velocities, ids, axis=0)
+    u[ids] += h
     return u
 
 

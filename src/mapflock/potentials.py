@@ -7,12 +7,8 @@ potential gradients. The pairwise action potential combines a finite-range
 smooth cutoff (``bump``) with an uneven sigmoid (``phi_uneven``) whose root
 sits at the desired agent spacing.
 
-Every function here is pure and accepts scalars or numpy arrays.
-:func:`bump` and :func:`phi_uneven` copy their argument and compute in
-place in the copy. :func:`phi_action` runs the sigmoid in one buffer it
-owns, ``z - d_sigma``, and the range gate in a second, ``z / r_sigma``,
-through the same in-place helpers, so a call over P pairs holds two
-P-sized float arrays and the gate's P-sized bool masks at once.
+Every function here is pure: it accepts scalars or numpy arrays and
+never writes to its argument.
 """
 
 import numpy as np

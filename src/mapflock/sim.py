@@ -115,14 +115,6 @@ class RunResult:
     def final(self) -> MetricsSample:
         return self.samples[-1]
 
-    def coverage_series(self):
-        return (np.array([s.t for s in self.samples]),
-                np.array([s.coverage_ratio for s in self.samples]))
-
-    def fiedler_series(self):
-        return (np.array([s.t for s in self.samples]),
-                np.array([s.fiedler for s in self.samples]))
-
 
 @dataclass
 class Observation:
@@ -214,9 +206,7 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     changes = ctl.switch_modes(world, loads, cov, thresholds, params.r)
 
     # 4-5: forces from the shared pre-step snapshot, then integration
-    accel = ctl.flock_accelerations(world.map_pos, world.map_vel, loads,
-                                    world.alive, world.mode, world.goal_a,
-                                    world.goal_b, world.centroids, obs.adjacency, params)
+    accel = ctl.flock_accelerations(world, obs.adjacency, loads, params)
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities

@@ -34,7 +34,14 @@
   :func:`closed_form_phi_action` -- the range gate as two nested
   ``np.where``s, the uneven sigmoid as one expression and the action
   potential as gate times sigmoid; the library computes each in place.
-  The force oracles below call these, not ``mapflock.potentials``.
+  :func:`closed_form_load_pull` and :func:`closed_form_consensus_weight`
+  -- the two load coefficients, each one expression over
+  :func:`closed_form_bump`; the library reads them from tables at integer
+  loads. The force oracles below call these, never ``bump`` or
+  ``phi_action`` of ``mapflock.potentials``.
+* :func:`kernel_world` -- a ``World`` that holds only the arrays the force
+  kernel reads, so that tests can hand the array oracles' inputs to
+  ``control.flock_accelerations``.
 * :func:`control_input` and its terms :func:`attract_repulse`,
   :func:`velocity_consensus`, :func:`goal_term_point` and
   :func:`goal_term_bridge` -- the control law u = f + g + h for one agent,
@@ -52,7 +59,7 @@ from scipy.sparse import csr_matrix
 
 from mapflock import control as ctl
 from mapflock.association import Assignment, cluster_coverages
-from mapflock.control import MODE_BRIDGE, ControlParams, consensus_weight, load_pull_coeff
+from mapflock.control import MODE_BRIDGE, ControlParams
 from mapflock.netgraph import cluster_mst
 from mapflock.potentials import sigma_grad_scale, sigma_scalar
 from mapflock.sim import (
@@ -63,7 +70,7 @@ from mapflock.sim import (
     euler_update,
     inject_failures,
 )
-from mapflock.world import generate_scenario
+from mapflock.world import World, generate_scenario
 
 
 def power_score_assign(msd_pos, map_pos, map_height, alive, rho, eta, comm_range):
@@ -190,6 +197,32 @@ def closed_form_phi_action(z_sigma, params):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def closed_form_load_pull(load_j, params):
+    """a * (1 - bump(sigma((load_j - n_max)^+) / sigma(n_max), 0, 1)): zero at
+    or under capacity, saturating at `a`."""
+    excess = np.maximum(np.asarray(load_j, dtype=float) - params.n_max, 0.0)
+    ratio = sigma_scalar(excess, params.epsilon) / sigma_scalar(params.n_max, params.epsilon)
+    return params.a * (1.0 - closed_form_bump(ratio, 0.0, 1.0))
+
+
+def closed_form_consensus_weight(load_i, params):
+    """1 - bump(sigma((n_max - load_i)^+) / sigma(n_max), 0, 1): one for an
+    idle agent, zero for one at capacity."""
+    headroom = np.maximum(params.n_max - np.asarray(load_i, dtype=float), 0.0)
+    ratio = sigma_scalar(headroom, params.epsilon) / sigma_scalar(params.n_max, params.epsilon)
+    return 1.0 - closed_form_bump(ratio, 0.0, 1.0)
+
+
+def kernel_world(positions, velocities, alive, modes, goal_a, goal_b, centroids):
+    """A ``World`` around the given arrays, not copies of them, with no users."""
+    n, k = len(positions), len(centroids)
+    return World(centroids=centroids, msd_pos=np.zeros((0, 2)), msd_cluster=np.zeros(0, int),
+                 map_pos=positions, map_vel=velocities, map_height=0.0, alive=alive,
+                 mode=modes, goal_a=goal_a, goal_b=goal_b,
+                 achieved=np.zeros((n, k), dtype=bool), user_table=None,
+                 cluster_users=np.zeros(k, int), user_extent=0.0)
+
+
 def dense_flock_accelerations(positions, velocities, loads, alive, modes,
                               goal_a, goal_b, centroids, adjacency,
                               params: ControlParams):
@@ -203,14 +236,14 @@ def dense_flock_accelerations(positions, velocities, loads, alive, modes,
     del root
 
     phi = closed_form_phi_action(z_sigma, params)
-    coeff = (phi + load_pull_coeff(loads, params)[None, :]) * adjacency
+    coeff = (phi + closed_form_load_pull(loads, params)[None, :]) * adjacency
     f = np.einsum("ij,ijk->ik", coeff * scale, diff)
 
     # each row's terms v_j - v_i added in column order, as the per-agent law adds them
     g = np.zeros_like(velocities)
     for j in range(len(velocities)):
         g += adjacency[:, j, None] * (velocities[j] - velocities)
-    g *= consensus_weight(loads, params)[:, None]
+    g *= closed_form_consensus_weight(loads, params)[:, None]
 
     h = np.zeros_like(positions)
     point = alive & (modes != MODE_BRIDGE)
@@ -331,7 +364,7 @@ def attract_repulse(i, positions, loads, neighbor_ids, params: ControlParams):
         dq = positions[j] - qi
         nsq = float(dq @ dq)
         z_sigma = sigma_scalar(math.sqrt(nsq), params.epsilon)
-        coeff = closed_form_phi_action(z_sigma, params) + load_pull_coeff(loads[j], params)
+        coeff = closed_form_phi_action(z_sigma, params) + closed_form_load_pull(loads[j], params)
         out += coeff * dq * sigma_grad_scale(nsq, params.epsilon)
     return out
 
@@ -341,7 +374,7 @@ def velocity_consensus(i, velocities, loads, neighbor_ids, params: ControlParams
     out = np.zeros(2)
     for j in neighbor_ids:
         out += velocities[j] - velocities[i]
-    return consensus_weight(loads[i], params) * out
+    return closed_form_consensus_weight(loads[i], params) * out
 
 
 def goal_term_point(pos_i, vel_i, target, params: ControlParams):

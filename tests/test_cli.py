@@ -146,6 +146,18 @@ class TestUsageErrors:
             assert captured.out == ""
             assert not out_dir.exists()    # nothing ran
 
+    def test_sweep_points_sharing_a_name(self, config_path, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        for argv, names in (
+                (["sweep-maps", config_path, "--counts", "6", "8", "6"], "maps_6 maps_8 maps_6"),
+                (["sweep-failure", config_path, "--fractions", "0.1", "0.1000001", "--at", "1"],
+                 "failure_0.1 failure_0.1")):
+            assert cli_main([*argv, "--out-dir", str(out_dir)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: sweep point names must be distinct, got {names}\n"
+            assert captured.out == ""
+            assert not out_dir.exists()    # nothing ran
+
 
 class TestSweeps:
     def test_sweep_maps_layout(self, config_path, tmp_path):

@@ -12,9 +12,7 @@ from mapflock.control import (
     MODE_STATIC,
     ControlParams,
     ModeThresholds,
-    consensus_weight,
     flock_accelerations,
-    load_pull_coeff,
     load_tables,
     mode_switch,
     required_relays,
@@ -24,6 +22,8 @@ from mapflock.control import (
 from mapflock.world import ScenarioConfig, adjacency_matrix, agent_tree, generate_scenario
 from oracles import (
     attract_repulse,
+    closed_form_consensus_weight,
+    closed_form_load_pull,
     control_input,
     csr_pairs,
     dense_flock_accelerations,
@@ -31,6 +31,7 @@ from oracles import (
     goal_rows,
     goal_term_bridge,
     goal_term_point,
+    kernel_world,
     velocity_consensus,
 )
 
@@ -73,22 +74,24 @@ class TestSpacingForce:
         assert f[0] > 0.0          # attracted toward the overloaded neighbor
 
     def test_load_pull_coeff_bounds(self):
-        assert load_pull_coeff(0, PARAMS) == 0.0
-        assert load_pull_coeff(PARAMS.n_max, PARAMS) == 0.0
-        partial = load_pull_coeff(PARAMS.n_max + 30, PARAMS)
+        pull = load_tables(PARAMS, 2 * PARAMS.n_max + 1)[0]
+        assert pull[0] == 0.0
+        assert pull[PARAMS.n_max] == 0.0
+        partial = pull[PARAMS.n_max + 30]
         assert 0.0 < partial < PARAMS.a
         # monotone in the neighbor's excess load
-        assert partial < load_pull_coeff(PARAMS.n_max + 60, PARAMS)
+        assert partial < pull[PARAMS.n_max + 60]
 
 
 class TestConsensus:
     def test_weight_extremes(self):
         # idle agent fully matches neighbors; one at capacity ignores them
-        assert consensus_weight(0, PARAMS) == 1.0
-        assert consensus_weight(PARAMS.n_max, PARAMS) == 0.0
+        weight = load_tables(PARAMS, PARAMS.n_max + 1)[1]
+        assert weight[0] == 1.0
+        assert weight[PARAMS.n_max] == 0.0
 
     def test_weight_monotone_in_load(self):
-        w = [consensus_weight(n, PARAMS) for n in range(0, PARAMS.n_max + 1, 10)]
+        w = load_tables(PARAMS, PARAMS.n_max + 1)[1][::10].tolist()
         assert all(x >= y - 1e-12 for x, y in zip(w, w[1:]))
 
     def test_matches_neighbor_velocity_sum(self):
@@ -122,15 +125,15 @@ class TestLoadTables:
         for top in (0, 1, 2, 3, 5, n_max, 2 * n_max, len(loads) - 1):
             some = np.r_[loads[loads <= top], beyond].astype(int)
             pull, weight = table_lookup(some, params)
-            np.testing.assert_array_equal(pull, load_pull_coeff(some, params))
-            np.testing.assert_array_equal(weight, consensus_weight(some, params))
+            np.testing.assert_array_equal(pull, closed_form_load_pull(some, params))
+            np.testing.assert_array_equal(weight, closed_form_consensus_weight(some, params))
 
     def test_constant_past_twice_capacity(self):
         for n_max in (1, 80):
             params = replace(PARAMS, n_max=n_max)
             far = np.array([2 * n_max, 2 * n_max + 1, 10**9, 2**62])
-            np.testing.assert_array_equal(load_pull_coeff(far, params), params.a)
-            np.testing.assert_array_equal(consensus_weight(far, params), 0.0)
+            np.testing.assert_array_equal(closed_form_load_pull(far, params), params.a)
+            np.testing.assert_array_equal(closed_form_consensus_weight(far, params), 0.0)
 
     def test_huge_capacity_sizes_tables_by_loads(self):
         params = replace(PARAMS, n_max=10**9)
@@ -139,10 +142,11 @@ class TestLoadTables:
         loads = rng.multinomial(2000, np.full(80, 1 / 80))
         loads[3] = 2000
         adj = adjacency_matrix(agent_tree(pos, alive), params.r)
+        world = kernel_world(pos, vel, alive, modes, ga, gb, cent)
         load_tables.cache_clear()
         tracemalloc.start()
         try:
-            flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent, adj, params)
+            flock_accelerations(world, adj, loads, params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -153,8 +157,8 @@ class TestLoadTables:
         loads = np.arange(40)
         for params in (PARAMS, small, PARAMS, small):
             pull, weight = table_lookup(loads, params)
-            np.testing.assert_array_equal(pull, load_pull_coeff(loads, params))
-            np.testing.assert_array_equal(weight, consensus_weight(loads, params))
+            np.testing.assert_array_equal(pull, closed_form_load_pull(loads, params))
+            np.testing.assert_array_equal(weight, closed_form_consensus_weight(loads, params))
         assert not np.array_equal(load_tables(small, 64)[0], load_tables(PARAMS, 64)[0])
 
     def test_forces_at_extreme_loads_match_oracle(self):
@@ -167,10 +171,12 @@ class TestLoadTables:
         dense[ids[rows], ids[cols]] = True
         for loads in (np.zeros(30, int), rng.integers(0, 3 * PARAMS.n_max, 30),
                       rng.choice([0, PARAMS.n_max, 10**12], 30)):
-            np.testing.assert_array_equal(
-                flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent, adj, PARAMS),
-                dense_flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent, dense,
-                                          PARAMS))
+            got = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent), adj,
+                                      loads, PARAMS)
+            want = dense_flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent, dense,
+                                             PARAMS)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestDerivedConstants:
@@ -255,8 +261,8 @@ class TestVectorizedAgreement:
             ids = np.flatnonzero(alive)
             rows, cols = csr_pairs(*adj)
             nb = [ids[cols[ids[rows] == i]] for i in range(n)]
-            u = flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent,
-                                    adj, PARAMS)
+            u = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent), adj,
+                                    loads, PARAMS)
             for i in range(n):
                 if not alive[i]:
                     np.testing.assert_array_equal(u[i], 0.0)
@@ -270,14 +276,35 @@ class TestVectorizedAgreement:
         rng = np.random.default_rng(19)
         pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, 12)
         adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
-        u = flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent,
-                                adj, PARAMS)
+        u = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent), adj,
+                                loads, PARAMS)
         shift = np.array([37.5, -12.25])
         moved = pos + shift
         adj2 = adjacency_matrix(agent_tree(moved, alive), PARAMS.r)
-        u2 = flock_accelerations(moved, vel, loads, alive, modes, ga, gb,
-                                 cent + shift, adj2, PARAMS)
+        u2 = flock_accelerations(kernel_world(moved, vel, alive, modes, ga, gb, cent + shift),
+                                 adj2, loads, PARAMS)
         np.testing.assert_allclose(u2, u, atol=1e-9)
+
+    def test_dead_agents_fields_are_never_read(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, n)
+            alive[0] = False
+            dead = ~alive
+            adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
+            want = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent), adj,
+                                       loads, PARAMS)
+            bad_pos, bad_vel, bad_a, bad_b = pos.copy(), vel.copy(), ga.copy(), gb.copy()
+            bad_pos[dead] = bad_vel[dead] = np.nan
+            bad_a[dead] = bad_b[dead] = len(cent) + 5
+            for mode in (MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC):
+                bad = kernel_world(bad_pos, bad_vel, alive, np.where(dead, mode, modes),
+                                   bad_a, bad_b, cent)
+                got = flock_accelerations(bad, adj, loads, PARAMS)
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+                assert np.all(got[dead] == 0.0) and not np.any(np.signbit(got[dead]))
 
     def test_dead_agent_reference_rejected(self):
         pos = np.zeros((2, 2))

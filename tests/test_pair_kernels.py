@@ -31,6 +31,7 @@ from oracles import (
     dense_flock_accelerations,
     goal_rows,
     goal_sets,
+    kernel_world,
     loop_share_achieved_goals,
     scan_connected_components,
 )
@@ -151,11 +152,10 @@ def components_via_scan(n, indptr, indices):
     return scan_connected_components(pair_matrix(n, *csr_pairs(indptr, indices)))
 
 
-def accelerations_via_dense(positions, velocities, loads, alive, modes, goal_a, goal_b,
-                            centroids, adjacency, params):
-    return dense_flock_accelerations(positions, velocities, loads, alive, modes, goal_a,
-                                     goal_b, centroids, id_matrix(alive, *csr_pairs(*adjacency)),
-                                     params)
+def accelerations_via_dense(world, adjacency, loads, params):
+    return dense_flock_accelerations(world.map_pos, world.map_vel, loads, world.alive,
+                                     world.mode, world.goal_a, world.goal_b, world.centroids,
+                                     id_matrix(world.alive, *csr_pairs(*adjacency)), params)
 
 
 @pytest.mark.parametrize("name, users, agents, alive", SNAPSHOTS, ids=IDS)
@@ -201,15 +201,15 @@ class TestAgainstDenseOracles:
         n = len(agents)
         params = ControlParams()
         centroids = np.array([[0.0, 0.0], [145.0, 0.0], [0.0, 145.0]])
-        args = (agents, rng.normal(0, 3, size=(n, 2)),
-                rng.integers(0, 2 * params.n_max, size=n), alive,
-                rng.choice([MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC], size=n),
-                rng.integers(0, 2, size=n), np.full(n, 2), centroids)
+        vel, loads = rng.normal(0, 3, size=(n, 2)), rng.integers(0, 2 * params.n_max, size=n)
+        agent_state = (alive, rng.choice([MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC], size=n),
+                       rng.integers(0, 2, size=n), np.full(n, 2), centroids)
         graph = adjacency_matrix(agent_tree(agents, alive), params.r)
-        np.testing.assert_array_equal(
-            flock_accelerations(*args, graph, params),
-            dense_flock_accelerations(*args, dense_adjacency_matrix(agents, alive, params.r),
-                                      params))
+        got = flock_accelerations(kernel_world(agents, vel, *agent_state), graph, loads, params)
+        want = dense_flock_accelerations(agents, vel, loads, *agent_state,
+                                         dense_adjacency_matrix(agents, alive, params.r), params)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestEmptyGraphs:

@@ -31,7 +31,7 @@ from mapflock.world import (
     agent_tree,
     generate_scenario,
 )
-from oracles import attract_repulse, csr_pairs
+from oracles import attract_repulse, csr_pairs, kernel_world
 
 PARAMS = ControlParams()
 
@@ -141,8 +141,7 @@ class TestRun:
         res = run(small_config(t_end=3.0, dt=0.1))
         assert len(res.samples) == 31
         assert len(res.mode_changes) == 30
-        t, cov = res.coverage_series()
-        np.testing.assert_allclose(t, np.arange(31) * 0.1)
+        np.testing.assert_allclose([s.t for s in res.samples], np.arange(31) * 0.1)
         assert res.final is res.samples[-1]
         assert res.final.t == pytest.approx(3.0)
 
@@ -309,9 +308,7 @@ class TestStepMemory:
     def test_force_kernel_peak_is_bounded(self):
         cfg, w, obs = self.world_and_observation()     # 2692 pairs at t = 0
         peak = self.peak_above_entry(
-            lambda: flock_accelerations(w.map_pos, w.map_vel, obs.assignment.loads, w.alive,
-                                        w.mode, w.goal_a, w.goal_b, w.centroids,
-                                        obs.adjacency, cfg.control))
+            lambda: flock_accelerations(w, obs.adjacency, obs.assignment.loads, cfg.control))
         assert peak < 0.16 * 2**20
 
 
@@ -328,10 +325,10 @@ class TestLoneAgentStability:
     def goal_distance(self, dt, steps):
         pos, vel = np.array([[10.0, -5.0]]), np.zeros((1, 2))
         alive, one = np.ones(1, bool), np.zeros(1, int)
+        world = kernel_world(pos, vel, alive, one + MODE_DYNAMIC, one, one - 1, np.zeros((1, 2)))
         for _ in range(steps):
-            accel = flock_accelerations(pos, vel, one, alive, one + MODE_DYNAMIC, one,
-                                        one - 1, np.zeros((1, 2)),
-                                        (np.zeros(2, np.int32), np.zeros(0, np.int32)), PARAMS)
+            accel = flock_accelerations(world, (np.zeros(2, np.int32), np.zeros(0, np.int32)),
+                                        one, PARAMS)
             euler_update(pos, vel, accel, alive, dt)
         return float(np.hypot(*pos[0]))
 
