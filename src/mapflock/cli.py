@@ -65,19 +65,21 @@ def _build_parser():
 
 
 def _sweep(args, base, values, make_config, label):
-    """Run replicate seeds per sweep point and write per-run + mean outputs."""
+    """Run replicate seeds per sweep point and write per-run + mean outputs;
+    every config is built first, so a bad point stops the sweep unwritten."""
     names = [f"{label}_{value:g}" for value in values]
     if len(set(names)) < len(names):
         print(f"error: sweep point names must be distinct, got {' '.join(names)}", file=sys.stderr)
         return 2
     first = base.seed if args.seed is None else args.seed
     seeds = [first + k for k in range(args.replicates)]
+    configs = [[make_config(value, seed) for seed in seeds] for value in values]
     os.makedirs(args.out_dir, exist_ok=True)
     lines = []
-    for name, value in zip(names, values):
+    for name, point in zip(names, configs):
         finals_rc, finals_lam = [], []
-        for seed in seeds:
-            result = run(make_config(value, seed))
+        for seed, config in zip(seeds, point):
+            result = run(config)
             write_run_outputs(result, os.path.join(args.out_dir, name, f"seed_{seed}"))
             finals_rc.append(result.final.coverage_ratio)
             finals_lam.append(result.final.fiedler)

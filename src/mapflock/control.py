@@ -137,26 +137,30 @@ def flock_accelerations(world, adjacency, loads, params: ControlParams):
     ``tests/oracles.py``. The load coefficients are read from one
     :func:`load_tables` at the loads clipped to 2 * n_max, past which both
     are constant.
+
+    Buffers: no pair-id array is held. Each pair quantity is taken per
+    coordinate from the CSR arrays, and each ``bincount``'s row ids are made
+    just before it; the kernel holds at most three pair-sized arrays at
+    once, and the action potential two of its own.
     """
     positions, velocities = world.map_pos, world.map_vel
     n = len(positions)
     eps = params.epsilon
-    # sized by the largest load, never by n_max alone: the next power of two
-    # above it, at most 2 * n_max + 1 entries
-    last = min(1 << int(loads.max(initial=0)).bit_length(), 2 * params.n_max + 1) - 1
-    pull, weight = load_tables(params, last + 1)
-    clipped = np.minimum(loads, last)
     indptr, indices = adjacency
-    # as agent ids, row-major, in intp: bincount and the gathers would copy
-    # int32 ids to intp at every call
     ids = np.flatnonzero(world.alive)
-    i, j = np.repeat(ids, np.diff(indptr)), ids[indices]
-    del ids
-    # each pair-sized temporary is updated in place, or freed after its last use
-    diff = np.take(positions, j, axis=0).astype(float, copy=False)
-    diff -= np.take(positions, i, axis=0)               # q_j - q_i
-    root = np.einsum("ij,ij->i", diff, diff)
-    del diff
+    degree = np.diff(indptr)
+
+    def pair_diff(x):
+        """x_j - x_i over the pairs, for a column x of every agent."""
+        xa = x[ids]
+        d = xa[indices]
+        d -= np.repeat(xa, degree)
+        return d
+
+    def row_sums(w):
+        return np.bincount(np.repeat(ids, degree), w, minlength=n)
+
+    root = np.square(pair_diff(positions[:, 0])) + np.square(pair_diff(positions[:, 1]))
     root *= eps
     root += 1.0
     np.sqrt(root, out=root)
@@ -164,29 +168,27 @@ def flock_accelerations(world, adjacency, loads, params: ControlParams):
     z /= eps
     coeff = phi_action(z, params)                       # phi at the sigma distance
     del z
-    coeff += pull[clipped][j]
+    # sized by the largest load, never by n_max alone: the next power of two
+    # above it, at most 2 * n_max + 1 entries
+    last = min(1 << int(loads.max(initial=0)).bit_length(), 2 * params.n_max + 1) - 1
+    pull, weight = load_tables(params, last + 1)
+    clipped = np.minimum(loads, last)
+    coeff += pull[clipped[ids]][indices]
     coeff *= np.divide(1.0, root, out=root)             # grad = diff / root
     del root
-    # per coordinate, bincount sums each agent's pushes (q_j - q_i) * coeff
-    # and velocity differences v_j - v_i in j order, as the per-agent law does
-    gain = weight[clipped]
+    # per coordinate, bincount sums each agent's pushes (q_j - q_i) * coeff,
+    # then its velocity differences v_j - v_i, in j order, as the per-agent
+    # law does; the pushes come first, so coeff is freed before the consensus
     u = np.empty((n, 2))
     for k in range(2):
-        q, v = positions[:, k], velocities[:, k]
-        push = q[j].astype(float, copy=False)
-        push -= q[i]
-        push *= coeff
-        u[:, k] = np.bincount(i, push, minlength=n)
-        del push
-        dv = v[j]
-        dv -= v[i]
-        u[:, k] += gain * np.bincount(i, dv, minlength=n)
-        del dv
-    del coeff, i, j
+        u[:, k] = row_sums(pair_diff(positions[:, k]) * coeff)
+    del coeff
+    gain = weight[clipped]
+    for k in range(2):
+        u[:, k] += gain * row_sums(pair_diff(velocities[:, k]))
 
     # the goal terms of the alive agents: c1 (c_a - q), or on a bridge
     # k (da sa + db sb) with d = c - q, then the damping - c2 v
-    ids = np.flatnonzero(world.alive)
     h = np.take(world.centroids, np.take(world.goal_a, ids), axis=0)
     h -= np.take(positions, ids, axis=0)
     bridge = np.flatnonzero(np.take(world.mode, ids) == MODE_BRIDGE)

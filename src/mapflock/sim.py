@@ -21,13 +21,15 @@ One step executes, in order:
    agents it can change: roaming agents whose goal is covered above r0,
 4. control forces for every alive agent from the common pre-step
    position/velocity/load snapshot: the pairwise spacing, load and
-   velocity-consensus terms, summed over the graph's pairs only,
+   velocity-consensus terms, summed over the graph's pairs only; the
+   pre-step observation is released after them,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
-   (q moves with the new v), then the step-boundary guard, whose scene
-   extent is the world's largest user coordinate, fixed for the run,
-6. the observation of the post-step state: the step's metrics (the Fiedler
-   value from the Laplacian that its CSR arrays fill in) and the next
-   step's start.
+   (q moves with the new v), in place, writing the alive agents' rows
+   only; the accelerations are released, then the step-boundary guard,
+   whose scene extent is the world's largest user coordinate, runs,
+6. the observation of the post-step state, the only graph then live: the
+   step's metrics (the Fiedler value from the Laplacian that its CSR
+   arrays fill in) and the next step's start.
 
 A run that records trajectories allocates one :class:`Trajectory` for all
 its samples up front, and each sample copies the agents' arrays into its
@@ -178,9 +180,12 @@ def share_achieved_goals(world: World, labels):
 
 
 def euler_update(pos, vel, accel, alive, dt):
-    """Semi-implicit Euler in place: v += u*dt, then q += v*dt with the new v."""
-    vel[alive] += accel[alive] * dt
-    pos[alive] += vel[alive] * dt
+    """Semi-implicit Euler in place: v += u*dt, then q += v*dt with the new v, on
+    the alive rows only, per coordinate through one (n,) buffer; `accel` is read only."""
+    buf = np.empty(len(alive))
+    for a, v, q in zip(accel.T, vel.T, pos.T):
+        np.add(v, np.multiply(a, dt, out=buf, where=alive), out=v, where=alive)
+        np.add(q, np.multiply(v, dt, out=buf, where=alive), out=q, where=alive)
 
 
 def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds,
@@ -189,25 +194,27 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
 
     `obs` is the observation of the current state, as the previous step
     returned it; None observes the state afresh. The step takes `obs` over
-    and drops its component labels once it has used them. Returns (sample,
+    and sets each field to None once it has used it. Returns (sample,
     mode_change_count, observation of the new state).
     """
     # 1: observation of the pre-step state
     if obs is None:
         obs = observe(world, params)
-    loads, cov = obs.assignment.loads, obs.cluster_coverage
 
-    # 2: idealized information sharing per connected component; the labels
-    # have no later use, so they are not held through the rest of the step
+    # 2: idealized information sharing per connected component; then the labels go
     share_achieved_goals(world, obs.labels)
     obs.labels = None
 
     # 3: mode machine, in id order, for the agents it can change
-    changes = ctl.switch_modes(world, loads, cov, thresholds, params.r)
+    changes = ctl.switch_modes(world, obs.assignment.loads, obs.cluster_coverage, thresholds,
+                               params.r)
 
-    # 4-5: forces from the shared pre-step snapshot, then integration
-    accel = ctl.flock_accelerations(world, obs.adjacency, loads, params)
+    # 4-5: forces from the shared pre-step snapshot, then integration; what
+    # they consumed is released before the post-step state is observed
+    accel = ctl.flock_accelerations(world, obs.adjacency, obs.assignment.loads, params)
+    obs.assignment = obs.cluster_coverage = obs.adjacency = None
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
+    del accel
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities
     bound = min(DIVERGED_EXTENTS * (world.user_extent + params.r), MAX_COORDINATE)

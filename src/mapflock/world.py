@@ -41,9 +41,9 @@ class World:
     map_vel: np.ndarray           # (L, 2)
     map_height: float
     alive: np.ndarray             # (L,) bool
-    mode: np.ndarray              # (L,) int, see control.MODE_*
-    goal_a: np.ndarray            # (L,) cluster id (target, or first bridge endpoint)
-    goal_b: np.ndarray            # (L,) second bridge endpoint, -1 otherwise
+    mode: np.ndarray              # (L,) int8, see control.MODE_*
+    goal_a: np.ndarray            # (L,) int32 cluster id (target, or first bridge endpoint)
+    goal_b: np.ndarray            # (L,) int32 second bridge endpoint, -1 otherwise
     achieved: np.ndarray          # (L, K) bool, the goals each agent knows are covered
     # fixed for the run, since users never move; generate_scenario computes them once
     user_table: cKDTree           # the users' k-d tree, for matching
@@ -145,7 +145,7 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
     # a running minimum over the centers in O(L) memory, where a strict < keeps
     # an exact tie on the first center, as argmin does
     n = config.map_count
-    goal_a = np.zeros(n, dtype=int)
+    goal_a = np.zeros(n, dtype=np.int32)
     nearest = np.full(n, np.inf)
     x, y = map_pos.T
     for k, (cx, cy) in enumerate(centroids.tolist()):
@@ -162,9 +162,9 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
         map_vel=map_vel,
         map_height=config.map_height,
         alive=np.ones(n, dtype=bool),
-        mode=np.full(n, MODE_DYNAMIC, dtype=int),
+        mode=np.full(n, MODE_DYNAMIC, dtype=np.int8),
         goal_a=goal_a,
-        goal_b=np.full(n, -1, dtype=int),
+        goal_b=np.full(n, -1, dtype=np.int32),
         achieved=np.zeros((n, len(centroids)), dtype=bool),
         user_table=user_table(msd_pos),
         cluster_users=np.bincount(msd_cluster, minlength=len(centroids)),

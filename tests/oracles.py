@@ -7,7 +7,11 @@
   that needs them instead of carrying one observation forward, and visits
   every alive agent with the mode machine's rule written out per agent
   before it calls ``control.mode_switch``; it calls the dense kernels
-  below, not the library's pair kernels.
+  below, not the library's pair kernels, and :func:`masked_euler_update`,
+  not the library's integrator.
+* :func:`masked_euler_update` -- semi-implicit Euler by boolean-mask
+  gathers and scatters of the alive rows; the library updates in place
+  with masked ufuncs.
 * :func:`scan_cluster_coverages` -- per-cluster coverage by one scan of
   the users per cluster.
 * :func:`brute_force_spanning_tree` -- the clusters' spanning tree as the
@@ -67,7 +71,6 @@ from mapflock.sim import (
     RunResult,
     SimulationDiverged,
     detect_convergence,
-    euler_update,
     inject_failures,
 )
 from mapflock.world import World, generate_scenario
@@ -448,6 +451,13 @@ def _share_achieved_goals(world, adjacency):
         _union_rows(world.achieved, ids[labels == comp])
 
 
+def masked_euler_update(pos, vel, accel, alive, dt):
+    """Semi-implicit Euler in place on the rows `alive` selects: v += u*dt,
+    then q += v*dt with the new v."""
+    vel[alive] += accel[alive] * dt
+    pos[alive] += vel[alive] * dt
+
+
 def _step(world, params, thresholds, dt, t_next):
     asg = dense_assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
                             params.r)
@@ -486,7 +496,7 @@ def _step(world, params, thresholds, dt, t_next):
     accel = dense_flock_accelerations(world.map_pos, world.map_vel, asg.loads,
                                       world.alive, world.mode, world.goal_a,
                                       world.goal_b, world.centroids, adj, params)
-    euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
+    masked_euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     if not (np.all(np.isfinite(world.map_pos[world.alive]))
             and np.all(np.isfinite(world.map_vel[world.alive]))):
         raise SimulationDiverged(f"non-finite state at t={t_next:.3f}")

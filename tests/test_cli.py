@@ -158,6 +158,17 @@ class TestUsageErrors:
             assert captured.out == ""
             assert not out_dir.exists()    # nothing ran
 
+    def test_bad_sweep_point_writes_nothing(self, config_path, tmp_path, capsys):
+        # the valid first point must not run before the bad second one is found
+        out_dir = tmp_path / "sweep"
+        for argv in (["sweep-maps", config_path, "--counts", "8", "0"],
+                     ["sweep-failure", config_path, "--fractions", "0.5", "1.5", "--at", "1"]):
+            assert cli_main([*argv, "--replicates", "1", "--out-dir", str(out_dir)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            assert captured.out == ""
+            assert not out_dir.exists()    # no point directory, no summary
+
 
 class TestSweeps:
     def test_sweep_maps_layout(self, config_path, tmp_path):

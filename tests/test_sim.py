@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -63,6 +64,37 @@ class TestEulerUpdate:
         euler_update(pos, vel, np.ones((2, 2)), np.array([True, False]), 0.1)
         np.testing.assert_array_equal(pos[1], 0.0)
         np.testing.assert_array_equal(vel[1], 1.0)
+
+    def test_dead_rows_bit_unchanged_and_accel_untouched(self):
+        rng = np.random.default_rng(4)
+        pos, vel, accel = rng.normal(size=(3, 6, 2))
+        alive = np.array([True, False, True, False, True, True])
+        vel[1] = [-0.0, np.nan]
+        pos[3] = [np.inf, -0.0]
+        pos0, vel0, accel0 = pos.copy(), vel.copy(), accel.copy()
+        euler_update(pos, vel, accel, alive, 0.1)
+        bits = partial(np.ndarray.view, dtype=np.uint64)
+        np.testing.assert_array_equal(bits(pos[~alive]), bits(pos0[~alive]))
+        np.testing.assert_array_equal(bits(vel[~alive]), bits(vel0[~alive]))
+        np.testing.assert_array_equal(bits(accel), bits(accel0))
+        # the alive rows, bit for bit as the update by masked gathers gives them
+        want_vel = vel0[alive] + accel0[alive] * 0.1
+        np.testing.assert_array_equal(vel[alive], want_vel)
+        np.testing.assert_array_equal(pos[alive], pos0[alive] + want_vel * 0.1)
+
+    def test_peak_is_at_most_one_state_array(self):
+        n = 10_000
+        rng = np.random.default_rng(5)
+        pos, vel, accel = rng.normal(size=(3, n, 2))
+        alive = rng.random(n) < 0.5
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            euler_update(pos, vel, accel, alive, 0.1)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= np.empty((n, 2)).nbytes
 
 
 class TestInjectFailures:
@@ -267,18 +299,15 @@ class TestMeasure:
 
 class TestStepMemory:
     """The step's working memory on a 1000-agent fleet over an 800 m field,
-    the benchmark's relay_wide scene: achieved goals are one bool array, the
-    graph is int32 CSR arrays, the force kernel frees its (E, 2) pair
-    differences before the potentials and gathers the pushes one coordinate
-    at a time, and the potentials work in buffers they own, so the
-    tracemalloc peak above the step's entry is about 0.14 MiB, nearly all of
-    it the force kernel's; with the differences held through the potentials,
-    a third pair-sized buffer in the action potential and each bincount fed
-    column copies and an int32 index it was about 0.19 MiB (0.185 MiB in the
-    kernel), with int64 pairs and the velocity differences gathered while
-    the pushes were still held about 0.22 MiB, with potentials that built
-    each intermediate anew about 0.27 MiB, and with a set per agent and
-    every pair temporary held to the end about 0.39 MiB."""
+    the benchmark's relay_wide scene (2692 directed pairs at t = 0). The
+    force kernel holds no pair-id array: it takes each pair quantity one
+    coordinate at a time from the CSR arrays, so it holds at most three
+    pair-sized arrays at once (the action potential two more of its own),
+    and it frees the potentials' coefficients before the velocity consensus.
+    The step releases the observation it took over once the forces are
+    computed and the accelerations once they are integrated, so the post-step
+    observation does not add to the kernel's peak. Bounds are tracemalloc
+    peaks above the call's entry."""
 
     def world_and_observation(self):
         cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (600.0, 0.0), (0.0, 600.0),
@@ -303,13 +332,18 @@ class TestStepMemory:
         cfg, world, obs = self.world_and_observation()
         peak = self.peak_above_entry(
             lambda: step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt, obs))
-        assert peak < 0.17 * 2**20
+        assert peak < 0.13 * 2**20
 
     def test_force_kernel_peak_is_bounded(self):
         cfg, w, obs = self.world_and_observation()     # 2692 pairs at t = 0
         peak = self.peak_above_entry(
             lambda: flock_accelerations(w, obs.adjacency, obs.assignment.loads, cfg.control))
-        assert peak < 0.16 * 2**20
+        assert peak < 0.125 * 2**20
+
+    def test_step_releases_the_observation_it_took_over(self):
+        cfg, world, obs = self.world_and_observation()
+        step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt, obs)
+        assert [getattr(obs, f.name) for f in fields(obs)] == [None] * 4
 
 
 class TestLoneAgentStability:
