@@ -45,8 +45,9 @@ def _reach(map_height, comm_range):
 
 
 def user_table(msd_pos):
-    """The users' k-d tree, for matching at any height and range."""
-    return cKDTree(msd_pos)
+    """The users' k-d tree, for matching at any height and range; built with
+    sliding-midpoint splits and unshrunk nodes, as ``world.agent_tree`` is."""
+    return cKDTree(msd_pos, balanced_tree=False, compact_nodes=False)
 
 
 def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
@@ -58,14 +59,14 @@ def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
     if comm_range <= 0:
         raise ValueError("comm_range must be positive")
     n_msds = len(msd_pos)
-    alive_ids = np.flatnonzero(alive)
+    alive_ids = alive.nonzero()[0]
     pairs = agents.sparse_distance_matrix(users, _reach(map_height, comm_range),
                                           output_type="ndarray")
     agent, user = pairs["i"], pairs["j"]
-    # np.take gathers rows of an (n, 2) array far faster than fancy indexing;
+    # take gathers rows of an (n, 2) array far faster than fancy indexing;
     # each pair-sized temporary is reused in place or freed after its last use
-    diff = np.take(msd_pos, user, axis=0).astype(float, copy=False)
-    diff -= np.take(map_pos, alive_ids[agent], axis=0)
+    diff = msd_pos.take(user, axis=0).astype(float, copy=False)
+    diff -= map_pos.take(alive_ids.take(agent), axis=0)
     d2 = np.einsum("ij,ij->i", diff, diff)
     del diff
     near = np.sqrt(d2 + map_height * map_height) <= comm_range
@@ -76,12 +77,11 @@ def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
     del d2, nearest
     best = np.full(n_msds, alive_ids.size)
     np.minimum.at(best, user[tied], agent[tied])   # lowest id wins ties
-    reachable = best < alive_ids.size
-    owner = np.full(n_msds, -1, dtype=int)
-    owner[reachable] = alive_ids[best[reachable]]
-    loads = np.bincount(owner[owner >= 0], minlength=len(map_pos))
-    coverage = float(np.count_nonzero(owner >= 0)) / n_msds if n_msds else 0.0
-    return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
+    # best = alive_ids.size (none in range) maps to owner -1, counted in slot 0
+    owner = np.concatenate((alive_ids, [-1])).take(best)
+    loads = np.bincount(owner + 1, minlength=len(map_pos) + 1)
+    coverage = (n_msds - int(loads[0])) / n_msds if n_msds else 0.0
+    return Assignment(owner=owner, loads=loads[1:], coverage_ratio=coverage)
 
 
 def cluster_coverages(assignment: Assignment, msd_cluster, cluster_users):

@@ -128,79 +128,76 @@ def load_tables(params: ControlParams, size):
 def flock_accelerations(world, adjacency, loads, params: ControlParams):
     """Accelerations u = f + g + h of every agent of `world`; dead agents get +0.0.
 
-    `adjacency` holds the graph of the alive agents as the int32 CSR arrays
-    ``(indptr, indices)`` that :func:`world.adjacency_matrix` gives, and
-    `loads` the users each agent serves. The spacing, load and
-    velocity-consensus terms are summed over the graph's pairs per agent in
-    neighbour id order, and each alive agent's goal term is added last, so
-    the result equals, bit for bit, the law summed agent by agent in
-    ``tests/oracles.py``. The load coefficients are read from one
-    :func:`load_tables` at the loads clipped to 2 * n_max, past which both
-    are constant.
-
-    Buffers: no pair-id array is held. Each pair quantity is taken per
-    coordinate from the CSR arrays, and each ``bincount``'s row ids are made
-    just before it; the kernel holds at most three pair-sized arrays at
-    once, and the action potential two of its own.
+    `adjacency` is the alive agents' graph as the int32 CSR arrays of
+    :func:`world.adjacency_matrix`, `loads` the users each agent serves; the
+    load coefficients come from one :func:`load_tables`, at the loads clipped
+    to 2 * n_max, past which both are constant. Each pair is taken once, as
+    agent ids i < j from the rows' upper halves: its distance, phi and 1/root
+    serve both its terms. Each agent sums its pushes, then its velocity
+    differences, in neighbour id order, as the per-agent law in
+    ``tests/oracles.py`` does: ``bincount`` over j adds the lower neighbours'
+    terms, negated, then ``add.at`` over i the upper ones'. As (-a)^2 = a^2,
+    (-a) c = -(a c) and a sum from +0.0 absorbs a zero's sign, the result is
+    that law's bit for bit. The goal terms are added last.
     """
     positions, velocities = world.map_pos, world.map_vel
-    n = len(positions)
-    eps = params.epsilon
-    indptr, indices = adjacency
-    ids = np.flatnonzero(world.alive)
-    degree = np.diff(indptr)
+    n, eps = len(positions), params.epsilon
+    ids = world.alive.nonzero()[0]
+    i, j = ids.repeat(np.diff(adjacency[0])), ids.take(adjacency[1])
+    upper = i < j
+    i, j = i[upper], j[upper]
 
     def pair_diff(x):
         """x_j - x_i over the pairs, for a column x of every agent."""
-        xa = x[ids]
-        d = xa[indices]
-        d -= np.repeat(xa, degree)
+        d = x.take(j)
+        d -= x.take(i)
         return d
 
-    def row_sums(w):
-        return np.bincount(np.repeat(ids, degree), w, minlength=n)
+    def pair_sums(lower, upper):
+        """Per agent in id order: the `lower` terms of its pairs as j, then the `upper` as i."""
+        out = np.bincount(j, lower, minlength=n)
+        np.add.at(out, i, upper)
+        return out
 
     root = np.square(pair_diff(positions[:, 0])) + np.square(pair_diff(positions[:, 1]))
-    root *= eps
-    root += 1.0
-    np.sqrt(root, out=root)
-    z = np.subtract(root, 1.0)
-    z /= eps
-    coeff = phi_action(z, params)                       # phi at the sigma distance
-    del z
+    root = np.sqrt(1.0 + eps * root)
+    phi = phi_action((root - 1.0) / eps, params)        # at the sigma distance
+    inv = np.divide(1.0, root, out=root)                # grad = diff / root
+    del root, upper, ids
     # sized by the largest load, never by n_max alone: the next power of two
-    # above it, at most 2 * n_max + 1 entries
+    # above it, at most 2 * n_max + 1 entries; take clips the loads into it
     last = min(1 << int(loads.max(initial=0)).bit_length(), 2 * params.n_max + 1) - 1
     pull, weight = load_tables(params, last + 1)
-    clipped = np.minimum(loads, last)
-    coeff += pull[clipped[ids]][indices]
-    coeff *= np.divide(1.0, root, out=root)             # grad = diff / root
-    del root
-    # per coordinate, bincount sums each agent's pushes (q_j - q_i) * coeff,
-    # then its velocity differences v_j - v_i, in j order, as the per-agent
-    # law does; the pushes come first, so coeff is freed before the consensus
+    pull = pull.take(loads, mode="clip")
+    c_ij, c_ji = (phi + pull.take(j)) * inv, (phi + pull.take(i)) * inv
+    del phi, pull, inv
     u = np.empty((n, 2))
     for k in range(2):
-        u[:, k] = row_sums(pair_diff(positions[:, k]) * coeff)
-    del coeff
-    gain = weight[clipped]
+        d = pair_diff(positions[:, k])
+        u[:, k] = pair_sums(np.negative(d * c_ji), np.multiply(d, c_ij, out=d))
+        del d
+    del c_ij, c_ji
+    gain = weight.take(loads, mode="clip")
     for k in range(2):
-        u[:, k] += gain * row_sums(pair_diff(velocities[:, k]))
+        d = pair_diff(velocities[:, k])
+        u[:, k] += gain * pair_sums(np.negative(d), d)
+    del i, j, d, gain
 
     # the goal terms of the alive agents: c1 (c_a - q), or on a bridge
     # k (da sa + db sb) with d = c - q, then the damping - c2 v
-    h = np.take(world.centroids, np.take(world.goal_a, ids), axis=0)
-    h -= np.take(positions, ids, axis=0)
-    bridge = np.flatnonzero(np.take(world.mode, ids) == MODE_BRIDGE)
+    ids = world.alive.nonzero()[0]
+    h = world.centroids.take(world.goal_a.take(ids), axis=0)
+    h -= positions.take(ids, axis=0)
+    bridge = (world.mode.take(ids) == MODE_BRIDGE).nonzero()[0]
     da = h[bridge]
     h *= params.c1
     if bridge.size:
-        db = np.take(world.centroids, np.take(world.goal_b, ids[bridge]), axis=0)
-        db -= np.take(positions, ids[bridge], axis=0)
+        db = world.centroids.take(world.goal_b.take(ids[bridge]), axis=0)
+        db -= positions.take(ids[bridge], axis=0)
         sa = sigma_grad_scale(np.einsum("ij,ij->i", da, da), eps)[:, None]
         sb = sigma_grad_scale(np.einsum("ij,ij->i", db, db), eps)[:, None]
         h[bridge] = params.k * (da * sa + db * sb)
-    h -= params.c2 * np.take(velocities, ids, axis=0)
+    h -= params.c2 * velocities.take(ids, axis=0)
     u[ids] += h
     return u
 
@@ -252,8 +249,8 @@ def mode_switch(goal_a, n_served, achieved, centroids, pos_i, mst_lookup, bridge
     achieved[goal_a] = True
     if n_served >= thresholds.n1:
         return MODE_STATIC, goal_a, -1
-    mst_edges = mst_lookup(tuple(np.flatnonzero(achieved).tolist()))
-    uncovered = np.flatnonzero(~achieved).tolist()
+    mst_edges = mst_lookup(tuple(achieved.nonzero()[0].tolist()))
+    uncovered = (~achieved).nonzero()[0].tolist()
     bridge = mst_edges and (not uncovered or any(
         required_relays(length, comm_range) > bridge_counts[ia, ib]
         for ia, ib, length in mst_edges))
@@ -275,12 +272,15 @@ def switch_modes(world, loads, coverage, thresholds: ModeThresholds, comm_range)
     already marked in its row. Each adoption is counted before the next
     agent decides, so simultaneous switchers spread over the edges.
     """
+    gated = (world.alive & (world.mode == MODE_DYNAMIC)
+             & (coverage.take(world.goal_a) > thresholds.r0)).nonzero()[0]
+    if not gated.size:
+        return 0
     bridge = world.alive & (world.mode == MODE_BRIDGE)
     bridge_counts = Counter(zip(world.goal_a[bridge].tolist(), world.goal_b[bridge].tolist()))
     mst_lookup = cache(partial(cluster_mst, centroids=world.centroids))
-    gated = world.alive & (world.mode == MODE_DYNAMIC) & (coverage[world.goal_a] > thresholds.r0)
     changes = 0
-    for i in np.flatnonzero(gated):
+    for i in gated:
         new_mode, ga, gb = mode_switch(
             int(world.goal_a[i]), int(loads[i]), world.achieved[i], world.centroids,
             world.map_pos[i], mst_lookup, bridge_counts, thresholds, comm_range)

@@ -21,8 +21,9 @@ One step executes, in order:
    agents it can change: roaming agents whose goal is covered above r0,
 4. control forces for every alive agent from the common pre-step
    position/velocity/load snapshot: the pairwise spacing, load and
-   velocity-consensus terms, summed over the graph's pairs only; the
-   pre-step observation is released after them,
+   velocity-consensus terms over the graph's pairs only, each pair
+   evaluated once for both its agents; the pre-step observation is
+   released after them,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
    (q moves with the new v), in place, writing the alive agents' rows
    only; the accelerations are released, then the step-boundary guard,
@@ -48,7 +49,8 @@ import numpy as np
 from . import control as ctl
 from .association import Assignment, assign_msds, cluster_coverages
 from .netgraph import connected_components, fiedler_value
-from .world import ScenarioConfig, World, adjacency_matrix, agent_tree, generate_scenario
+from .world import (ConfigError, ScenarioConfig, World, adjacency_matrix, agent_tree,
+                    generate_scenario)
 
 # sliding-window convergence criterion (reported, not used for early exit)
 CONVERGENCE_WINDOW_S = 5.0
@@ -59,6 +61,10 @@ CONVERGENCE_COVERAGE_BAND = 0.005
 # diverged; the cap keeps squared pairwise distances, at most 8 * bound^2, finite
 DIVERGED_EXTENTS = 1e6
 MAX_COORDINATE = math.sqrt(np.finfo(float).max / 8)
+
+# a recorded agent state: position and velocity 32 B, mode and alive 1 B each
+TRAJECTORY_STATE_BYTES = 34
+MAX_TRAJECTORY_BYTES = 1 << 30     # a recording run refuses a larger trajectory up front
 
 
 class SimulationDiverged(RuntimeError):
@@ -132,9 +138,10 @@ class Observation:
 def observe(world: World, params: ctl.ControlParams) -> Observation:
     """Match users to agents and build the aerial graph and its components."""
     agents = agent_tree(world.map_pos, world.alive)
+    # the graph first: its build peaks above the matcher's, with nothing else live
+    adj = adjacency_matrix(agents, params.r)
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
                       params.r, world.user_table, agents)
-    adj = adjacency_matrix(agents, params.r)
     return Observation(
         assignment=asg,
         cluster_coverage=cluster_coverages(asg, world.msd_cluster, world.cluster_users),
@@ -145,17 +152,15 @@ def observe(world: World, params: ctl.ControlParams) -> Observation:
 
 def metrics_sample(world: World, obs: Observation, t: float) -> MetricsSample:
     """Metrics of the world state that `obs` observed."""
-    alive = world.alive
-    modes = world.mode[alive]
-    counts = tuple(int(np.count_nonzero(modes == m)) for m in
-                   (ctl.MODE_DYNAMIC, ctl.MODE_BRIDGE, ctl.MODE_STATIC))
+    # the mode ids are 0, 1, 2: one count of each among the alive agents
+    counts = np.bincount(world.mode[world.alive], minlength=3)
     return MetricsSample(
         t=t,
         coverage_ratio=obs.assignment.coverage_ratio,
         fiedler=fiedler_value(obs.adjacency, obs.labels),
         cluster_coverage=obs.cluster_coverage,
-        alive_count=int(np.count_nonzero(alive)),
-        mode_counts=counts,
+        alive_count=int(counts.sum()),
+        mode_counts=tuple(counts.tolist()),
     )
 
 
@@ -218,7 +223,7 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities
     bound = min(DIVERGED_EXTENTS * (world.user_extent + params.r), MAX_COORDINATE)
-    escaped = np.flatnonzero(world.alive & ~np.all(np.abs(world.map_pos) <= bound, axis=1))
+    escaped = (world.alive & ~(np.abs(world.map_pos) <= bound).all(axis=1)).nonzero()[0]
     if escaped.size:
         i = escaped[0]
         (x, y), (vx, vy) = world.map_pos[i], world.map_vel[i]
@@ -236,7 +241,7 @@ def inject_failures(world: World, fraction: float, rng: np.random.Generator):
     """Kill floor(fraction * alive) uniformly chosen alive agents in place."""
     if not (0.0 <= fraction <= 1.0):
         raise ValueError("failure fraction must lie in [0, 1]")
-    alive_ids = np.flatnonzero(world.alive)
+    alive_ids = world.alive.nonzero()[0]
     n_kill = int(math.floor(fraction * alive_ids.size))
     if n_kill:
         world.alive[rng.choice(alive_ids, size=n_kill, replace=False)] = False
@@ -257,10 +262,14 @@ def detect_convergence(samples, mode_changes, dt):
 
 def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
     """Execute a full scenario: generation, stepping, failure schedule."""
-    rng = np.random.default_rng(config.seed)
-    world = generate_scenario(config, rng)
     params, thresholds, dt = config.control, config.thresholds, config.dt
     n_steps = math.ceil(config.t_end / dt - 1e-9)
+    size = (n_steps + 1) * config.map_count * TRAJECTORY_STATE_BYTES
+    if record_trajectories and size > MAX_TRAJECTORY_BYTES:
+        raise ConfigError(f"the trajectory of {n_steps + 1} samples of {config.map_count} agents "
+                          f"needs {size} B, above the limit of {MAX_TRAJECTORY_BYTES} B")
+    rng = np.random.default_rng(config.seed)
+    world = generate_scenario(config, rng)
     pending = sorted(config.failures)
     trajectory = Trajectory.allocate(n_steps + 1, world.n_maps) if record_trajectories else None
 

@@ -193,8 +193,8 @@ def adjacency_matrix(agents, comm_range):
     # the 1e-9 widening keeps every pair the exact test admits a candidate,
     # whatever the rounding of the tree's own distances
     i, j = agents.query_pairs(comm_range * (1.0 + 1e-9), output_type="ndarray").T
-    diff = np.take(pos, i, axis=0)
-    diff -= np.take(pos, j, axis=0)
+    diff = pos.take(i, axis=0)
+    diff -= pos.take(j, axis=0)
     within = np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range
     del diff
     i, j = i[within], j[within]
@@ -203,7 +203,7 @@ def adjacency_matrix(agents, comm_range):
     key = np.concatenate([i * n + j, j * n + i])
     del i, j
     key.sort()
-    indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(np.int32)
+    indptr = key.searchsorted(np.arange(n + 1) * n).astype(np.int32)
     indices = np.remainder(key, n, out=key).astype(np.int32)
     del key
     return indptr, indices

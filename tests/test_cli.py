@@ -101,9 +101,19 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: step 7: non-finite state at t=0.700\n"
         assert not (tmp_path / "out").exists()
 
+    def test_memory_error_is_one_line_error(self, config_path, tmp_path, monkeypatch, capsys):
+        def exhaust(config, record_trajectories=False):
+            raise MemoryError()
+        monkeypatch.setattr("mapflock.cli.run", exhaust)
+        code = cli_main(["run", config_path, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_memory_is_one_line_error(self, tmp_path):
-        # a trajectory of 10^9 samples cannot be allocated under a 4 GiB
-        # address-space limit, which only the child process gets
+        # a trajectory of 10^9 samples would not fit under a 4 GiB
+        # address-space limit, which only the child process gets; the run
+        # refuses it from the config (see the next test)
         cfg = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=1000000.0, dt=0.001)
         path = tmp_path / "huge.cfg"
         save_config(cfg, path)
@@ -121,6 +131,30 @@ class TestRunCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_too_large_trajectory_is_refused_up_front(self, tmp_path):
+        # 10^9 samples: refused from the config before any allocation, so an
+        # address-space limit of 1 GiB, which only the child process gets, is
+        # never reached
+        cfg = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=1000000.0, dt=0.001)
+        path = tmp_path / "huge.cfg"
+        save_config(cfg, path)
+        src = os.path.dirname(os.path.dirname(mapflock.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "mapflock", "run", str(path), "--trajectories",
+             "--out-dir", str(tmp_path / "out")],
+            env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
+            timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: the trajectory of {10**9 + 1} samples of 12 agents "
+                               f"needs {(10**9 + 1) * 12 * 34} B, above the limit of "
+                               f"{1 << 30} B\n")
         assert not (tmp_path / "out").exists()
 
 

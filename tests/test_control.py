@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+import mapflock.control as control
 from mapflock.control import (
     MODE_BRIDGE,
     MODE_DYNAMIC,
@@ -386,6 +387,18 @@ class TestModeSwitch:
         assert changes == 0
         for want, name in zip(before, ("mode", "goal_a", "goal_b", "achieved")):
             np.testing.assert_array_equal(getattr(world, name), want)
+
+    def test_no_gated_agent_builds_nothing(self, monkeypatch):
+        # below the gate, bridging and static agents alike: the relay count and
+        # the tree cache are never built
+        def unused(*args, **kwargs):
+            raise AssertionError("built for a call that can change no agent")
+
+        for name in ("Counter", "cache", "partial"):
+            monkeypatch.setattr(control, name, unused)
+        self.switch_unchanged([(MODE_DYNAMIC, 0, -1, (), (0.0, 0.0)),
+                               (MODE_BRIDGE, 0, 1, {0, 1}, (75.0, 0.0)),
+                               (MODE_STATIC, 1, -1, {1}, (150.0, 0.0))], [0.90, 0.99, 0.0, 0.0])
 
     def test_switch_to_bridge_at_mid_load(self):
         # goal covered above r0, load in [n0, n1), a tree edge exists: bridge

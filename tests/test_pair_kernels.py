@@ -543,3 +543,77 @@ class TestTreePath:
         run(cfg)
         assert len(built) == 22
         assert passed == [tree for tree in built for _ in range(2)]
+
+
+def _force_world(rng, shape):
+    """(positions, velocities, loads, alive, modes, goal_a, goal_b, centroids)
+    of one random fleet of the given shape, dead agents' fields finite."""
+    params = ControlParams()
+    n = int(rng.integers(1, 40))
+    if shape == "coincident":           # most agents in clumps, each at one point
+        clumps = rng.uniform(-30, 30, (int(rng.integers(1, 5)), 2))
+        pos = np.where(rng.random((n, 1)) < 0.7, clumps[rng.integers(0, len(clumps), n)],
+                       rng.uniform(-30, 30, (n, 2)))
+    elif shape == "isolated":           # no agent within range of another
+        pos = np.stack([np.arange(n) * 3.0 * params.r, rng.uniform(-5, 5, n)], 1)
+    elif shape == "clique":             # every pair within range
+        pos = rng.uniform(-0.35 * params.r, 0.35 * params.r, (n, 2))
+    elif shape == "at range":           # a grid of pitch r: pairs at exactly r
+        side = int(np.ceil(np.sqrt(n)))
+        pos = params.r * np.stack(np.divmod(np.arange(n), side), 1).astype(float) - 40.0
+    else:
+        pos = rng.uniform(-10 - n, 10 + n, (n, 2))
+    vel = rng.normal(0, 3, (n, 2))
+    vel[rng.random(n) < 0.2] = 0.0      # equal velocities: zero differences
+    loads = rng.integers(0, 3 * params.n_max, n)
+    modes = rng.choice([MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC], size=n)
+    goal_a = rng.integers(0, 3, n)
+    goal_b = np.where(modes == MODE_BRIDGE, (goal_a + 1) % 3, -1)
+    centroids = rng.uniform(-100, 100, (3, 2))
+    return pos, vel, loads, rng.random(n) > 0.25, modes, goal_a, goal_b, centroids
+
+
+class TestUndirectedForceKernel:
+    """The force kernel evaluates each pair once and still gives the dense
+    oracle's accelerations bit for bit, sign bits included."""
+
+    @pytest.mark.parametrize("shape", ["random", "coincident", "isolated", "clique", "at range"])
+    def test_bit_equal_to_dense_oracle(self, shape):
+        params = ControlParams()
+        rng = np.random.default_rng(sum(map(ord, shape)))
+        for _ in range(60):
+            pos, vel, loads, alive, modes, goal_a, goal_b, centroids = _force_world(rng, shape)
+            want = dense_flock_accelerations(pos, vel, loads, alive, modes, goal_a, goal_b,
+                                             centroids,
+                                             dense_adjacency_matrix(pos, alive, params.r), params)
+            graph = adjacency_matrix(agent_tree(pos, alive), params.r)
+            n_alive = np.count_nonzero(alive)
+            if shape in ("isolated", "clique"):
+                assert graph[1].size == (0 if shape == "isolated" else n_alive * (n_alive - 1))
+            # the kernel never reads a dead agent's fields, so they may hold anything
+            dead = ~alive
+            pos, vel, goal_a, goal_b = pos.copy(), vel.copy(), goal_a.copy(), goal_b.copy()
+            pos[dead] = vel[dead] = np.nan
+            goal_a[dead] = goal_b[dead] = len(centroids) + 7
+            got = flock_accelerations(kernel_world(pos, vel, alive, modes, goal_a, goal_b,
+                                                   centroids), graph, loads, params)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_phi_action_sees_each_pair_once(self, monkeypatch):
+        # the relay_wide benchmark scene at t = 0: 1000 agents over an 800 m field
+        cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (600.0, 0.0), (0.0, 600.0),
+                                              (600.0, 600.0)),
+                             msds_per_cluster=200, cluster_sigma=100.0, map_count=1000,
+                             map_spawn_center=(300.0, 300.0), map_spawn_halfwidth=400.0,
+                             seed=1)
+        world = generate_scenario(cfg, np.random.default_rng(cfg.seed))
+        obs = observe(world, cfg.control)
+        sizes, phi_action = [], control.phi_action
+
+        def counted(z, params):
+            sizes.append(np.size(z))
+            return phi_action(z, params)
+
+        monkeypatch.setattr(control, "phi_action", counted)
+        flock_accelerations(world, obs.adjacency, obs.assignment.loads, cfg.control)
+        assert sizes == [obs.adjacency[1].size // 2] == [1346]

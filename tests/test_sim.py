@@ -13,9 +13,13 @@ from mapflock.control import (
     ControlParams,
     flock_accelerations,
 )
+import mapflock.sim as sim
 from mapflock.sim import (
     DIVERGED_EXTENTS,
+    MAX_TRAJECTORY_BYTES,
+    TRAJECTORY_STATE_BYTES,
     MetricsSample,
+    Trajectory,
     SimulationDiverged,
     detect_convergence,
     euler_update,
@@ -256,6 +260,37 @@ class TestRun:
                 assert all(m == MODE_DYNAMIC for m in modes[:first])
 
 
+class TestTrajectorySize:
+    """A run that records trajectories is refused before it makes the world
+    when (n_steps + 1) x map_count agent states exceed MAX_TRAJECTORY_BYTES."""
+
+    def test_state_bytes_match_the_trajectory(self):
+        traj = Trajectory.allocate(3, 5)
+        per_state = sum(getattr(traj, name).nbytes for name in ("pos", "vel", "mode", "alive"))
+        assert per_state == 3 * 5 * TRAJECTORY_STATE_BYTES
+
+    def test_too_large_is_refused_before_the_world_is_made(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("the world was made")
+
+        monkeypatch.setattr(sim, "generate_scenario", unused)
+        with pytest.raises(ConfigError) as info:
+            run(small_config(t_end=1000000.0, dt=0.001), record_trajectories=True)
+        size = (10**9 + 1) * 12 * TRAJECTORY_STATE_BYTES
+        assert str(info.value) == (f"the trajectory of {10**9 + 1} samples of 12 agents needs "
+                                   f"{size} B, above the limit of {MAX_TRAJECTORY_BYTES} B")
+
+    def test_limit_is_inclusive_and_only_for_recorded_runs(self, monkeypatch):
+        cfg = small_config(t_end=0.3)                   # 4 samples of 12 agents
+        size = 4 * 12 * TRAJECTORY_STATE_BYTES
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", size)
+        assert run(cfg, record_trajectories=True).trajectory.t.size == 4
+        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", size - 1)
+        with pytest.raises(ConfigError, match=f"needs {size} B, above the limit of {size - 1} B"):
+            run(cfg, record_trajectories=True)
+        assert len(run(cfg).samples) == 4
+
+
 class TestFlockSpacing:
     def test_two_agents_settle_at_desired_spacing(self):
         # pure spacing force plus damping, no goals; start inside the
@@ -299,15 +334,15 @@ class TestMeasure:
 
 class TestStepMemory:
     """The step's working memory on a 1000-agent fleet over an 800 m field,
-    the benchmark's relay_wide scene (2692 directed pairs at t = 0). The
-    force kernel holds no pair-id array: it takes each pair quantity one
-    coordinate at a time from the CSR arrays, so it holds at most three
-    pair-sized arrays at once (the action potential two more of its own),
-    and it frees the potentials' coefficients before the velocity consensus.
-    The step releases the observation it took over once the forces are
-    computed and the accelerations once they are integrated, so the post-step
-    observation does not add to the kernel's peak. Bounds are tracemalloc
-    peaks above the call's entry."""
+    the benchmark's relay_wide scene (1346 pairs at t = 0). The force kernel
+    holds each pair once, as intp ids i < j, and per pair at most the two
+    directed coefficients and one coordinate's difference and terms; it
+    frees the coefficients before the velocity consensus and the pair ids
+    before the goal terms. The step releases the observation it took over
+    once the forces are computed and the accelerations once they are
+    integrated. The post-step observation builds the graph, whose build
+    peaks highest, before the matching, so only the agents' tree is live
+    beside it. Bounds are tracemalloc peaks above the call's entry."""
 
     def world_and_observation(self):
         cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (600.0, 0.0), (0.0, 600.0),
@@ -332,13 +367,13 @@ class TestStepMemory:
         cfg, world, obs = self.world_and_observation()
         peak = self.peak_above_entry(
             lambda: step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt, obs))
-        assert peak < 0.13 * 2**20
+        assert peak < 0.105 * 2**20
 
     def test_force_kernel_peak_is_bounded(self):
-        cfg, w, obs = self.world_and_observation()     # 2692 pairs at t = 0
+        cfg, w, obs = self.world_and_observation()     # 1346 pairs at t = 0
         peak = self.peak_above_entry(
             lambda: flock_accelerations(w, obs.adjacency, obs.assignment.loads, cfg.control))
-        assert peak < 0.125 * 2**20
+        assert peak < 0.1 * 2**20
 
     def test_step_releases_the_observation_it_took_over(self):
         cfg, world, obs = self.world_and_observation()
