@@ -38,17 +38,4 @@ from .world import (
     save_config,
 )
 
-__all__ = [
-    "Assignment", "assign_msds", "cluster_coverages",
-    "MODE_DYNAMIC", "MODE_BRIDGE", "MODE_STATIC", "MODE_NAMES",
-    "ControlParams", "ModeThresholds", "flock_accelerations",
-    "mode_switch", "select_bridge_edge",
-    "cluster_mst", "connected_components", "fiedler_value",
-    "bump", "phi_action", "phi_uneven", "sigma_scalar",
-    "MetricsSample", "RunResult", "SimulationDiverged", "Trajectory",
-    "inject_failures", "measure", "run", "step",
-    "ConfigError", "ScenarioConfig", "World", "generate_scenario",
-    "load_config", "save_config",
-]
-
 __version__ = "0.1.0"

@@ -64,16 +64,18 @@ def _build_parser():
     return parser
 
 
-def _sweep(args, base, values, make_config, label):
-    """Run replicate seeds per sweep point and write per-run + mean outputs;
+def _sweep(args, label, values, make_config):
+    """Run replicate seeds per sweep point of the config file and write per-run
+    + mean outputs; `make_config(base, value, seed)` gives a point's config, and
     every config is built first, so a bad point stops the sweep unwritten."""
+    base = load_config(args.config)
     names = [f"{label}_{value:g}" for value in values]
     if len(set(names)) < len(names):
         print(f"error: sweep point names must be distinct, got {' '.join(names)}", file=sys.stderr)
         return 2
     first = base.seed if args.seed is None else args.seed
     seeds = [first + k for k in range(args.replicates)]
-    configs = [[make_config(value, seed) for seed in seeds] for value in values]
+    configs = [[make_config(base, value, seed) for seed in seeds] for value in values]
     os.makedirs(args.out_dir, exist_ok=True)
     lines = []
     for name, point in zip(names, configs):
@@ -104,19 +106,6 @@ def _cmd_run(args):
     return 0
 
 
-def _cmd_sweep_maps(args):
-    base = load_config(args.config)
-    return _sweep(args, base, args.counts,
-                  lambda count, seed: replace(base, map_count=count, seed=seed), "maps")
-
-
-def _cmd_sweep_failure(args):
-    base = load_config(args.config)
-    return _sweep(args, base, args.fractions,
-                  lambda frac, seed: replace(base, seed=seed, failures=((args.at, frac),)),
-                  "failure")
-
-
 def _cmd_plot(args):
     names, cols = read_csv(args.csv)
     if args.cols:
@@ -135,8 +124,12 @@ def _cmd_plot(args):
 
 _COMMANDS = {
     "run": _cmd_run,
-    "sweep-maps": _cmd_sweep_maps,
-    "sweep-failure": _cmd_sweep_failure,
+    "sweep-maps": lambda args: _sweep(
+        args, "maps", args.counts,
+        lambda base, count, seed: replace(base, map_count=count, seed=seed)),
+    "sweep-failure": lambda args: _sweep(
+        args, "failure", args.fractions,
+        lambda base, frac, seed: replace(base, seed=seed, failures=((args.at, frac),))),
     "plot": _cmd_plot,
 }
 

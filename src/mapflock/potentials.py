@@ -34,21 +34,10 @@ def _bump_in_place(x, lower, upper):
 
 
 def bump(z, lower, upper):
-    """Smooth finite-range cutoff in [0, 1].
-
-    Equals 1 on [0, lower), decays as a half cosine on [lower, upper),
-    and is 0 on [upper, inf). Continuous and monotone non-increasing.
-
-    Parameters
-    ----------
-    z : float or array, >= 0
-    lower, upper : cutoffs with 0 <= lower < upper
-
-    Raises
-    ------
-    ValueError
-        If the cutoffs are out of order or any input is negative.
-    """
+    """Smooth finite-range cutoff in [0, 1] of `z` >= 0: 1 on [0, lower), a
+    half-cosine decay on [lower, upper), 0 on [upper, inf); continuous and
+    monotone non-increasing. Raises ValueError unless 0 <= lower < upper and
+    every input is non-negative."""
     out = _bump_in_place(np.array(z, dtype=float), lower, upper)
     return float(out) if out.ndim == 0 else out
 

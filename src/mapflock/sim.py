@@ -3,42 +3,23 @@
 One step executes, in order:
 
 1. the observation of the pre-step state: user-to-agent matching,
-   per-cluster coverage, the aerial graph as one pair of int32 CSR arrays
-   and its connected components, labelled by ``scipy.sparse.csgraph`` from
-   those arrays.
-   Matching and the graph test only the candidate pairs that k-d trees
-   find within the reach, with the exact range and lowest-id tie rules of
-   a test over all pairs. The users' tree is the world's, built once per
-   run; one agents' tree is built per observation and serves both.
-   It is the observation the previous step made of its post-step state,
-   carried forward; a failure injection invalidates it, and the step
-   then observes the state afresh,
-2. idealized information sharing: each alive agent's row of achieved
-   goals becomes the OR of its component's rows, one ``logical_or.at``
-   over all components of the aerial graph (the protocol-level message
-   passing is emulated centrally),
+   per-cluster coverage, and the aerial graph with its connected
+   components, from k-d tree candidate pairs under the exact range and
+   lowest-id tie rules of a test over all pairs,
+2. idealized information sharing: each alive agent's achieved goals become
+   the OR over its connected component (message passing emulated centrally),
 3. the mode machine, :func:`control.switch_modes`, in id order, for the
-   agents it can change: roaming agents whose goal is covered above r0,
-4. control forces for every alive agent from the common pre-step
-   position/velocity/load snapshot: the pairwise spacing, load and
-   velocity-consensus terms over the graph's pairs only, each pair
-   evaluated once for both its agents; the pre-step observation is
-   released after them,
-5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``
-   (q moves with the new v), in place, writing the alive agents' rows
-   only; the accelerations are released, then the step-boundary guard,
-   whose scene extent is the world's largest user coordinate, runs,
-6. the observation of the post-step state, the only graph then live: the
-   step's metrics (the Fiedler value from the Laplacian that its CSR
-   arrays fill in) and the next step's start.
+   roaming agents whose goal is covered above r0,
+4. control forces for every alive agent from the common pre-step snapshot,
+5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``,
+   then the step-boundary guard,
+6. the observation of the post-step state, and its metrics.
 
-A run that records trajectories allocates one :class:`Trajectory` for all
-its samples up front, and each sample copies the agents' arrays into its
-own row, so recording allocates nothing per step.
-
-Dead agents are frozen and invisible to every phase. Runs are
-deterministic given the seed: randomness is consumed only by scenario
-generation and failure injection, in that order.
+Each world state is observed once: the post-step observation is the next
+step's phase 1, and a failure injection invalidates it, so the step then
+observes the state afresh. Dead agents are frozen and invisible to every
+phase. Runs are deterministic given the seed: randomness is consumed only
+by scenario generation and failure injection, in that order.
 """
 
 import math
@@ -271,7 +252,7 @@ def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
     rng = np.random.default_rng(config.seed)
     world = generate_scenario(config, rng)
     pending = sorted(config.failures)
-    trajectory = Trajectory.allocate(n_steps + 1, world.n_maps) if record_trajectories else None
+    trajectory = Trajectory.allocate(n_steps + 1, config.map_count) if record_trajectories else None
 
     def record(k, t):
         if trajectory is not None:

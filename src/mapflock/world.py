@@ -50,14 +50,6 @@ class World:
     cluster_users: np.ndarray     # (K,) users per cluster
     user_extent: float            # largest absolute user coordinate, for the step guard
 
-    @property
-    def n_maps(self):
-        return len(self.map_pos)
-
-    @property
-    def n_msds(self):
-        return len(self.msd_pos)
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:

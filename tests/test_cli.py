@@ -14,6 +14,23 @@ from mapflock.sim import SimulationDiverged
 from mapflock.world import ScenarioConfig, save_config
 
 
+def run_under_address_limit(cfg, limit, tmp_path, *flags):
+    """``mapflock run`` on `cfg` in a child process whose address space, and
+    only its own, is limited to `limit` bytes; outputs go to tmp_path/out."""
+    path = tmp_path / "limited.cfg"
+    save_config(cfg, path)
+    src = os.path.dirname(os.path.dirname(mapflock.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "mapflock", "run", str(path), *flags,
+         "--out-dir", str(tmp_path / "out")],
+        env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=120)
+
+
 @pytest.fixture()
 def config_path(tmp_path):
     cfg = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=3.0, seed=5)
@@ -115,19 +132,7 @@ class TestRunCommand:
         # address-space limit, which only the child process gets; the run
         # refuses it from the config (see the next test)
         cfg = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=1000000.0, dt=0.001)
-        path = tmp_path / "huge.cfg"
-        save_config(cfg, path)
-        src = os.path.dirname(os.path.dirname(mapflock.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "mapflock", "run", str(path), "--trajectories",
-             "--out-dir", str(tmp_path / "out")],
-            env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
-            timeout=120)
+        proc = run_under_address_limit(cfg, 4 << 30, tmp_path, "--trajectories")
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
@@ -138,23 +143,21 @@ class TestRunCommand:
         # address-space limit of 1 GiB, which only the child process gets, is
         # never reached
         cfg = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=1000000.0, dt=0.001)
-        path = tmp_path / "huge.cfg"
-        save_config(cfg, path)
-        src = os.path.dirname(os.path.dirname(mapflock.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "mapflock", "run", str(path), "--trajectories",
-             "--out-dir", str(tmp_path / "out")],
-            env=env, preexec_fn=limit_address_space, capture_output=True, text=True,
-            timeout=120)
+        proc = run_under_address_limit(cfg, 1 << 30, tmp_path, "--trajectories")
         assert proc.returncode == 1
         assert proc.stderr == (f"error: the trajectory of {10**9 + 1} samples of 12 agents "
                                f"needs {(10**9 + 1) * 12 * 34} B, above the limit of "
                                f"{1 << 30} B\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_fleet_too_large_for_memory_is_one_line_error(self, tmp_path):
+        # two million agents over the default 60 m spawn square: the first
+        # observation's pair search cannot fit under a 1 GiB address-space
+        # limit, which only the child process gets
+        proc = run_under_address_limit(ScenarioConfig(map_count=2_000_000), 1 << 30, tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,14 @@
-"""Every name a demo imports from mapflock exists (the demos are not run)."""
+"""Every name a demo imports from mapflock exists (the demos are not run),
+and the package exports the public names that the demos and the README use."""
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
+
+import mapflock
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -18,6 +22,24 @@ def mapflock_imports(path):
         elif isinstance(node, ast.Import):
             yield from ((alias.name, None) for alias in node.names
                         if alias.name.split(".")[0] == "mapflock")
+
+
+# the package's non-underscore attributes other than its submodules
+PUBLIC_NAMES = [
+    "Assignment", "ConfigError", "ControlParams", "MODE_BRIDGE", "MODE_DYNAMIC", "MODE_NAMES",
+    "MODE_STATIC", "MetricsSample", "ModeThresholds", "RunResult", "ScenarioConfig",
+    "SimulationDiverged", "Trajectory", "World", "assign_msds", "bump", "cluster_coverages",
+    "cluster_mst", "connected_components", "fiedler_value", "flock_accelerations",
+    "generate_scenario", "inject_failures", "load_config", "measure", "mode_switch",
+    "phi_action", "phi_uneven", "run", "save_config", "select_bridge_edge", "sigma_scalar",
+    "step",
+]
+
+
+def test_public_names():
+    assert sorted(name for name, value in vars(mapflock).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)) \
+        == PUBLIC_NAMES
 
 
 def test_demos_found():

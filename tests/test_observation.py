@@ -20,18 +20,19 @@ TRIANGLE = dict(cluster_centers=((0.0, 0.0), (60.0, 0.0), (0.0, 60.0)),
                 map_spawn_center=(30.0, 30.0), map_spawn_halfwidth=20.0)
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls made to the kernel `sim` knows as `name`, whether
-    through `sim` or through the module that defines it."""
+def count_calls(monkeypatch, name, module=sim):
+    """Count the calls made to the function `module` knows as `name`, whether
+    through `module` or through the module that defines it; each call is
+    recorded as the shape of its first argument."""
     calls = []
-    original = getattr(sim, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(np.shape(args[0]))
         return original(*args, **kwargs)
 
-    for module in (sim, sys.modules[original.__module__]):
-        monkeypatch.setattr(module, name, counted)
+    for owner in (module, sys.modules[original.__module__]):
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -74,7 +75,8 @@ class TestModeMachineGate:
 
         def recorded(goal_a, n_served, achieved, *rest):
             world, coverage = steps[-1]
-            (i,) = [i for i in range(world.n_maps) if np.shares_memory(achieved, world.achieved[i])]
+            (i,) = [i for i in range(len(world.map_pos))
+                    if np.shares_memory(achieved, world.achieved[i])]
             calls.append((world.mode[i], coverage[goal_a]))
             return mode_switch(goal_a, n_served, achieved, *rest)
 

@@ -83,7 +83,7 @@ class TestTrajectoriesCsv:
         write_trajectories_csv(path, result)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,map_id,x,y,vx,vy,mode,alive"
-        assert len(lines) == 1 + len(result.samples) * result.world.n_maps
+        assert len(lines) == 1 + len(result.samples) * len(result.world.map_pos)
 
     def test_requires_recorded_run(self, tmp_path):
         cfg = ScenarioConfig(msds_per_cluster=10, map_count=4, t_end=0.5)
@@ -210,7 +210,7 @@ class TestTrajectoryRows:
         write_trajectories_csv(path, result)
         # the header, then one write per sample
         assert len(chunks) == 1 + len(result.samples)
-        assert all(chunk.count("\n") == result.world.n_maps for chunk in chunks[1:])
+        assert all(chunk.count("\n") == len(result.world.map_pos) for chunk in chunks[1:])
         assert path.read_text().split("\n") == [*rows_one_by_one(result.trajectory), ""]
 
     def test_matches_rows_formatted_one_by_one(self, tmp_path):

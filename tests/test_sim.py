@@ -381,6 +381,27 @@ class TestStepMemory:
         assert [getattr(obs, f.name) for f in fields(obs)] == [None] * 4
 
 
+class TestStepMemoryAtScale:
+    """The step's working memory is linear in the fleet: 100 000 agents over a
+    16 km field around four clusters of 2000 users (71 724 CSR entries after
+    the first step). The second step peaks 5.46 MiB above its entry; one more
+    (L, 2) float copy adds 1.5 MiB, and an (L, K) float temporary 3.1 MiB.
+    An (L, L) or (M, L) array would be 80 GB or 6.4 GB."""
+
+    BOUND = 1.25 * 5.46 * 2**20
+
+    def test_second_step_peak_above_entry_is_bounded(self):
+        corners = ((-2000.0, -2000.0), (2000.0, -2000.0), (-2000.0, 2000.0), (2000.0, 2000.0))
+        cfg = ScenarioConfig(cluster_centers=corners, msds_per_cluster=2000, cluster_sigma=100.0,
+                             map_count=100_000, map_spawn_center=(0.0, 0.0),
+                             map_spawn_halfwidth=8000.0, seed=1)
+        world = generate_scenario(cfg, np.random.default_rng(cfg.seed))
+        _, _, obs = step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt)
+        peak = TestStepMemory.peak_above_entry(
+            lambda: step(world, cfg.control, cfg.thresholds, cfg.dt, 2 * cfg.dt, obs))
+        assert peak < self.BOUND
+
+
 class TestLoneAgentStability:
     """A lone agent under its point-goal term, v += u*dt; q += v*dt.
 

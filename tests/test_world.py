@@ -30,8 +30,8 @@ class TestGenerateScenario:
     def test_population_counts(self):
         cfg = ScenarioConfig(msds_per_cluster=500, map_count=30, t_end=1.0)
         world = generate_scenario(cfg, np.random.default_rng(0))
-        assert world.n_msds == 4 * 500
-        assert world.n_maps == 30
+        assert len(world.msd_pos) == 4 * 500
+        assert len(world.map_pos) == 30
         assert len(world.centroids) == 4
         np.testing.assert_array_equal(np.bincount(world.msd_cluster), [500] * 4)
 
