@@ -63,12 +63,19 @@ def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
     pairs = agents.sparse_distance_matrix(users, _reach(map_height, comm_range),
                                           output_type="ndarray")
     agent, user = pairs["i"], pairs["j"]
-    # take gathers rows of an (n, 2) array far faster than fancy indexing;
-    # each pair-sized temporary is reused in place or freed after its last use
-    diff = msd_pos.take(user, axis=0).astype(float, copy=False)
-    diff -= map_pos.take(alive_ids.take(agent), axis=0)
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    del diff
+    # the squared distance per coordinate, square(dx) + square(dy), as the
+    # force kernel takes it; each pair-sized temporary is reused in place or
+    # freed after its last use
+    owners = alive_ids.take(agent)
+    (ux, uy), (mx, my) = msd_pos.T, map_pos.T
+    d2 = ux.take(user).astype(float, copy=False)     # dx, squared in place
+    d2 -= mx.take(owners)
+    np.square(d2, out=d2)
+    dy = uy.take(user).astype(float, copy=False)
+    dy -= my.take(owners)
+    del owners
+    d2 += np.square(dy, out=dy)
+    del dy
     near = np.sqrt(d2 + map_height * map_height) <= comm_range
     agent, user, d2 = agent[near], user[near], d2[near]
     nearest = np.full(n_msds, np.inf)

@@ -128,24 +128,25 @@ def load_tables(params: ControlParams, size):
 def flock_accelerations(world, adjacency, loads, params: ControlParams):
     """Accelerations u = f + g + h of every agent of `world`; dead agents get +0.0.
 
-    `adjacency` is the alive agents' graph as the int32 CSR arrays of
-    :func:`world.adjacency_matrix`, `loads` the users each agent serves; the
-    load coefficients come from one :func:`load_tables`, at the loads clipped
-    to 2 * n_max, past which both are constant. Each pair is taken once, as
-    agent ids i < j from the rows' upper halves: its distance, phi and 1/root
-    serve both its terms. Each agent sums its pushes, then its velocity
-    differences, in neighbour id order, as the per-agent law in
-    ``tests/oracles.py`` does: ``bincount`` over j adds the lower neighbours'
-    terms, negated, then ``add.at`` over i the upper ones'. As (-a)^2 = a^2,
-    (-a) c = -(a c) and a sum from +0.0 absorbs a zero's sign, the result is
-    that law's bit for bit. The goal terms are added last.
+    `adjacency` is the alive agents' graph as the int32 pairs ``(rows,
+    cols)``, ``rows < cols``, of :func:`world.adjacency_matrix`, `loads` the
+    users each agent serves; the load coefficients come from one
+    :func:`load_tables`, at the loads clipped to 2 * n_max, past which both
+    are constant. Each pair is taken once, as agent ids i < j: its distance,
+    phi and 1/root serve both its terms. Each agent sums its pushes, then
+    its velocity differences, in neighbour id order, as the per-agent law in
+    ``tests/oracles.py`` does: ``bincount`` over j adds the lower
+    neighbours' terms, negated, then ``add.at`` over i the upper ones'. As
+    (-a)^2 = a^2, (-a) c = -(a c) and a sum from +0.0 absorbs a zero's sign,
+    the result is that law's bit for bit. The goal terms are added last.
+    Each coordinate is summed in its own (n,) array; u is filled from the
+    two at the end.
     """
     positions, velocities = world.map_pos, world.map_vel
     n, eps = len(positions), params.epsilon
     ids = world.alive.nonzero()[0]
-    i, j = ids.repeat(np.diff(adjacency[0])), ids.take(adjacency[1])
-    upper = i < j
-    i, j = i[upper], j[upper]
+    i, j = ids.take(adjacency[0]), ids.take(adjacency[1])
+    del ids
 
     def pair_diff(x):
         """x_j - x_i over the pairs, for a column x of every agent."""
@@ -154,8 +155,9 @@ def flock_accelerations(world, adjacency, loads, params: ControlParams):
         return d
 
     def pair_sums(lower, upper):
-        """Per agent in id order: the `lower` terms of its pairs as j, then the `upper` as i."""
-        out = np.bincount(j, lower, minlength=n)
+        """Per agent in id order: the `lower` terms of its pairs as j, then the
+        `upper` as i; float, also when there is no pair."""
+        out = np.bincount(j, lower, minlength=n).astype(float, copy=False)
         np.add.at(out, i, upper)
         return out
 
@@ -163,7 +165,7 @@ def flock_accelerations(world, adjacency, loads, params: ControlParams):
     root = np.sqrt(1.0 + eps * root)
     phi = phi_action((root - 1.0) / eps, params)        # at the sigma distance
     inv = np.divide(1.0, root, out=root)                # grad = diff / root
-    del root, upper, ids
+    del root
     # sized by the largest load, never by n_max alone: the next power of two
     # above it, at most 2 * n_max + 1 entries; take clips the loads into it
     last = min(1 << int(loads.max(initial=0)).bit_length(), 2 * params.n_max + 1) - 1
@@ -171,16 +173,18 @@ def flock_accelerations(world, adjacency, loads, params: ControlParams):
     pull = pull.take(loads, mode="clip")
     c_ij, c_ji = (phi + pull.take(j)) * inv, (phi + pull.take(i)) * inv
     del phi, pull, inv
-    u = np.empty((n, 2))
+    columns = []
     for k in range(2):
         d = pair_diff(positions[:, k])
-        u[:, k] = pair_sums(np.negative(d * c_ji), np.multiply(d, c_ij, out=d))
-        del d
+        lower = np.multiply(d, c_ji)
+        columns.append(pair_sums(np.negative(lower, out=lower),
+                                 np.multiply(d, c_ij, out=d)))
+        del d, lower
     del c_ij, c_ji
     gain = weight.take(loads, mode="clip")
-    for k in range(2):
+    for k, col in enumerate(columns):
         d = pair_diff(velocities[:, k])
-        u[:, k] += gain * pair_sums(np.negative(d), d)
+        col += gain * pair_sums(np.negative(d), d)
     del i, j, d, gain
 
     # the goal terms of the alive agents: c1 (c_a - q), or on a bridge
@@ -189,16 +193,20 @@ def flock_accelerations(world, adjacency, loads, params: ControlParams):
     h = world.centroids.take(world.goal_a.take(ids), axis=0)
     h -= positions.take(ids, axis=0)
     bridge = (world.mode.take(ids) == MODE_BRIDGE).nonzero()[0]
-    da = h[bridge]
+    da = h.take(bridge, axis=0)
     h *= params.c1
     if bridge.size:
-        db = world.centroids.take(world.goal_b.take(ids[bridge]), axis=0)
-        db -= positions.take(ids[bridge], axis=0)
+        db = world.centroids.take(world.goal_b.take(ids.take(bridge)), axis=0)
+        db -= positions.take(ids.take(bridge), axis=0)
         sa = sigma_grad_scale(np.einsum("ij,ij->i", da, da), eps)[:, None]
         sb = sigma_grad_scale(np.einsum("ij,ij->i", db, db), eps)[:, None]
         h[bridge] = params.k * (da * sa + db * sb)
     h -= params.c2 * velocities.take(ids, axis=0)
-    u[ids] += h
+    for col, h_col in zip(columns, h.T):
+        col[ids] += h_col
+    del h, ids
+    u = np.empty((n, 2))
+    u[:, 0], u[:, 1] = columns
     return u
 
 

@@ -1,54 +1,74 @@
 """Graph analytics over the aerial network.
 
 Adjacency uses the 0/1 disk model (alive agents within communication
-range), held as the int32 CSR arrays ``(indptr, indices)`` that
-``world.adjacency_matrix`` builds once per observation; components and the
-Laplacian read those arrays as they are. Connectivity is summarized by the
-Fiedler value, the second-smallest eigenvalue of the graph Laplacian, which
-is positive exactly when the graph is connected. The inter-cluster relay
-structure is a Euclidean minimum spanning tree over the centroids of
-covered clusters, built by Prim's algorithm.
+range), held as the sorted int32 pairs ``(rows, cols)``, ``rows < cols``,
+that ``world.adjacency_matrix`` builds once per observation. The force
+kernel reads the pairs as they are. The component labels cost a symmetric
+CSR build and a scipy call, so they are computed only for a consumer that
+needs them, and at most once per observation (``sim.Observation.labels``).
+Connectivity is summarized by the Fiedler value, the second-smallest
+eigenvalue of the graph Laplacian, which is positive exactly when the graph
+is connected. The inter-cluster relay structure is a Euclidean minimum
+spanning tree over the centroids of covered clusters, built by Prim's
+algorithm.
 """
 
 import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 
-def connected_components(n, indptr, indices):
+def _directed_keys(n, rows, cols):
+    """The row-major key ``r * n + c`` of each pair in both directions, as intp."""
+    key = np.concatenate([rows, cols], dtype=np.intp)
+    key *= n
+    key[:rows.size] += cols
+    key[rows.size:] += rows
+    return key
+
+
+def connected_components(n, rows, cols):
     """Component label per node: 0..n_components-1, in the order of each
     component's smallest node.
 
-    The graph on nodes 0..n-1 is given by its CSR arrays, as
-    ``world.adjacency_matrix`` builds them; ``scipy.sparse.csgraph`` labels
-    the CSR matrix that wraps them. The graph must be symmetric: each strong
-    component is then an undirected one, and the directed (Pearce) labels,
-    in the same smallest-node order, skip the undirected path's transpose.
+    The graph on nodes 0..n-1 is given by its pairs, as
+    ``world.adjacency_matrix`` builds them. Its symmetric CSR form, both
+    directions of each pair with every row's columns ascending, is labelled
+    by ``scipy.sparse.csgraph``: each strong component of a symmetric graph
+    is an undirected one, and the directed (Pearce) labels, in the same
+    smallest-node order, skip the undirected path's transpose.
     """
+    # the keys are unique, so row r's sorted keys start at the first key at or
+    # above r * n
+    key = _directed_keys(n, rows, cols)
+    key.sort()
+    # int32: scipy scans wider index arrays for their range, then casts them down
+    indptr = key.searchsorted(np.arange(n + 1) * n).astype(np.int32)
+    indices = np.remainder(key, n, out=key).astype(np.int32)
     graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
     return csgraph.connected_components(graph, directed=True, connection="strong")[1].astype(int)
 
 
-def fiedler_value(adjacency, labels):
+def fiedler_value(n, adjacency, labels):
     """Second-smallest Laplacian eigenvalue, at least 0; exactly 0 when disconnected.
 
-    The graph is given by its CSR arrays ``(indptr, indices)`` and its
-    :func:`connected_components` labels, as ``sim.Observation`` holds them;
-    ``L = D - A`` is filled in from the arrays. Fewer than two nodes give 0.
-    Disconnectedness is read from the labels (component count), not from a
-    thresholded eigenvalue, so the zero is exact.
+    The graph on `n` nodes is given by its pairs ``(rows, cols)``, as
+    ``sim.Observation`` holds them, and `labels`, a function that returns
+    its :func:`connected_components` labels. The pairs alone prove the graph
+    disconnected when n < 2, when there are fewer than n - 1 pairs or when a
+    node is in no pair; only otherwise are the labels asked for.
+    Disconnectedness is read from the pairs or the labels, not from a
+    thresholded eigenvalue, so the zero is exact. ``L = D - A`` is filled in
+    from the pairs.
     """
-    n = labels.size
-    if n < 2 or labels.max() > 0:
+    rows, cols = adjacency
+    if n < 2 or rows.size < n - 1:
         return 0.0
-    indptr, indices = adjacency
-    degree = np.diff(indptr)
-    # each pair's flat index r * n + c: one pair-sized array, where indexing
-    # by (rows, indices) would add an intp copy of the int32 indices
-    flat = np.repeat(np.arange(0, n * n, n), degree)
-    flat += indices
+    degree = np.bincount(rows, minlength=n)
+    degree += np.bincount(cols, minlength=n)
+    if not degree.all() or labels().max() > 0:
+        return 0.0
     lap = np.zeros((n, n))
-    lap.reshape(-1)[flat] = -1.0
-    del flat
+    lap.reshape(-1)[_directed_keys(n, rows, cols)] = -1.0
     np.fill_diagonal(lap, degree)
     return max(float(np.linalg.eigvalsh(lap)[1]), 0.0)
 

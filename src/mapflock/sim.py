@@ -3,9 +3,10 @@
 One step executes, in order:
 
 1. the observation of the pre-step state: user-to-agent matching,
-   per-cluster coverage, and the aerial graph with its connected
-   components, from k-d tree candidate pairs under the exact range and
-   lowest-id tie rules of a test over all pairs,
+   per-cluster coverage, and the aerial graph as its sorted pairs, from k-d
+   tree candidate pairs under the exact range and lowest-id tie rules of a
+   test over all pairs; the graph's connected components are computed only
+   if a phase needs them, and at most once,
 2. idealized information sharing: each alive agent's achieved goals become
    the OR over its connected component (message passing emulated centrally),
 3. the mode machine, :func:`control.switch_modes`, in id order, for the
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import control as ctl
-from .association import Assignment, assign_msds, cluster_coverages
+from .association import assign_msds, cluster_coverages
 from .netgraph import connected_components, fiedler_value
 from .world import (ConfigError, ScenarioConfig, World, adjacency_matrix, agent_tree,
                     generate_scenario)
@@ -108,26 +109,39 @@ class RunResult:
 @dataclass
 class Observation:
     """What one world state shows, computed once per state: it serves the
-    metrics of the step that reached the state and the next step's phases."""
+    metrics of the step that reached the state and the next step's phases.
 
-    assignment: Assignment
+    Of the matching it keeps the loads and the coverage, not the per-user
+    owners. The graph's component labels are computed by :meth:`labels`, on
+    the first call, and kept: on most states no phase needs them."""
+
+    loads: np.ndarray              # (L,) users served per agent
+    coverage_ratio: float          # assigned users / all users
     cluster_coverage: np.ndarray   # (K,) per-cluster coverage
-    adjacency: tuple               # int32 CSR (indptr, indices) of the alive agents' graph
-    labels: np.ndarray | None      # component label per alive agent, in id order
+    adjacency: tuple               # int32 pairs (rows, cols), rows < cols, of the alive agents' graph
+    n_alive: int                   # the graph's nodes: the alive agents, in id order
+    components: np.ndarray | None = None   # the labels, once computed
+
+    def labels(self):
+        """Component label per alive agent, in id order."""
+        if self.components is None:
+            self.components = connected_components(self.n_alive, *self.adjacency)
+        return self.components
 
 
 def observe(world: World, params: ctl.ControlParams) -> Observation:
-    """Match users to agents and build the aerial graph and its components."""
+    """Match users to agents and build the aerial graph."""
     agents = agent_tree(world.map_pos, world.alive)
     # the graph first: its build peaks above the matcher's, with nothing else live
     adj = adjacency_matrix(agents, params.r)
     asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
                       params.r, world.user_table, agents)
     return Observation(
-        assignment=asg,
+        loads=asg.loads,
+        coverage_ratio=asg.coverage_ratio,
         cluster_coverage=cluster_coverages(asg, world.msd_cluster, world.cluster_users),
         adjacency=adj,
-        labels=connected_components(np.count_nonzero(world.alive), *adj),
+        n_alive=agents.n,
     )
 
 
@@ -137,8 +151,8 @@ def metrics_sample(world: World, obs: Observation, t: float) -> MetricsSample:
     counts = np.bincount(world.mode[world.alive], minlength=3)
     return MetricsSample(
         t=t,
-        coverage_ratio=obs.assignment.coverage_ratio,
-        fiedler=fiedler_value(obs.adjacency, obs.labels),
+        coverage_ratio=obs.coverage_ratio,
+        fiedler=fiedler_value(obs.n_alive, obs.adjacency, obs.labels),
         cluster_coverage=obs.cluster_coverage,
         alive_count=int(counts.sum()),
         mode_counts=tuple(counts.tolist()),
@@ -153,16 +167,21 @@ def measure(world: World, params: ctl.ControlParams, t: float) -> MetricsSample:
 def share_achieved_goals(world: World, labels):
     """OR achieved-goal knowledge within each connected alive component.
 
-    `labels` holds the component label of each alive agent, in id order.
-    Every alive agent's row of ``world.achieved`` becomes the OR of its
-    component's rows; dead agents' rows are left as they are.
+    `labels` is a function that returns the component label of each alive
+    agent, in id order. Every alive agent's row of ``world.achieved``
+    becomes the OR of its component's rows; dead agents' rows are left as
+    they are. When no alive agent knows a goal, or every alive agent's row
+    is the same, the OR over any partition changes nothing, and `labels` is
+    not called.
     """
-    known = world.achieved[world.alive]
-    if not known.any():
+    ids = world.alive.nonzero()[0]
+    known = world.achieved.take(ids, axis=0)
+    if not known.any() or (known == known[0]).all():
         return
-    union = np.zeros((labels.max() + 1, known.shape[1]), dtype=bool)
-    np.logical_or.at(union, labels, known)
-    world.achieved[world.alive] = union[labels]
+    component = labels()
+    union = np.zeros((component.max() + 1, known.shape[1]), dtype=bool)
+    np.logical_or.at(union, component, known)
+    world.achieved[ids] = union.take(component, axis=0)
 
 
 def euler_update(pos, vel, accel, alive, dt):
@@ -180,7 +199,7 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
 
     `obs` is the observation of the current state, as the previous step
     returned it; None observes the state afresh. The step takes `obs` over
-    and sets each field to None once it has used it. Returns (sample,
+    and sets each array field to None once it has used it. Returns (sample,
     mode_change_count, observation of the new state).
     """
     # 1: observation of the pre-step state
@@ -189,22 +208,22 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
 
     # 2: idealized information sharing per connected component; then the labels go
     share_achieved_goals(world, obs.labels)
-    obs.labels = None
+    obs.components = None
 
     # 3: mode machine, in id order, for the agents it can change
-    changes = ctl.switch_modes(world, obs.assignment.loads, obs.cluster_coverage, thresholds,
-                               params.r)
+    changes = ctl.switch_modes(world, obs.loads, obs.cluster_coverage, thresholds, params.r)
 
     # 4-5: forces from the shared pre-step snapshot, then integration; what
     # they consumed is released before the post-step state is observed
-    accel = ctl.flock_accelerations(world, obs.adjacency, obs.assignment.loads, params)
-    obs.assignment = obs.cluster_coverage = obs.adjacency = None
+    accel = ctl.flock_accelerations(world, obs.adjacency, obs.loads, params)
+    obs.loads = obs.cluster_coverage = obs.adjacency = None
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     del accel
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities
     bound = min(DIVERGED_EXTENTS * (world.user_extent + params.r), MAX_COORDINATE)
-    escaped = (world.alive & ~(np.abs(world.map_pos) <= bound).all(axis=1)).nonzero()[0]
+    qx, qy = world.map_pos.T
+    escaped = (world.alive & ~((np.abs(qx) <= bound) & (np.abs(qy) <= bound))).nonzero()[0]
     if escaped.size:
         i = escaped[0]
         (x, y), (vx, vy) = world.map_pos[i], world.map_vel[i]
@@ -242,35 +261,46 @@ def detect_convergence(samples, mode_changes, dt):
 
 
 def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
-    """Execute a full scenario: generation, stepping, failure schedule."""
+    """Execute a full scenario: generation, stepping, failure schedule.
+
+    A MemoryError during generation or stepping is raised again with a
+    message that names the fleet, the users, the steps and the settings to
+    lower.
+    """
     params, thresholds, dt = config.control, config.thresholds, config.dt
     n_steps = math.ceil(config.t_end / dt - 1e-9)
     size = (n_steps + 1) * config.map_count * TRAJECTORY_STATE_BYTES
     if record_trajectories and size > MAX_TRAJECTORY_BYTES:
         raise ConfigError(f"the trajectory of {n_steps + 1} samples of {config.map_count} agents "
                           f"needs {size} B, above the limit of {MAX_TRAJECTORY_BYTES} B")
-    rng = np.random.default_rng(config.seed)
-    world = generate_scenario(config, rng)
-    pending = sorted(config.failures)
-    trajectory = Trajectory.allocate(n_steps + 1, config.map_count) if record_trajectories else None
+    try:
+        rng = np.random.default_rng(config.seed)
+        world = generate_scenario(config, rng)
+        pending = sorted(config.failures)
+        trajectory = (Trajectory.allocate(n_steps + 1, config.map_count)
+                      if record_trajectories else None)
 
-    def record(k, t):
-        if trajectory is not None:
-            trajectory.record(k, t, world)
+        def record(k, t):
+            if trajectory is not None:
+                trajectory.record(k, t, world)
 
-    obs = observe(world, params)
-    samples = [metrics_sample(world, obs, 0.0)]
-    record(0, 0.0)
-    mode_changes = []
-    for k in range(1, n_steps + 1):
-        t_pre = (k - 1) * dt
-        while pending and pending[0][0] <= t_pre + 1e-9:
-            inject_failures(world, pending.pop(0)[1], rng)
-            obs = None             # the observation no longer matches the world
-        sample, changed, obs = step(world, params, thresholds, dt, k * dt, obs)
-        samples.append(sample)
-        mode_changes.append(changed)
-        record(k, k * dt)
+        obs = observe(world, params)
+        samples = [metrics_sample(world, obs, 0.0)]
+        record(0, 0.0)
+        mode_changes = []
+        for k in range(1, n_steps + 1):
+            t_pre = (k - 1) * dt
+            while pending and pending[0][0] <= t_pre + 1e-9:
+                inject_failures(world, pending.pop(0)[1], rng)
+                obs = None             # the observation no longer matches the world
+            sample, changed, obs = step(world, params, thresholds, dt, k * dt, obs)
+            samples.append(sample)
+            mode_changes.append(changed)
+            record(k, k * dt)
+    except MemoryError as exc:
+        users = len(config.cluster_centers) * config.msds_per_cluster
+        raise MemoryError(f"out of memory running {config.map_count} agents, {users} users and "
+                          f"{n_steps} steps; lower map_count, msds_per_cluster or t_end") from exc
 
     return RunResult(
         config=config,

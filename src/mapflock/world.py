@@ -36,7 +36,7 @@ class World:
 
     centroids: np.ndarray         # (K, 2)
     msd_pos: np.ndarray           # (M, 2), immutable for the whole run
-    msd_cluster: np.ndarray       # (M,) cluster id per user
+    msd_cluster: np.ndarray       # (M,) int32 cluster id per user
     map_pos: np.ndarray           # (L, 2)
     map_vel: np.ndarray           # (L, 2)
     map_height: float
@@ -125,7 +125,7 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
     per_cluster = config.msds_per_cluster
     offsets = rng.standard_normal((len(centroids) * per_cluster, 2)) * config.cluster_sigma
     msd_pos = np.repeat(centroids, per_cluster, axis=0) + offsets
-    msd_cluster = np.repeat(np.arange(len(centroids)), per_cluster)
+    msd_cluster = np.repeat(np.arange(len(centroids), dtype=np.int32), per_cluster)
 
     spawn = np.asarray(config.map_spawn_center, dtype=float)
     hw = config.map_spawn_halfwidth
@@ -166,13 +166,16 @@ def generate_scenario(config: ScenarioConfig, rng: np.random.Generator) -> World
 
 def agent_tree(map_pos, alive):
     """The k-d tree of the alive agents' positions, in id order."""
-    return cKDTree(map_pos[alive], balanced_tree=False, compact_nodes=False)
+    return cKDTree(map_pos.take(alive.nonzero()[0], axis=0),
+                   balanced_tree=False, compact_nodes=False)
 
 
 def adjacency_matrix(agents, comm_range):
-    """The graph of the alive agents, numbered in id order, as int32 CSR
-    arrays ``(indptr, indices)``: row r's neighbours are
-    ``indices[indptr[r]:indptr[r + 1]]``, in ascending order.
+    """The graph of the alive agents, numbered in id order, as its int32
+    pairs ``(rows, cols)``: each adjacent pair once, with ``rows < cols``,
+    in row-major order. The symmetric graph's other half, and its component
+    labels, are left to the consumers that need them
+    (:func:`netgraph.connected_components`).
 
     `agents` is the :func:`agent_tree` of the agents' positions; only the
     pairs it finds within a slightly wider range are tested, at the
@@ -180,25 +183,26 @@ def adjacency_matrix(agents, comm_range):
     Agents i != j are adjacent when ``d2 <= comm_range**2``, with ``d2`` the
     squared distance of ``q_i - q_j``; the range is inclusive.
     """
-    pos = agents.data                       # map_pos[alive], as the tree keeps it
-    n = len(pos)
+    x, y = agents.data.T                    # map_pos[alive], as the tree keeps it
+    n = len(x)
     # the 1e-9 widening keeps every pair the exact test admits a candidate,
-    # whatever the rounding of the tree's own distances
+    # whatever the rounding of the tree's own distances; the tree gives i < j
     i, j = agents.query_pairs(comm_range * (1.0 + 1e-9), output_type="ndarray").T
-    diff = pos.take(i, axis=0)
-    diff -= pos.take(j, axis=0)
-    within = np.einsum("ij,ij->i", diff, diff) <= comm_range * comm_range
-    del diff
-    i, j = i[within], j[within]
-    # each pair once per direction as its row-major key; the keys are unique,
-    # so row r's sorted keys start at the first key at or above r * n
-    key = np.concatenate([i * n + j, j * n + i])
-    del i, j
+    dx, dy = x.take(i), y.take(i)
+    dx -= x.take(j)
+    dy -= y.take(j)
+    d2 = np.square(dx, out=dx)
+    d2 += np.square(dy, out=dy)
+    within = d2 <= comm_range * comm_range
+    del dx, dy, d2
+    # the row-major key of each pair, sorted, then split back into its row and column
+    key = i[within]
+    key *= n
+    key += j[within]
+    del i, j, within
     key.sort()
-    indptr = key.searchsorted(np.arange(n + 1) * n).astype(np.int32)
-    indices = np.remainder(key, n, out=key).astype(np.int32)
-    del key
-    return indptr, indices
+    rows, cols = np.divmod(key, n)
+    return rows.astype(np.int32), cols.astype(np.int32)
 
 
 # ---------------------------------------------------------------------------

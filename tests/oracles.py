@@ -28,12 +28,12 @@
   members' goals as Python sets, read from and written back to their rows.
 * :func:`dense_fiedler_value` -- the Fiedler value of a dense 0/1 matrix,
   through :func:`dense_laplacian` ``np.diag(A.sum(1)) - A``; the library
-  builds the Laplacian from the graph's CSR arrays and its component
-  labels.
-* :func:`csr_pairs` -- the graph's pairs ``(rows, cols)``, expanded from
-  the int32 CSR arrays ``(indptr, indices)`` that the library holds, and
-  :func:`dense_csr`, the CSR arrays of a dense 0/1 matrix, so that tests can
-  hand dense oracles' graphs to the library and back.
+  builds the Laplacian from the graph's pairs, and reads its component
+  labels only when the pairs do not prove it disconnected.
+* :func:`directed_pairs` -- the graph's pairs in both directions, expanded
+  from the int32 pairs ``(rows, cols)``, ``rows < cols``, that the library
+  holds, and :func:`upper_pairs`, those pairs of a dense 0/1 matrix, so that
+  tests can hand dense oracles' graphs to the library and back.
 * :func:`closed_form_bump`, :func:`closed_form_phi_uneven` and
   :func:`closed_form_phi_action` -- the range gate as two nested
   ``np.where``s, the uneven sigmoid as one expression and the action
@@ -59,7 +59,6 @@ import math
 from collections import Counter
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from mapflock import control as ctl
 from mapflock.association import Assignment, cluster_coverages
@@ -130,17 +129,24 @@ def dense_adjacency_matrix(map_pos, alive, comm_range):
     return adj
 
 
-def csr_pairs(indptr, indices):
-    """The pairs ``(rows, cols)`` of a graph's CSR arrays, in row-major
-    order: ``np.nonzero`` of the graph's matrix."""
-    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices
+def directed_pairs(rows, cols):
+    """The pairs ``(rows, cols)`` of a graph in both directions, in
+    row-major order: ``np.nonzero`` of the graph's matrix. The given pairs
+    must already have ``rows < cols`` in strictly row-major order, the order
+    ``world.adjacency_matrix`` promises, so every test that reads the
+    library's graph through this adapter checks that order too."""
+    keys = np.asarray(rows, dtype=np.int64) * (int(np.max(cols, initial=0)) + 1) + cols
+    assert np.all(rows < cols) and np.all(np.diff(keys) > 0), "pairs not upper row-major"
+    both_rows, both_cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    order = np.lexsort((both_cols, both_rows))
+    return both_rows[order], both_cols[order]
 
 
-def dense_csr(adjacency):
-    """The CSR arrays ``(indptr, indices)`` of a dense 0/1 matrix, by
-    ``scipy.sparse.csr_matrix``; int32, as ``world.adjacency_matrix`` gives them."""
-    graph = csr_matrix(np.asarray(adjacency, dtype=bool))
-    return graph.indptr, graph.indices
+def upper_pairs(adjacency):
+    """The pairs ``(rows, cols)`` of a dense 0/1 matrix with ``rows < cols``,
+    in row-major order; int32, as ``world.adjacency_matrix`` gives them."""
+    rows, cols = np.nonzero(np.triu(np.asarray(adjacency, dtype=bool), 1))
+    return rows.astype(np.int32), cols.astype(np.int32)
 
 
 def scan_connected_components(adjacency):

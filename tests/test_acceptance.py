@@ -22,7 +22,7 @@ from mapflock.outputs import config_from_summary, metrics_header, read_csv
 from mapflock.potentials import phi_action
 from mapflock.sim import run
 from mapflock.world import ScenarioConfig, agent_tree, save_config
-from oracles import attract_repulse, dense_csr, dense_laplacian, power_score_assign, sigma_norm
+from oracles import attract_repulse, dense_laplacian, power_score_assign, sigma_norm, upper_pairs
 
 SEEDS = (1, 2, 3, 4, 5)
 BASE = ScenarioConfig()          # nominal scenario: 4 x 500 users, 60 s
@@ -141,9 +141,9 @@ class TestExperimentTargets:
             ok &= np.allclose(lap.sum(1), 0.0)
             ok &= np.linalg.eigvalsh(lap)[0] >= -1e-9
             eig = np.sort(np.linalg.eigvals(lap).real)
-            labels = connected_components(len(adj), *dense_csr(adj))
+            labels = connected_components(len(adj), *upper_pairs(adj))
             expect = eig[1] if labels.max() == 0 else 0.0
-            ok &= abs(fiedler_value(dense_csr(adj), labels) - expect) <= 1e-7
+            ok &= abs(fiedler_value(n, upper_pairs(adj), lambda: labels) - expect) <= 1e-7
 
         # MST weight vs exhaustive spanning-tree enumeration
         for _ in range(50):

@@ -119,13 +119,29 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     def test_memory_error_is_one_line_error(self, config_path, tmp_path, monkeypatch, capsys):
-        def exhaust(config, record_trajectories=False):
+        def exhaust(world, params):
             raise MemoryError()
-        monkeypatch.setattr("mapflock.cli.run", exhaust)
+        monkeypatch.setattr("mapflock.sim.observe", exhaust)
         code = cli_main(["run", config_path, "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err == "error: MemoryError\n"
+        # 12 agents, 4 clusters of 30 users and 3.0 s at dt = 0.1
+        assert capsys.readouterr().err == (
+            "error: out of memory running 12 agents, 120 users and 30 steps; "
+            "lower map_count, msds_per_cluster or t_end\n")
         assert not (tmp_path / "out").exists()
+
+    def test_memory_error_in_a_sweep_is_one_line_error(self, config_path, tmp_path,
+                                                       monkeypatch, capsys):
+        def exhaust(config, rng):
+            raise MemoryError()
+        monkeypatch.setattr("mapflock.sim.generate_scenario", exhaust)
+        code = cli_main(["sweep-maps", config_path, "--counts", "8",
+                         "--replicates", "1", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: out of memory running 8 agents, 120 users and 30 steps; "
+            "lower map_count, msds_per_cluster or t_end\n")
+        assert not any(path.is_file() for path in (tmp_path / "out").rglob("*"))
 
     def test_out_of_memory_is_one_line_error(self, tmp_path):
         # a trajectory of 10^9 samples would not fit under a 4 GiB
@@ -158,6 +174,7 @@ class TestRunCommand:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+        assert "map_count" in proc.stderr
         assert not (tmp_path / "out").exists()
 
 

@@ -26,8 +26,8 @@ from oracles import (
     closed_form_consensus_weight,
     closed_form_load_pull,
     control_input,
-    csr_pairs,
     dense_flock_accelerations,
+    directed_pairs,
     goal_ids,
     goal_rows,
     goal_term_bridge,
@@ -168,7 +168,7 @@ class TestLoadTables:
         adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
         dense = np.zeros((30, 30), dtype=bool)
         ids = np.flatnonzero(alive)
-        rows, cols = csr_pairs(*adj)
+        rows, cols = directed_pairs(*adj)
         dense[ids[rows], ids[cols]] = True
         for loads in (np.zeros(30, int), rng.integers(0, 3 * PARAMS.n_max, 30),
                       rng.choice([0, PARAMS.n_max, 10**12], 30)):
@@ -260,7 +260,7 @@ class TestVectorizedAgreement:
             pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, n)
             adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
             ids = np.flatnonzero(alive)
-            rows, cols = csr_pairs(*adj)
+            rows, cols = directed_pairs(*adj)
             nb = [ids[cols[ids[rows] == i]] for i in range(n)]
             u = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent), adj,
                                     loads, PARAMS)

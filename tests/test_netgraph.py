@@ -7,10 +7,10 @@ from mapflock.netgraph import cluster_mst, connected_components, fiedler_value
 from mapflock.world import adjacency_matrix, agent_tree
 from oracles import (
     brute_force_spanning_tree,
-    csr_pairs,
-    dense_csr,
     dense_fiedler_value,
     dense_laplacian,
+    directed_pairs,
+    upper_pairs,
 )
 
 
@@ -24,19 +24,41 @@ def alive_graph(map_pos, alive, comm_range):
     """0/1 adjacency over the alive agents only, and their global ids."""
     ids = np.flatnonzero(alive)
     adj = np.zeros((len(ids), len(ids)))
-    adj[csr_pairs(*adjacency_matrix(agent_tree(map_pos, alive), comm_range))] = 1.0
+    adj[directed_pairs(*adjacency_matrix(agent_tree(map_pos, alive), comm_range))] = 1.0
     return adj, ids
 
 
 def components(adj):
     """Component labels of a dense adjacency matrix."""
-    return connected_components(len(adj), *dense_csr(adj))
+    return connected_components(len(adj), *upper_pairs(adj))
 
 
 def fiedler(adj):
     """The library's Fiedler value of a dense adjacency matrix, handed over
-    as the simulation holds the graph: its CSR arrays and its component labels."""
-    return fiedler_value(dense_csr(adj), components(adj))
+    as the simulation holds the graph: its pairs, and a function that gives
+    its component labels."""
+    return fiedler_value(len(adj), upper_pairs(adj), lambda: components(adj))
+
+
+def path(n):
+    adj = np.zeros((n, n))
+    adj[np.arange(n - 1), np.arange(1, n)] = adj[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return adj
+
+
+def star(n):
+    adj = np.zeros((n, n))
+    adj[0, 1:] = adj[1:, 0] = 1.0
+    return adj
+
+
+def complete(n):
+    return np.ones((n, n)) - np.eye(n)
+
+
+def with_isolated_agent(adj, at):
+    """`adj` with one more node, in no pair, inserted at index `at`."""
+    return np.insert(np.insert(adj, at, 0.0, axis=0), at, 0.0, axis=1)
 
 
 class TestBuildGraph:
@@ -62,7 +84,7 @@ class TestBuildGraph:
         assert adj.shape == (2, 2)
         np.testing.assert_array_equal(ids, [0, 2])
         assert adj[0, 1] == 1.0
-        rows, cols = csr_pairs(*adjacency_matrix(agent_tree(pos, alive), 24.0))
+        rows, cols = directed_pairs(*adjacency_matrix(agent_tree(pos, alive), 24.0))
         assert 1 not in ids[rows] and 1 not in ids[cols]
 
     def test_laplacian_invariants_random_graphs(self):
@@ -125,6 +147,30 @@ class TestFiedlerValue:
         for n in [0, 1, 2] + [int(rng.integers(2, 30)) for _ in range(40)]:
             adj = random_adjacency(rng, n, p=float(rng.uniform(0.05, 0.6)))
             assert fiedler(adj) == dense_fiedler_value(adj)
+
+    @pytest.mark.parametrize("adj", [np.zeros((0, 0)), np.zeros((1, 1)), np.zeros((2, 2)),
+                                     path(2), path(3), path(7), star(4), star(9), complete(2),
+                                     complete(5), with_isolated_agent(path(5), 0),
+                                     with_isolated_agent(star(5), 3),
+                                     with_isolated_agent(complete(6), 6)],
+                             ids=["n0", "n1", "n2 apart", "n2 pair", "path3", "path7", "star4",
+                                  "star9", "k2", "k5", "path5 isolated first",
+                                  "star5 isolated inside", "k6 isolated last"])
+    def test_labels_asked_only_when_pairs_allow_a_connected_graph(self, adj):
+        # n < 2, fewer than n - 1 pairs or an agent in no pair prove the graph
+        # disconnected: 0.0 without labels; otherwise the labels decide
+        n, asked = len(adj), []
+        pairs = upper_pairs(adj)
+
+        def labels():
+            asked.append(n)
+            return components(adj)
+
+        got = fiedler_value(n, pairs, labels)
+        assert got == dense_fiedler_value(adj)
+        proven = n < 2 or pairs[0].size < n - 1 or not (adj.sum(axis=1) > 0).all()
+        assert asked == ([] if proven else [n])
+        assert (got == 0.0) == proven
 
     def test_edge_addition_never_decreases(self):
         rng = np.random.default_rng(33)

@@ -11,7 +11,7 @@ import mapflock.sim as sim
 from mapflock.control import MODE_BRIDGE, MODE_DYNAMIC, ControlParams
 from mapflock.sim import measure, observe, run
 from mapflock.world import ScenarioConfig, generate_scenario
-from oracles import csr_pairs, recompute_run
+from oracles import directed_pairs, recompute_run
 
 # three clusters 60 m apart with the fleet spawned between them, so that
 # agents share goals, bridge and settle within a few seconds
@@ -46,12 +46,46 @@ class TestObservationCount:
     def test_one_observation_per_state(self, monkeypatch, failures, events):
         cfg = ScenarioConfig(**TRIANGLE, t_end=2.0, seed=4, failures=failures)
         counters = {name: count_calls(monkeypatch, name)
-                    for name in ("assign_msds", "adjacency_matrix", "connected_components")}
+                    for name in ("assign_msds", "adjacency_matrix")}
+        graphs, labelled = [], []
+        adjacency_matrix, connected_components = sim.adjacency_matrix, sim.connected_components
+
+        def built(*args):
+            graphs.append(adjacency_matrix(*args))
+            return graphs[-1]
+
+        def labels(n, rows, cols):
+            labelled.append(rows)
+            return connected_components(n, rows, cols)
+
+        monkeypatch.setattr(sim, "adjacency_matrix", built)
+        monkeypatch.setattr(sim, "connected_components", labels)
         res = run(cfg)
         steps = len(res.mode_changes)
         assert steps == 20
         for calls in counters.values():
             assert len(calls) == steps + 1 + events
+        # the labels of an observation's graph are computed at most once
+        assert len(graphs) == steps + 1 + events
+        assert labelled and len({id(rows) for rows in labelled}) == len(labelled)
+        assert {id(rows) for rows in labelled} <= {id(rows) for rows, _ in graphs}
+
+
+class TestLabelsOnDemand:
+    def test_wide_fleet_needs_no_labels(self, monkeypatch):
+        # 1000 agents over an 800 m field around four corner clusters, as the
+        # relay_wide benchmark scene: some agent is always in no pair, so every
+        # Fiedler value is 0 from the pairs alone, and no goal is known to share
+        cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (600.0, 0.0), (0.0, 600.0),
+                                              (600.0, 600.0)),
+                             msds_per_cluster=200, cluster_sigma=100.0, map_count=1000,
+                             map_spawn_center=(300.0, 300.0), map_spawn_halfwidth=400.0,
+                             t_end=0.2, seed=1)
+        labellings = count_calls(monkeypatch, "connected_components")
+        res = run(cfg)
+        assert len(res.samples) == 3 and labellings == []
+        assert [s.fiedler for s in res.samples] == [0.0] * 3
+        assert not res.world.achieved.any()
 
 
 class TestModeMachineGate:
@@ -163,10 +197,10 @@ class TestObserve:
         world.alive[::3] = False
         params = ControlParams()
         obs = observe(world, params)
-        rows, cols = csr_pairs(*obs.adjacency)
+        rows, cols = directed_pairs(*obs.adjacency)
         assert len(rows) == len(cols) and max(rows.max(), cols.max()) < 16
-        assert len(obs.labels) == np.count_nonzero(world.alive)
+        assert len(obs.labels()) == np.count_nonzero(world.alive) == obs.n_alive
         s = measure(world, params, 2.5)
-        assert s.coverage_ratio == obs.assignment.coverage_ratio
+        assert s.coverage_ratio == obs.coverage_ratio
         np.testing.assert_array_equal(s.cluster_coverage, obs.cluster_coverage)
         assert s.alive_count == 16 and s.t == 2.5

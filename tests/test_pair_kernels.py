@@ -1,9 +1,9 @@
 """The pair kernels agree exactly with the dense kernels they replaced.
 
 Matching and adjacency look only at the candidate pairs of k-d trees,
-forces only at the in-range pairs, the aerial graph is the int32 CSR
-arrays of those pairs, component labelling reads those arrays as a sparse
-matrix and goal sharing ORs each component's rows at once.
+forces only at the in-range pairs, the aerial graph is the sorted int32
+pairs ``rows < cols``, component labelling builds a sparse matrix from them
+and goal sharing ORs each component's rows at once.
 Each must give bit-identical results to its dense or looping oracle in
 ``tests/oracles.py``: owners, loads, adjacency, labels, accelerations and
 achieved goals.
@@ -24,16 +24,16 @@ from mapflock.netgraph import connected_components
 from mapflock.sim import observe, run, share_achieved_goals
 from mapflock.world import ScenarioConfig, World, adjacency_matrix, agent_tree, generate_scenario
 from oracles import (
-    csr_pairs,
     dense_adjacency_matrix,
-    dense_csr,
     dense_assign_msds,
     dense_flock_accelerations,
+    directed_pairs,
     goal_rows,
     goal_sets,
     kernel_world,
     loop_share_achieved_goals,
     scan_connected_components,
+    upper_pairs,
 )
 
 # an overflowing distance or cast shows up as a numpy warning
@@ -112,9 +112,9 @@ IDS = [name for name, *_ in SNAPSHOTS]
 
 
 def tree_pairs(map_pos, alive, comm_range):
-    """The library's in-range pairs, over the alive agents' own tree,
-    expanded from its CSR arrays."""
-    return csr_pairs(*adjacency_matrix(agent_tree(map_pos, alive), comm_range))
+    """The library's in-range pairs, over the alive agents' own tree, in
+    both directions."""
+    return directed_pairs(*adjacency_matrix(agent_tree(map_pos, alive), comm_range))
 
 
 def dense_pairs(map_pos, alive, comm_range):
@@ -125,11 +125,11 @@ def dense_pairs(map_pos, alive, comm_range):
 
 
 def dense_tree_graph(agents, comm_range):
-    """The CSR arrays of the dense oracle's matrix over the positions that the
+    """The pairs of the dense oracle's matrix over the positions that the
     library's agents' tree holds (the alive agents', in id order), so that it
     can stand in for ``adjacency_matrix`` in a whole run."""
-    return dense_csr(dense_adjacency_matrix(agents.data, np.ones(agents.n, dtype=bool),
-                                            comm_range))
+    return upper_pairs(dense_adjacency_matrix(agents.data, np.ones(agents.n, dtype=bool),
+                                              comm_range))
 
 
 def pair_matrix(n_alive, rows, cols):
@@ -148,14 +148,20 @@ def id_matrix(alive, rows, cols):
     return out
 
 
-def components_via_scan(n, indptr, indices):
-    return scan_connected_components(pair_matrix(n, *csr_pairs(indptr, indices)))
+def components_via_scan(n, rows, cols):
+    return scan_connected_components(pair_matrix(n, *directed_pairs(rows, cols)))
+
+
+def share_via_loop(world, labels):
+    """The per-component loop oracle behind the library's signature, whose
+    labels come from a function."""
+    loop_share_achieved_goals(world, labels())
 
 
 def accelerations_via_dense(world, adjacency, loads, params):
     return dense_flock_accelerations(world.map_pos, world.map_vel, loads, world.alive,
                                      world.mode, world.goal_a, world.goal_b, world.centroids,
-                                     id_matrix(world.alive, *csr_pairs(*adjacency)), params)
+                                     id_matrix(world.alive, *directed_pairs(*adjacency)), params)
 
 
 @pytest.mark.parametrize("name, users, agents, alive", SNAPSHOTS, ids=IDS)
@@ -172,10 +178,13 @@ class TestAgainstDenseOracles:
     def test_adjacency(self, name, users, agents, alive):
         n_alive = np.count_nonzero(alive)
         for comm_range in (R, 12.0, 5.0):
-            indptr, indices = adjacency_matrix(agent_tree(agents, alive), comm_range)
-            assert indptr.dtype == indices.dtype == np.int32
-            assert len(indptr) == n_alive + 1 and indptr[-1] == len(indices)
-            rows, cols = csr_pairs(indptr, indices)
+            pair_rows, pair_cols = adjacency_matrix(agent_tree(agents, alive), comm_range)
+            assert pair_rows.dtype == pair_cols.dtype == np.int32
+            assert pair_rows.shape == pair_cols.shape and np.all(pair_rows < pair_cols)
+            # the pairs as returned are strictly row-major: the force
+            # kernel's per-agent sums rely on this order for their bits
+            assert np.all(np.diff(pair_rows.astype(np.int64) * max(n_alive, 1) + pair_cols) > 0)
+            rows, cols = directed_pairs(pair_rows, pair_cols)
             want_rows, want_cols = dense_pairs(agents, alive, comm_range)
             np.testing.assert_array_equal(rows, want_rows)
             np.testing.assert_array_equal(cols, want_cols)
@@ -194,7 +203,7 @@ class TestAgainstDenseOracles:
         graph = adjacency_matrix(agent_tree(agents, alive), R)
         np.testing.assert_array_equal(connected_components(n_alive, *graph),
                                       scan_connected_components(pair_matrix(n_alive,
-                                                                            *csr_pairs(*graph))))
+                                                                            *directed_pairs(*graph))))
 
     def test_accelerations(self, name, users, agents, alive):
         rng = np.random.default_rng(len(agents))
@@ -222,8 +231,7 @@ class TestEmptyGraphs:
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_no_pairs_give_one_component_per_node(self, n):
         none = np.zeros(0, dtype=np.int32)
-        np.testing.assert_array_equal(connected_components(n, np.zeros(n + 1, np.int32), none),
-                                      np.arange(n))
+        np.testing.assert_array_equal(connected_components(n, none, none), np.arange(n))
 
 
 # (x_min, x_i, x_j) with x_j - x_i within 24 m, where (x - x_min) / 24 rounds
@@ -302,7 +310,7 @@ class TestRandomGraphLabels:
             n = int(rng.integers(0, 60))
             adj = np.triu(rng.random((n, n)) < rng.random() * 0.15, 1)
             adj = adj | adj.T
-            got = connected_components(n, *dense_csr(adj))
+            got = connected_components(n, *upper_pairs(adj))
             np.testing.assert_array_equal(got, scan_connected_components(adj))
 
     def test_large_sparse_graphs(self):
@@ -314,7 +322,7 @@ class TestRandomGraphLabels:
             adj = np.zeros((n, n), dtype=bool)
             adj[i, j] = adj[j, i] = True
             np.fill_diagonal(adj, False)
-            got = connected_components(n, *dense_csr(adj))
+            got = connected_components(n, *upper_pairs(adj))
             np.testing.assert_array_equal(got, scan_connected_components(adj))
 
     def test_isolated_first_node(self):
@@ -322,7 +330,7 @@ class TestRandomGraphLabels:
         adj = np.zeros((n, n), dtype=bool)
         path = np.arange(1, n)
         adj[path[:-1], path[1:]] = adj[path[1:], path[:-1]] = True
-        got = connected_components(n, *dense_csr(adj))
+        got = connected_components(n, *upper_pairs(adj))
         np.testing.assert_array_equal(got, [0] + [1] * (n - 1))
         np.testing.assert_array_equal(got, scan_connected_components(adj))
 
@@ -338,7 +346,7 @@ class TestRandomGraphLabels:
             adj[small, small + 1] = adj[small + 1, small] = True
             path = np.r_[rng.permutation(np.arange(2 * pairs + 1, n)), 2 * pairs]
             adj[path[:-1], path[1:]] = adj[path[1:], path[:-1]] = True
-            got = connected_components(n, *dense_csr(adj))
+            got = connected_components(n, *upper_pairs(adj))
             np.testing.assert_array_equal(got, np.r_[np.repeat(np.arange(pairs), 2),
                                                      np.full(n - 2 * pairs, pairs)])
             np.testing.assert_array_equal(got, scan_connected_components(adj))
@@ -366,7 +374,7 @@ class TestShareAchievedGoals:
             # any labeling, gaps in the label range included
             labels = rng.integers(0, max(1, alive_count), size=alive_count)
             looped = replace(grouped, achieved=grouped.achieved.copy())
-            share_achieved_goals(grouped, labels)
+            share_achieved_goals(grouped, lambda: labels)
             loop_share_achieved_goals(looped, labels)
             np.testing.assert_array_equal(grouped.achieved, looped.achieved)
             # each agent keeps its own row: marking one through its view, as
@@ -383,25 +391,61 @@ class TestShareAchievedGoals:
         world.alive[:] = True
         world.achieved = goal_rows([{1}, set(), {2}, set(), set(), {4}], 6)
         labels = np.array([0, 0, 0, 1, 1, 2])
-        share_achieved_goals(world, labels)
+        share_achieved_goals(world, lambda: labels)
         assert goal_sets(world.achieved) == [{1, 2}, {1, 2}, {1, 2}, set(), set(), {4}]
         world.achieved[1][5] = True
         world.achieved[3][3] = True
         assert goal_sets(world.achieved) == [{1, 2}, {1, 2, 5}, {1, 2}, {3}, set(), {4}]
+
+    def test_identical_rows_ask_for_no_labels(self):
+        # with no goal known, or the same goals known by every alive agent, an
+        # OR over any partition changes nothing: the labels are not computed
+        rng = np.random.default_rng(5)
+
+        def no_labels():
+            raise AssertionError("labels computed")
+
+        for row in ([], [2], [0, 3, 5]):
+            world = self._world(rng, 12)
+            world.achieved = goal_rows([row] * 12, 6)
+            world.achieved[~world.alive] = goal_rows([[1]], 6)   # dead rows may differ
+            before = world.achieved.copy()
+            share_achieved_goals(world, no_labels)
+            np.testing.assert_array_equal(world.achieved, before)
+
+    def test_differing_rows_match_per_component_loop(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            world = self._world(rng, int(rng.integers(2, 30)))
+            alive_count = int(world.alive.sum())
+            labels = rng.integers(0, max(1, alive_count // 3), size=alive_count)
+            known = world.achieved[world.alive]
+            if not known.any() or (known == known[0]).all():
+                continue
+            asked, looped = [], replace(world, achieved=world.achieved.copy())
+
+            def asked_labels():
+                asked.append(alive_count)
+                return labels
+
+            share_achieved_goals(world, asked_labels)
+            loop_share_achieved_goals(looped, labels)
+            np.testing.assert_array_equal(world.achieved, looped.achieved)
+            assert asked == [alive_count]
 
     def test_dead_agents_and_other_components_untouched(self):
         world = self._world(np.random.default_rng(3), 7)
         world.alive[:] = [True, False, True, True, False, True, True]
         world.achieved = goal_rows([{0}, {1}, set(), {2}, {3}, set(), set()], 6)
         # alive agents 0, 2 | 3 | 5, 6: only the first component knows goal 0
-        share_achieved_goals(world, np.array([0, 0, 1, 2, 2]))
+        share_achieved_goals(world, lambda: np.array([0, 0, 1, 2, 2]))
         assert goal_sets(world.achieved) == [{0}, {1}, {0}, {2}, {3}, set(), set()]
 
 
 @pytest.mark.parametrize("failures", [(), ((1.0, 0.5),)])
 def test_run_identical_to_dense_kernels(monkeypatch, failures):
     """A whole run with the dense kernels swapped in, behind adapters between
-    CSR arrays and matrices, gives the same samples, trajectory and final world."""
+    pairs and matrices, gives the same samples, trajectory and final world."""
     cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (60.0, 0.0), (0.0, 60.0)),
                          msds_per_cluster=60, cluster_sigma=6.0, map_count=24,
                          map_spawn_center=(30.0, 30.0), map_spawn_halfwidth=20.0,
@@ -411,7 +455,7 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
             (sim, "assign_msds", dense_assign_msds),
             (sim, "adjacency_matrix", dense_tree_graph),
             (sim, "connected_components", components_via_scan),
-            (sim, "share_achieved_goals", loop_share_achieved_goals),
+            (sim, "share_achieved_goals", share_via_loop),
             (control, "flock_accelerations", accelerations_via_dense)):
         monkeypatch.setattr(module, name, oracle)
     dense = run(cfg, record_trajectories=True)
@@ -489,7 +533,7 @@ class TestTreePath:
         got = assign_msds(users, agents, H, alive, R, *trees)
         want = dense_assign_msds(users, agents, H, alive, R)
         np.testing.assert_array_equal(got.owner, want.owner)
-        for got, want in zip(csr_pairs(*adjacency_matrix(trees[1], R)),
+        for got, want in zip(directed_pairs(*adjacency_matrix(trees[1], R)),
                              dense_pairs(agents, alive, R)):
             np.testing.assert_array_equal(got, want)
 
@@ -589,7 +633,7 @@ class TestUndirectedForceKernel:
             graph = adjacency_matrix(agent_tree(pos, alive), params.r)
             n_alive = np.count_nonzero(alive)
             if shape in ("isolated", "clique"):
-                assert graph[1].size == (0 if shape == "isolated" else n_alive * (n_alive - 1))
+                assert graph[1].size == (0 if shape == "isolated" else n_alive * (n_alive - 1) // 2)
             # the kernel never reads a dead agent's fields, so they may hold anything
             dead = ~alive
             pos, vel, goal_a, goal_b = pos.copy(), vel.copy(), goal_a.copy(), goal_b.copy()
@@ -615,5 +659,5 @@ class TestUndirectedForceKernel:
             return phi_action(z, params)
 
         monkeypatch.setattr(control, "phi_action", counted)
-        flock_accelerations(world, obs.adjacency, obs.assignment.loads, cfg.control)
-        assert sizes == [obs.adjacency[1].size // 2] == [1346]
+        flock_accelerations(world, obs.adjacency, obs.loads, cfg.control)
+        assert sizes == [obs.adjacency[1].size] == [1346]

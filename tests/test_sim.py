@@ -36,7 +36,7 @@ from mapflock.world import (
     agent_tree,
     generate_scenario,
 )
-from oracles import attract_repulse, csr_pairs, kernel_world
+from oracles import attract_repulse, directed_pairs, kernel_world
 
 PARAMS = ControlParams()
 
@@ -372,20 +372,24 @@ class TestStepMemory:
     def test_force_kernel_peak_is_bounded(self):
         cfg, w, obs = self.world_and_observation()     # 1346 pairs at t = 0
         peak = self.peak_above_entry(
-            lambda: flock_accelerations(w, obs.adjacency, obs.assignment.loads, cfg.control))
+            lambda: flock_accelerations(w, obs.adjacency, obs.loads, cfg.control))
         assert peak < 0.1 * 2**20
 
     def test_step_releases_the_observation_it_took_over(self):
         cfg, world, obs = self.world_and_observation()
         step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt, obs)
-        assert [getattr(obs, f.name) for f in fields(obs)] == [None] * 4
+        # only the two scalars are left: the loads, the coverages, the pairs
+        # and the labels are released
+        assert [f.name for f in fields(obs) if getattr(obs, f.name) is not None] \
+            == ["coverage_ratio", "n_alive"]
 
 
 class TestStepMemoryAtScale:
     """The step's working memory is linear in the fleet: 100 000 agents over a
-    16 km field around four clusters of 2000 users (71 724 CSR entries after
-    the first step). The second step peaks 5.46 MiB above its entry; one more
-    (L, 2) float copy adds 1.5 MiB, and an (L, K) float temporary 3.1 MiB.
+    16 km field around four clusters of 2000 users (35 450 pairs after the
+    first step). The second step peaks 5.34 MiB above its entry (5.46 MiB
+    while the graph was held as CSR arrays); one more (L, 2) float copy adds
+    1.5 MiB, and an (L, K) float temporary 3.1 MiB.
     An (L, L) or (M, L) array would be 80 GB or 6.4 GB."""
 
     BOUND = 1.25 * 5.46 * 2**20
@@ -417,7 +421,7 @@ class TestLoneAgentStability:
         alive, one = np.ones(1, bool), np.zeros(1, int)
         world = kernel_world(pos, vel, alive, one + MODE_DYNAMIC, one, one - 1, np.zeros((1, 2)))
         for _ in range(steps):
-            accel = flock_accelerations(world, (np.zeros(2, np.int32), np.zeros(0, np.int32)),
+            accel = flock_accelerations(world, (np.zeros(0, np.int32), np.zeros(0, np.int32)),
                                         one, PARAMS)
             euler_update(pos, vel, accel, alive, dt)
         return float(np.hypot(*pos[0]))
@@ -478,7 +482,7 @@ class TestDivergenceGuard:
         self.config = small_config(seed=1)
         self.world = generate_scenario(self.config, np.random.default_rng(1))
         world = self.world
-        rows, cols = csr_pairs(*adjacency_matrix(agent_tree(world.map_pos, world.alive), PARAMS.r))
+        rows, cols = directed_pairs(*adjacency_matrix(agent_tree(world.map_pos, world.alive), PARAMS.r))
         ids = np.flatnonzero(self.world.alive)
         reached = np.union1d([3], ids[cols[ids[rows] == 3]])
         np.testing.assert_array_equal(reached, [1, 3, 9, 10])

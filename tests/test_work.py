@@ -18,16 +18,18 @@ from mapflock.world import ScenarioConfig
 from test_golden import CONFIGS
 from test_observation import count_calls
 
-# per config: calls to each of the three observation kernels (one per
-# world state), eigvalsh calls and the sum of their matrix orders (one per
-# connected sample), mode_switch calls, and the pair distances phi_action gets
+# per config: calls to each of the two observation kernels (one per world
+# state), component labellings (at most one per world state, only for a
+# Fiedler value or a goal sharing that needs them), eigvalsh calls and the
+# sum of their matrix orders (one per connected sample), mode_switch calls,
+# and the pair distances phi_action gets
 WORK = {
-    "nominal": dict(observations=121, eigvalsh=22, eigvalsh_order=880, mode_switch=65,
-                    phi_distances=15530),
-    "bridge": dict(observations=61, eigvalsh=61, eigvalsh_order=1464, mode_switch=41,
-                   phi_distances=4420),
-    "failure": dict(observations=62, eigvalsh=61, eigvalsh_order=1104, mode_switch=33,
-                    phi_distances=3804),
+    "nominal": dict(observations=121, components=107, eigvalsh=22,
+                    eigvalsh_order=880, mode_switch=65, phi_distances=15530),
+    "bridge": dict(observations=61, components=61, eigvalsh=61,
+                   eigvalsh_order=1464, mode_switch=41, phi_distances=4420),
+    "failure": dict(observations=62, components=61, eigvalsh=61,
+                    eigvalsh_order=1104, mode_switch=33, phi_distances=3804),
 }
 
 
@@ -35,7 +37,8 @@ WORK = {
 def test_run_work_counts(name, monkeypatch):
     settings, trajectories = CONFIGS[name]
     observations = {kernel: count_calls(monkeypatch, kernel)
-                    for kernel in ("assign_msds", "adjacency_matrix", "connected_components")}
+                    for kernel in ("assign_msds", "adjacency_matrix")}
+    components = count_calls(monkeypatch, "connected_components")
     eigvalsh = count_calls(monkeypatch, "eigvalsh", np.linalg)
     mode_switch = count_calls(monkeypatch, "mode_switch", control)
     phi_action = count_calls(monkeypatch, "phi_action", control)
@@ -43,6 +46,7 @@ def test_run_work_counts(name, monkeypatch):
     want = WORK[name]
     assert {kernel: len(calls) for kernel, calls in observations.items()} == dict.fromkeys(
         observations, want["observations"])
+    assert len(components) == want["components"]
     assert len(eigvalsh) == want["eigvalsh"]
     assert sum(shape[0] for shape in eigvalsh) == want["eigvalsh_order"]
     assert len(mode_switch) == want["mode_switch"]

@@ -17,7 +17,7 @@ from mapflock.world import (
     load_config,
     save_config,
 )
-from oracles import csr_pairs
+from oracles import directed_pairs
 
 
 def small_config(**kwargs):
@@ -111,7 +111,7 @@ class TestGenerateScenario:
 def neighbors(map_pos, alive, comm_range):
     """Neighbour ids of each agent, from the in-range pairs of alive agents."""
     ids = np.flatnonzero(alive)
-    rows, cols = csr_pairs(*adjacency_matrix(agent_tree(map_pos, alive), comm_range))
+    rows, cols = directed_pairs(*adjacency_matrix(agent_tree(map_pos, alive), comm_range))
     return [ids[cols[ids[rows] == i]] for i in range(len(map_pos))]
 
 
