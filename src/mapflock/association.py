@@ -12,12 +12,12 @@ into a k-d tree (:func:`user_table`, ``scipy.spatial.cKDTree``; the world
 holds it, and it serves any height and range), the alive agents once per
 observation into another. The pairs within the horizontal reach
 ``sqrt(r^2 - h^2)`` of the two trees are the candidates. Each candidate
-pair gets the squared horizontal distance ``d2`` and the range test
-``sqrt(d2 + h^2) <= r``. Among its in-range pairs, a user takes the
-smallest ``d2``, and on a tie the lowest agent id, so the order of the
-candidates does not matter. That is the nearest alive agent whenever the
-nearest is in range. A user with no pair in range has no agent in range,
-and stays unassigned.
+pair gets the squared horizontal distance ``d2``, at the positions the
+trees hold, and the range test ``sqrt(d2 + h^2) <= r``. Among its
+in-range pairs, a user takes the smallest ``d2``, and on a tie the lowest
+agent id, so the order of the candidates does not matter. That is the
+nearest alive agent whenever the nearest is in range. A user with no pair
+in range has no agent in range, and stays unassigned.
 """
 
 import math
@@ -50,15 +50,15 @@ def user_table(msd_pos):
     return cKDTree(msd_pos, balanced_tree=False, compact_nodes=False)
 
 
-def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
+def assign_msds(users, agents, alive, map_height, comm_range):
     """Match every user to its nearest alive agent, if that one is in range.
 
-    `users` is the users' :func:`user_table`; `agents` is the k-d tree of
-    ``map_pos[alive]``, as ``world.agent_tree`` builds it.
+    `users` is the users' :func:`user_table` and `agents` the alive agents'
+    ``world.agent_tree``; distances are taken at the positions they hold.
     """
     if comm_range <= 0:
         raise ValueError("comm_range must be positive")
-    n_msds = len(msd_pos)
+    n_msds = users.n
     alive_ids = alive.nonzero()[0]
     pairs = agents.sparse_distance_matrix(users, _reach(map_height, comm_range),
                                           output_type="ndarray")
@@ -66,14 +66,12 @@ def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
     # the squared distance per coordinate, square(dx) + square(dy), as the
     # force kernel takes it; each pair-sized temporary is reused in place or
     # freed after its last use
-    owners = alive_ids.take(agent)
-    (ux, uy), (mx, my) = msd_pos.T, map_pos.T
-    d2 = ux.take(user).astype(float, copy=False)     # dx, squared in place
-    d2 -= mx.take(owners)
+    (ux, uy), (ax, ay) = users.data.T, agents.data.T
+    d2 = ux.take(user)                  # dx, squared in place
+    d2 -= ax.take(agent)
     np.square(d2, out=d2)
-    dy = uy.take(user).astype(float, copy=False)
-    dy -= my.take(owners)
-    del owners
+    dy = uy.take(user)
+    dy -= ay.take(agent)
     d2 += np.square(dy, out=dy)
     del dy
     near = np.sqrt(d2 + map_height * map_height) <= comm_range
@@ -86,7 +84,7 @@ def assign_msds(msd_pos, map_pos, map_height, alive, comm_range, users, agents):
     np.minimum.at(best, user[tied], agent[tied])   # lowest id wins ties
     # best = alive_ids.size (none in range) maps to owner -1, counted in slot 0
     owner = np.concatenate((alive_ids, [-1])).take(best)
-    loads = np.bincount(owner + 1, minlength=len(map_pos) + 1)
+    loads = np.bincount(owner + 1, minlength=alive.size + 1)
     coverage = (n_msds - int(loads[0])) / n_msds if n_msds else 0.0
     return Assignment(owner=owner, loads=loads[1:], coverage_ratio=coverage)
 

@@ -145,7 +145,7 @@ def cli_main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, OSError, ValueError, SimulationDiverged, MemoryError) as exc:
+    except (OSError, ValueError, SimulationDiverged, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
@@ -153,6 +153,3 @@ def cli_main(argv=None) -> int:
 def main():
     sys.exit(cli_main())
 
-
-if __name__ == "__main__":
-    main()

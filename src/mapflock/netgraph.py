@@ -17,15 +17,6 @@ import numpy as np
 from scipy.sparse import csgraph, csr_matrix
 
 
-def _directed_keys(n, rows, cols):
-    """The row-major key ``r * n + c`` of each pair in both directions, as intp."""
-    key = np.concatenate([rows, cols], dtype=np.intp)
-    key *= n
-    key[:rows.size] += cols
-    key[rows.size:] += rows
-    return key
-
-
 def connected_components(n, rows, cols):
     """Component label per node: 0..n_components-1, in the order of each
     component's smallest node.
@@ -37,9 +28,11 @@ def connected_components(n, rows, cols):
     is an undirected one, and the directed (Pearce) labels, in the same
     smallest-node order, skip the undirected path's transpose.
     """
-    # the keys are unique, so row r's sorted keys start at the first key at or
-    # above r * n
-    key = _directed_keys(n, rows, cols)
+    # the row-major key r * n + c of each pair in both directions; the keys are
+    # unique, so row r's sorted keys start at the first key at or above r * n
+    key = np.concatenate([rows, cols], dtype=np.intp)
+    key *= n
+    key += np.concatenate([cols, rows])
     key.sort()
     # int32: scipy scans wider index arrays for their range, then casts them down
     indptr = key.searchsorted(np.arange(n + 1) * n).astype(np.int32)
@@ -68,7 +61,7 @@ def fiedler_value(n, adjacency, labels):
     if not degree.all() or labels().max() > 0:
         return 0.0
     lap = np.zeros((n, n))
-    lap.reshape(-1)[_directed_keys(n, rows, cols)] = -1.0
+    lap[rows, cols] = lap[cols, rows] = -1.0
     np.fill_diagonal(lap, degree)
     return max(float(np.linalg.eigvalsh(lap)[1]), 0.0)
 

@@ -137,13 +137,13 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
 
 
-def write_line_svg(path, x, series, x_label="t", width=800, height=500):
+def write_line_svg(path, x, series, x_label="t"):
     """Minimal SVG line chart: one polyline per series plus axes and legend."""
     x = np.asarray(x, dtype=float)
     if not series:
         raise ValueError("nothing to plot")
     ml, mr, mt, mb = 60, 20, 20, 40
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = 800 - ml - mr, 500 - mt - mb     # the plot area of the 800 x 500 canvas
     ys = np.concatenate([np.asarray(v, float) for v in series.values()])
     x_lo, x_hi = float(x.min()), float(x.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
@@ -159,12 +159,12 @@ def write_line_svg(path, x, series, x_label="t", width=800, height=500):
         return mt + ph - (v - y_lo) / (y_hi - y_lo) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="500" '
+        'viewBox="0 0 800 500">',
+        '<rect x="0" y="0" width="800" height="500" fill="white"/>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
-        f'<text x="{ml + pw / 2}" y="{height - 8}" text-anchor="middle" '
+        f'<text x="{ml + pw / 2}" y="{mt + ph + mb - 8}" text-anchor="middle" '
         f'font-size="14">{x_label}</text>',
         f'<text x="{ml - 8}" y="{mt + ph}" text-anchor="end" font-size="12">{fmt(y_lo)}</text>',
         f'<text x="{ml - 8}" y="{mt + 12}" text-anchor="end" font-size="12">{fmt(y_hi)}</text>',

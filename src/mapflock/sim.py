@@ -134,8 +134,7 @@ def observe(world: World, params: ctl.ControlParams) -> Observation:
     agents = agent_tree(world.map_pos, world.alive)
     # the graph first: its build peaks above the matcher's, with nothing else live
     adj = adjacency_matrix(agents, params.r)
-    asg = assign_msds(world.msd_pos, world.map_pos, world.map_height, world.alive,
-                      params.r, world.user_table, agents)
+    asg = assign_msds(world.user_table, agents, world.alive, world.map_height, params.r)
     return Observation(
         loads=asg.loads,
         coverage_ratio=asg.coverage_ratio,
@@ -199,16 +198,15 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
 
     `obs` is the observation of the current state, as the previous step
     returned it; None observes the state afresh. The step takes `obs` over
-    and sets each array field to None once it has used it. Returns (sample,
-    mode_change_count, observation of the new state).
+    and sets the array fields phases 3 to 5 read to None once they are used.
+    Returns (sample, mode_change_count, observation of the new state).
     """
     # 1: observation of the pre-step state
     if obs is None:
         obs = observe(world, params)
 
-    # 2: idealized information sharing per connected component; then the labels go
+    # 2: idealized information sharing per connected component
     share_achieved_goals(world, obs.labels)
-    obs.components = None
 
     # 3: mode machine, in id order, for the agents it can change
     changes = ctl.switch_modes(world, obs.loads, obs.cluster_coverage, thresholds, params.r)

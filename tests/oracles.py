@@ -93,13 +93,8 @@ def power_score_assign(msd_pos, map_pos, map_height, alive, rho, eta, comm_range
     return Assignment(owner=owner, loads=loads, coverage_ratio=coverage)
 
 
-def dense_assign_msds(msd_pos, map_pos, map_height, alive, comm_range, *trees):
-    """Match every user to its nearest alive agent, if that one is in range.
-
-    `trees`, the library matcher's users' and agents' k-d trees, are
-    accepted and not used, so that this oracle can stand in for
-    ``assign_msds`` in a whole run.
-    """
+def dense_assign_msds(msd_pos, map_pos, map_height, alive, comm_range):
+    """Match every user to its nearest alive agent, if that one is in range."""
     if comm_range <= 0:
         raise ValueError("comm_range must be positive")
     n_msds = len(msd_pos)
@@ -447,16 +442,6 @@ def _measure(world, params, t):
     )
 
 
-def _share_achieved_goals(world, adjacency):
-    ids = np.flatnonzero(world.alive)
-    if ids.size == 0:
-        return
-    sub = adjacency[np.ix_(ids, ids)]
-    labels = scan_connected_components(sub.astype(float))
-    for comp in range(labels.max() + 1):
-        _union_rows(world.achieved, ids[labels == comp])
-
-
 def masked_euler_update(pos, vel, accel, alive, dt):
     """Semi-implicit Euler in place on the rows `alive` selects: v += u*dt,
     then q += v*dt with the new v."""
@@ -470,7 +455,8 @@ def _step(world, params, thresholds, dt, t_next):
     cov = cluster_coverages(asg, world.msd_cluster, world.cluster_users)
 
     adj = dense_adjacency_matrix(world.map_pos, world.alive, params.r)
-    _share_achieved_goals(world, adj)
+    loop_share_achieved_goals(
+        world, scan_connected_components(adj[np.ix_(world.alive, world.alive)].astype(float)))
 
     bridge_counts = Counter()
     for i in np.flatnonzero(world.alive & (world.mode == ctl.MODE_BRIDGE)):

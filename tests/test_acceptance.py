@@ -157,8 +157,7 @@ class TestExperimentTargets:
             msd = rng.uniform(-40, 40, (int(rng.integers(1, 12)), 2))
             maps = rng.uniform(-40, 40, (int(rng.integers(1, 8)), 2))
             alive = rng.random(len(maps)) > 0.25
-            asg = assign_msds(msd, maps, 20.0, alive, 24.0, user_table(msd),
-                              agent_tree(maps, alive))
+            asg = assign_msds(user_table(msd), agent_tree(maps, alive), alive, 20.0, 24.0)
             other = power_score_assign(msd, maps, 20.0, alive, 7.0, 2.0, 24.0)
             ok &= np.array_equal(asg.owner, other.owner)
             for i in range(len(msd)):

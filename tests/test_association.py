@@ -11,8 +11,7 @@ R = 24.0   # communication range
 
 def match(msd, maps, height, alive, comm_range):
     """`assign_msds` over the users' tree and the alive agents' tree."""
-    return assign_msds(msd, maps, height, alive, comm_range, user_table(msd),
-                       agent_tree(maps, alive))
+    return assign_msds(user_table(msd), agent_tree(maps, alive), alive, height, comm_range)
 
 
 class TestAssignMsds:
@@ -130,7 +129,7 @@ class TestUsersTableReach:
         users, agents = user_table(msd), agent_tree(maps, alive)
         for height in (3.0, H):
             for comm_range in (R, 30.0):
-                got = assign_msds(msd, maps, height, alive, comm_range, users, agents)
+                got = assign_msds(users, agents, alive, height, comm_range)
                 want = dense_assign_msds(msd, maps, height, alive, comm_range)
                 np.testing.assert_array_equal(got.owner, want.owner)
                 np.testing.assert_array_equal(got.loads, want.loads)

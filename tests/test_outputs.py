@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,16 @@ class TestSvg:
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_line_svg(tmp_path / "x.svg", [0.0, 1.0], {})
+
+    def test_bytes_pinned(self, tmp_path):
+        """The 800 x 500 chart of three series, a constant one among them, byte
+        for byte: a change to the layout or the number format moves the digest."""
+        path = tmp_path / "plot.svg"
+        x = np.linspace(0.0, 12.0, 25)
+        write_line_svg(path, x, {"coverage": np.sin(x) ** 2, "fiedler": 0.01 * x,
+                                 "flat": [0.5] * 25}, x_label="t [s]")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() \
+            == "ecffcecb89f7b125d2df52891d57991b7cd0ec121badc237a8d485f1fd3f2fff"
 
 
 class TestTrajectoryRows:

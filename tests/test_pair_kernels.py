@@ -152,6 +152,14 @@ def components_via_scan(n, rows, cols):
     return scan_connected_components(pair_matrix(n, *directed_pairs(rows, cols)))
 
 
+def assign_via_dense(users, agents, alive, map_height, comm_range):
+    """The dense matcher behind the library's signature: the agents' tree
+    positions scattered into the alive rows of a position array."""
+    map_pos = np.zeros((len(alive), 2))
+    map_pos[alive] = agents.data
+    return dense_assign_msds(users.data, map_pos, map_height, alive, comm_range)
+
+
 def share_via_loop(world, labels):
     """The per-component loop oracle behind the library's signature, whose
     labels come from a function."""
@@ -169,7 +177,7 @@ class TestAgainstDenseOracles:
     def test_assignment(self, name, users, agents, alive):
         trees = user_table(users), agent_tree(agents, alive)
         for height, comm_range in ((H, R), (3.0, 5.0), (7.0, 25.0), (R * (1 - 1e-15), R)):
-            got = assign_msds(users, agents, height, alive, comm_range, *trees)
+            got = assign_msds(*trees, alive, height, comm_range)
             want = dense_assign_msds(users, agents, height, alive, comm_range)
             np.testing.assert_array_equal(got.owner, want.owner)
             np.testing.assert_array_equal(got.loads, want.loads)
@@ -286,8 +294,7 @@ class TestCandidatePairs:
         none = np.zeros((0, 2))
         for users, agents in ((np.ones((3, 2)), none), (none, np.ones((3, 2))), (none, none)):
             alive = np.ones(len(agents), bool)
-            got = assign_msds(users, agents, H, alive, R, user_table(users),
-                              agent_tree(agents, alive))
+            got = assign_msds(user_table(users), agent_tree(agents, alive), alive, H, R)
             assert got.owner.tolist() == [-1] * len(users)
             assert got.loads.tolist() == [0] * len(agents)
             assert got.coverage_ratio == 0.0
@@ -296,7 +303,7 @@ class TestCandidatePairs:
 
     def test_coincident_points(self):
         users, agents, alive = np.ones((2, 2)), np.ones((3, 2)), np.ones(3, bool)
-        got = assign_msds(users, agents, H, alive, R, user_table(users), agent_tree(agents, alive))
+        got = assign_msds(user_table(users), agent_tree(agents, alive), alive, H, R)
         np.testing.assert_array_equal(got.owner, [0, 0])
         rows, cols = tree_pairs(agents, alive, R)
         assert list(zip(rows.tolist(), cols.tolist())) \
@@ -452,7 +459,7 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
                          t_end=3.0, seed=5, failures=failures)
     fast = run(cfg, record_trajectories=True)
     for module, name, oracle in (
-            (sim, "assign_msds", dense_assign_msds),
+            (sim, "assign_msds", assign_via_dense),
             (sim, "adjacency_matrix", dense_tree_graph),
             (sim, "connected_components", components_via_scan),
             (sim, "share_achieved_goals", share_via_loop),
@@ -496,7 +503,7 @@ class TestTreePath:
         users = _fleet_with_outlier(outlier)
         agents = np.random.default_rng(5).uniform(0.0, 800.0, size=(300, 2))
         alive = np.ones(300, bool)
-        got = assign_msds(users, agents, H, alive, R, user_table(users), agent_tree(agents, alive))
+        got = assign_msds(user_table(users), agent_tree(agents, alive), alive, H, R)
         want = dense_assign_msds(users, agents, H, alive, R)
         np.testing.assert_array_equal(got.owner, want.owner)
 
@@ -517,7 +524,7 @@ class TestTreePath:
         served = []
         for alive in [np.arange(len(agents)) == k for k in range(len(agents))] \
                 + [np.ones(len(agents), bool)]:
-            got = assign_msds(users, agents, H, alive, R, table, agent_tree(agents, alive))
+            got = assign_msds(table, agent_tree(agents, alive), alive, H, R)
             want = dense_assign_msds(users, agents, H, alive, R)
             np.testing.assert_array_equal(got.owner, want.owner)
             np.testing.assert_array_equal(got.loads, want.loads)
@@ -530,7 +537,7 @@ class TestTreePath:
     @pytest.mark.parametrize("name, users, agents, alive", SNAPSHOTS, ids=IDS)
     def test_one_pair_of_trees_serves_matching_and_graph(self, name, users, agents, alive):
         trees = user_table(users), agent_tree(agents, alive)
-        got = assign_msds(users, agents, H, alive, R, *trees)
+        got = assign_msds(*trees, alive, H, R)
         want = dense_assign_msds(users, agents, H, alive, R)
         np.testing.assert_array_equal(got.owner, want.owner)
         for got, want in zip(directed_pairs(*adjacency_matrix(trees[1], R)),
@@ -572,7 +579,7 @@ class TestTreePath:
             return wrapped
 
         monkeypatch.setattr(sim, "agent_tree", build)
-        monkeypatch.setattr(sim, "assign_msds", spy(sim.assign_msds, -1))
+        monkeypatch.setattr(sim, "assign_msds", spy(sim.assign_msds, 1))
         monkeypatch.setattr(sim, "adjacency_matrix", spy(sim.adjacency_matrix, 0))
         cfg = ScenarioConfig(msds_per_cluster=40, map_count=20, t_end=2.0, seed=3,
                              failures=((1.0, 0.5),))
