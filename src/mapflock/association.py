@@ -50,6 +50,19 @@ def user_table(msd_pos):
     return cKDTree(msd_pos, balanced_tree=False, compact_nodes=False)
 
 
+def squared_distances(p, ip, q, iq):
+    """The squared distances of the rows ``p[ip]`` of an (N, 2) array from the
+    rows ``q[iq]``, ``square(dx) + square(dy)`` per coordinate, built in place:
+    the one rounding that the matcher, the graph and the force kernel share."""
+    d2 = p[:, 0].take(ip)                # dx, squared in place
+    d2 -= q[:, 0].take(iq)
+    np.square(d2, out=d2)
+    dy = p[:, 1].take(ip)
+    dy -= q[:, 1].take(iq)
+    d2 += np.square(dy, out=dy)
+    return d2
+
+
 def assign_msds(users, agents, alive, map_height, comm_range):
     """Match every user to its nearest alive agent, if that one is in range.
 
@@ -63,17 +76,7 @@ def assign_msds(users, agents, alive, map_height, comm_range):
     pairs = agents.sparse_distance_matrix(users, _reach(map_height, comm_range),
                                           output_type="ndarray")
     agent, user = pairs["i"], pairs["j"]
-    # the squared distance per coordinate, square(dx) + square(dy), as the
-    # force kernel takes it; each pair-sized temporary is reused in place or
-    # freed after its last use
-    (ux, uy), (ax, ay) = users.data.T, agents.data.T
-    d2 = ux.take(user)                  # dx, squared in place
-    d2 -= ax.take(agent)
-    np.square(d2, out=d2)
-    dy = uy.take(user)
-    dy -= ay.take(agent)
-    d2 += np.square(dy, out=dy)
-    del dy
+    d2 = squared_distances(users.data, user, agents.data, agent)
     near = np.sqrt(d2 + map_height * map_height) <= comm_range
     agent, user, d2 = agent[near], user[near], d2[near]
     nearest = np.full(n_msds, np.inf)

@@ -24,6 +24,7 @@ from functools import cache, cached_property, lru_cache, partial
 
 import numpy as np
 
+from .association import squared_distances
 from .netgraph import cluster_mst
 from .potentials import bump, phi_action, sigma_grad_scale, sigma_scalar
 
@@ -50,16 +51,16 @@ class ControlParams:
     and `r_sigma` are computed on first use and kept on the instance.
     """
 
-    d: float = 20.0          # desired MAP spacing [m]
+    d: float = 20.0          # desired MAP spacing [m], in (0, r)
     r: float = 24.0          # communication range [m] (1.2 * d)
-    epsilon: float = 0.1     # sigma-norm parameter
-    a: float = 5.0           # sigmoid force scale (also load-pull coefficient)
-    b: float = 5.0           # sigmoid force scale
-    gamma: float = 0.2       # lower cutoff of the range gate
-    n_max: int = 80          # per-MAP serving capacity
-    c1: float = 0.3          # goal position gain
-    c2: float = 0.6          # goal velocity gain
-    k: float = 10.0          # connectivity (bridge) gain
+    epsilon: float = 0.1     # sigma-norm parameter, positive
+    a: float = 5.0           # sigmoid force scale (also load-pull coefficient), positive
+    b: float = 5.0           # sigmoid force scale, positive
+    gamma: float = 0.2       # lower cutoff of the range gate, in (0, 1)
+    c1: float = 0.3          # goal position gain, positive
+    c2: float = 0.6          # goal velocity gain, positive
+    k: float = 10.0          # connectivity (bridge) gain, positive
+    n_max: int = 80          # per-MAP serving capacity [users], at least 1
 
     def __post_init__(self):
         _check_finite(self)
@@ -93,9 +94,9 @@ class ControlParams:
 class ModeThresholds:
     """Mode-switch constants: coverage gate and serving-load bands."""
 
-    r0: float = 0.95   # per-goal coverage needed before a switch is considered
-    n0: int = 3        # below: keep roaming; at/above: eligible for bridge duty
-    n1: int = 10       # at/above: settle as a static server
+    r0: float = 0.95   # per-goal coverage needed before a switch is considered, in (0, 1]
+    n0: int = 3        # [users] below: keep roaming; at/above: eligible for bridge duty
+    n1: int = 10       # [users] at/above: settle as a static server; 0 < n0 < n1
 
     def __post_init__(self):
         _check_finite(self)
@@ -161,8 +162,7 @@ def flock_accelerations(world, adjacency, loads, params: ControlParams):
         np.add.at(out, i, upper)
         return out
 
-    root = np.square(pair_diff(positions[:, 0])) + np.square(pair_diff(positions[:, 1]))
-    root = np.sqrt(1.0 + eps * root)
+    root = np.sqrt(1.0 + eps * squared_distances(positions, j, positions, i))
     phi = phi_action((root - 1.0) / eps, params)        # at the sigma distance
     inv = np.divide(1.0, root, out=root)                # grad = diff / root
     del root

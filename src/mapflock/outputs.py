@@ -133,12 +133,16 @@ def read_csv(path):
     return names, cols
 
 
+# XML text escapes, as xml.sax.saxutils.escape's, whose import loads urllib.request
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
 
 
 def write_line_svg(path, x, series, x_label="t"):
-    """Minimal SVG line chart: one polyline per series plus axes and legend."""
+    """Minimal SVG line chart: one polyline per series plus axes and legend;
+    the series names and the x label are written as escaped XML text."""
     x = np.asarray(x, dtype=float)
     if not series:
         raise ValueError("nothing to plot")
@@ -165,7 +169,7 @@ def write_line_svg(path, x, series, x_label="t"):
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
         f'<text x="{ml + pw / 2}" y="{mt + ph + mb - 8}" text-anchor="middle" '
-        f'font-size="14">{x_label}</text>',
+        f'font-size="14">{x_label.translate(_XML_TEXT)}</text>',
         f'<text x="{ml - 8}" y="{mt + ph}" text-anchor="end" font-size="12">{fmt(y_lo)}</text>',
         f'<text x="{ml - 8}" y="{mt + 12}" text-anchor="end" font-size="12">{fmt(y_hi)}</text>',
         f'<text x="{ml}" y="{mt + ph + 18}" text-anchor="middle" font-size="12">{fmt(x_lo)}</text>',
@@ -177,7 +181,7 @@ def write_line_svg(path, x, series, x_label="t"):
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
                      f'points="{pts}"/>')
         parts.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
-                     f'font-size="12" fill="{color}">{name}</text>')
+                     f'font-size="12" fill="{color}">{name.translate(_XML_TEXT)}</text>')
     parts.append("</svg>")
     _write_lines(path, parts)
 

@@ -11,13 +11,13 @@ Randomness comes from a single seeded ``numpy.random.Generator``
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .association import user_table
+from .association import squared_distances, user_table
 from .control import MODE_DYNAMIC, ControlParams, ModeThresholds
 
 
@@ -55,20 +55,23 @@ class World:
 class ScenarioConfig:
     """Everything needed to reproduce a run, loadable from a key=value file."""
 
+    # x,y; x,y; ... [m], each coordinate within +-1e9
     cluster_centers: tuple = ((0.0, 0.0), (145.0, 0.0), (0.0, 145.0), (145.0, 145.0))
-    msds_per_cluster: int = 500
-    cluster_sigma: float = 13.0
-    map_count: int = 100
-    map_spawn_center: tuple = (-150.0, 50.0)
-    map_spawn_halfwidth: float = 30.0
-    initial_speed: float = 1.0     # velocities uniform in [-v, v]^2
-    map_height: float = 20.0
-    seed: int = 1
+    msds_per_cluster: int = 500        # positive
+    map_count: int = 100               # positive
+    seed: int = 1                      # non-negative
+    cluster_sigma: float = 13.0        # Gaussian std of user clusters [m], at most 1e9
+    map_spawn_halfwidth: float = 30.0  # [m], at most 1e9
+    initial_speed: float = 1.0         # [m/s], velocities uniform in [-v, v]^2
+    map_height: float = 20.0           # [m], below r
+    # [s], c1*dt^2 + 2*c2*dt < 4 (2.163 at the defaults); a run that diverges anyway
+    # stops with a one-line message naming the step, agent, mode, position and velocity
     dt: float = 0.1
-    t_end: float = 60.0
+    t_end: float = 60.0                # [s]
+    map_spawn_center: tuple = (-150.0, 50.0)   # x,y [m], each within +-1e9
+    failures: tuple = ()               # ((time_s, fraction), ...) [s]:[0, 1], may be empty
     control: ControlParams = field(default_factory=ControlParams)
     thresholds: ModeThresholds = field(default_factory=ModeThresholds)
-    failures: tuple = ()           # ((time_s, fraction), ...)
 
     def __post_init__(self):
         if self.msds_per_cluster <= 0 or self.map_count <= 0:
@@ -183,18 +186,12 @@ def adjacency_matrix(agents, comm_range):
     Agents i != j are adjacent when ``d2 <= comm_range**2``, with ``d2`` the
     squared distance of ``q_i - q_j``; the range is inclusive.
     """
-    x, y = agents.data.T                    # map_pos[alive], as the tree keeps it
-    n = len(x)
+    n = agents.n
     # the 1e-9 widening keeps every pair the exact test admits a candidate,
     # whatever the rounding of the tree's own distances; the tree gives i < j
     i, j = agents.query_pairs(comm_range * (1.0 + 1e-9), output_type="ndarray").T
-    dx, dy = x.take(i), y.take(i)
-    dx -= x.take(j)
-    dy -= y.take(j)
-    d2 = np.square(dx, out=dx)
-    d2 += np.square(dy, out=dy)
-    within = d2 <= comm_range * comm_range
-    del dx, dy, d2
+    # agents.data is map_pos[alive], as the tree keeps it
+    within = squared_distances(agents.data, i, agents.data, j) <= comm_range * comm_range
     # the row-major key of each pair, sorted, then split back into its row and column
     key = i[within]
     key *= n
@@ -210,8 +207,10 @@ def adjacency_matrix(agents, comm_range):
 # ---------------------------------------------------------------------------
 #
 # Format: one `key = value` per line; blank lines and `#` comments ignored.
-# Unknown keys are rejected. `_KEYS` lists each key once, with its SI unit
-# or constraint.
+# Unknown keys are rejected. The keys are the int, float and pair fields of
+# ScenarioConfig, ControlParams and ModeThresholds, in declaration order, with
+# their SI units or constraints as field comments. An int parses with int and
+# formats with str, a float with float and repr, a pair by `_PAIR_KEYS`.
 
 
 def _parse_pairs(item_sep, text):
@@ -236,39 +235,18 @@ def _parse_point(text):
     return point
 
 
-# key -> (owner, parser, formatter), in the order that summary.txt echoes
-_KEYS = {
-    # x,y; x,y; ... [m], each coordinate within +-1e9
-    "cluster_centers": ("scenario", partial(_parse_pairs, ","), partial(_format_pairs, ",")),
-    "msds_per_cluster": ("scenario", int, str),        # positive
-    "map_count": ("scenario", int, str),               # positive
-    "seed": ("scenario", int, str),                    # non-negative
-    "cluster_sigma": ("scenario", float, repr),        # Gaussian std of user clusters [m], at most 1e9
-    "map_spawn_halfwidth": ("scenario", float, repr),  # [m], at most 1e9
-    "initial_speed": ("scenario", float, repr),        # [m/s], velocities uniform in [-v, v]^2
-    "map_height": ("scenario", float, repr),           # [m], below r
-    # [s], c1*dt^2 + 2*c2*dt < 4 (2.163 at the defaults); a run that diverges anyway
-    # stops with a one-line message naming the step, agent, mode, position and velocity
-    "dt": ("scenario", float, repr),
-    "t_end": ("scenario", float, repr),                # [s]
-    # x,y [m], each within +-1e9
-    "map_spawn_center": ("scenario", _parse_point, lambda point: _format_pairs(",", [point])),
-    # time:fraction; ... [s]:[0, 1], may be empty
-    "failures": ("scenario", partial(_parse_pairs, ":"), partial(_format_pairs, ":")),
-    "d": ("control", float, repr),                     # desired spacing [m]
-    "r": ("control", float, repr),                     # communication range [m]
-    "epsilon": ("control", float, repr),               # sigma-norm parameter, positive
-    "a": ("control", float, repr),                     # sigmoid force scale, positive
-    "b": ("control", float, repr),                     # sigmoid force scale, positive
-    "gamma": ("control", float, repr),                 # range-gate cutoff, in (0, 1)
-    "c1": ("control", float, repr),                    # goal position gain, positive
-    "c2": ("control", float, repr),                    # goal velocity gain, positive
-    "k": ("control", float, repr),                     # bridge gain, positive
-    "n_max": ("control", int, str),                    # serving capacity [users], at least 1
-    "r0": ("thresholds", float, repr),                 # coverage gate, in (0, 1]
-    "n0": ("thresholds", int, str),                    # bridge-duty load [users], 0 < n0 < n1
-    "n1": ("thresholds", int, str),                    # static-server load [users]
+_PAIR_KEYS = {
+    "cluster_centers": (partial(_parse_pairs, ","), partial(_format_pairs, ",")),
+    "map_spawn_center": (_parse_point, lambda point: _format_pairs(",", [point])),
+    "failures": (partial(_parse_pairs, ":"), partial(_format_pairs, ":")),
 }
+_SCALARS = {int: (int, str), float: (float, repr)}
+_OWNERS = {"scenario": ScenarioConfig, "control": ControlParams, "thresholds": ModeThresholds}
+
+# key -> (owner, parser, formatter), in the order that summary.txt echoes
+_KEYS = {f.name: (owner, *(_PAIR_KEYS.get(f.name) or _SCALARS[f.type]))
+         for owner, cls in _OWNERS.items() for f in fields(cls)
+         if f.name in _PAIR_KEYS or f.type in _SCALARS}
 
 
 def config_to_lines(config: ScenarioConfig):
@@ -284,7 +262,7 @@ def config_from_lines(lines):
     Unknown and repeated keys raise :class:`ConfigError`; unspecified keys
     keep their defaults.
     """
-    fields = {"scenario": {}, "control": {}, "thresholds": {}}
+    kwargs = {owner: {} for owner in _OWNERS}
     seen = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -299,15 +277,15 @@ def config_from_lines(lines):
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first on line {seen[key]})")
         owner, parse, _ = _KEYS[key]
         try:
-            fields[owner][key] = parse(value)
+            kwargs[owner][key] = parse(value)
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise ConfigError(f"line {lineno}: {exc}") from exc
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
     try:
-        return ScenarioConfig(control=ControlParams(**fields["control"]),
-                              thresholds=ModeThresholds(**fields["thresholds"]),
-                              **fields["scenario"])
+        return ScenarioConfig(control=ControlParams(**kwargs["control"]),
+                              thresholds=ModeThresholds(**kwargs["thresholds"]),
+                              **kwargs["scenario"])
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -17,7 +17,8 @@
 * :func:`brute_force_spanning_tree` -- the clusters' spanning tree as the
   least, by its sorted ``(length, id_a, id_b)`` keys, of every acyclic
   edge subset of the complete graph; the library grows it by Prim's
-  algorithm.
+  algorithm. :func:`brute_force_mst_weight` -- the least total length
+  over every labelled spanning tree, decoded from its Pruefer sequence.
 * :func:`dense_assign_msds`, :func:`dense_adjacency_matrix`,
   :func:`dense_flock_accelerations` -- the matcher, the adjacency matrix
   and the force kernel over all M x L user-agent and L x L agent pairs,
@@ -54,6 +55,7 @@
   its gradient.
 """
 
+import bisect
 import itertools
 import math
 from collections import Counter
@@ -342,6 +344,36 @@ def brute_force_spanning_tree(cluster_ids, centroids):
     best = min(sorted(subset) for subset in itertools.combinations(edges, len(ids) - 1)
                if _acyclic(subset, ids))
     return [(a, b, length) for length, a, b in best]
+
+
+def brute_force_mst_weight(ids, centroids):
+    """The least total length over every labelled spanning tree of the
+    clusters `ids`, each tree decoded from its Pruefer sequence."""
+    ids = sorted(ids)
+    k = len(ids)
+
+    def length(a, b):
+        return float(np.linalg.norm(centroids[ids[a]] - centroids[ids[b]]))
+
+    if k < 2:
+        return 0.0
+    if k == 2:
+        return length(0, 1)
+    best = math.inf
+    for seq in itertools.product(range(k), repeat=k - 2):
+        deg = [1] * k
+        for s in seq:
+            deg[s] += 1
+        leaves = sorted(i for i in range(k) if deg[i] == 1)
+        total = 0.0
+        for s in seq:
+            total += length(leaves.pop(0), s)
+            deg[s] -= 1
+            if deg[s] == 1:
+                bisect.insort(leaves, s)
+        total += length(leaves[0], leaves[1])
+        best = min(best, total)
+    return best
 
 
 def sigma_norm(v, epsilon):

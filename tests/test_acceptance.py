@@ -8,7 +8,6 @@ are computed once and shared across criteria.
 
 import functools
 import itertools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +21,14 @@ from mapflock.outputs import config_from_summary, metrics_header, read_csv
 from mapflock.potentials import phi_action
 from mapflock.sim import run
 from mapflock.world import ScenarioConfig, agent_tree, save_config
-from oracles import attract_repulse, dense_laplacian, power_score_assign, sigma_norm, upper_pairs
+from oracles import (
+    attract_repulse,
+    brute_force_mst_weight,
+    dense_laplacian,
+    power_score_assign,
+    sigma_norm,
+    upper_pairs,
+)
 
 SEEDS = (1, 2, 3, 4, 5)
 BASE = ScenarioConfig()          # nominal scenario: 4 x 500 users, 60 s
@@ -150,7 +156,7 @@ class TestExperimentTargets:
             k = int(rng.integers(2, 8))
             cent = rng.uniform(-100, 100, (k, 2))
             got = sum(w for *_, w in cluster_mst(range(k), cent))
-            ok &= abs(got - _brute_mst(cent)) <= 1e-9 * max(1.0, got)
+            ok &= abs(got - brute_force_mst_weight(range(k), cent)) <= 1e-9 * max(1.0, got)
 
         # assignment vs nearest-in-range oracle + scale invariance
         for _ in range(500):
@@ -219,26 +225,3 @@ class TestExperimentTargets:
         report(7, bool(ok), "run/sweep-maps/sweep-failure/plot from config files, "
                             "bit-exact CSV header, summary echo reproduces the run")
 
-
-def _brute_mst(cent):
-    """Minimum spanning-tree weight by enumerating Pruefer sequences."""
-    k = len(cent)
-    if k == 2:
-        return float(np.linalg.norm(cent[0] - cent[1]))
-    best = math.inf
-    for seq in itertools.product(range(k), repeat=k - 2):
-        deg = [1] * k
-        for s in seq:
-            deg[s] += 1
-        leaves = sorted(i for i in range(k) if deg[i] == 1)
-        total = 0.0
-        for s in seq:
-            leaf = leaves.pop(0)
-            total += float(np.linalg.norm(cent[leaf] - cent[s]))
-            deg[s] -= 1
-            if deg[s] == 1:
-                import bisect
-                bisect.insort(leaves, s)
-        total += float(np.linalg.norm(cent[leaves[0]] - cent[leaves[1]]))
-        best = min(best, total)
-    return best

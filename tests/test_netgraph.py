@@ -1,11 +1,10 @@
-import itertools
-
 import numpy as np
 import pytest
 
 from mapflock.netgraph import cluster_mst, connected_components, fiedler_value
 from mapflock.world import adjacency_matrix, agent_tree
 from oracles import (
+    brute_force_mst_weight,
     brute_force_spanning_tree,
     dense_fiedler_value,
     dense_laplacian,
@@ -188,35 +187,6 @@ class TestFiedlerValue:
 
 def mst_weight(edges):
     return sum(length for _, _, length in edges)
-
-
-def brute_force_mst_weight(ids, centroids):
-    """Exhaustive minimum over all labeled spanning trees via Pruefer sequences."""
-    ids = sorted(ids)
-    k = len(ids)
-    if k < 2:
-        return 0.0
-    if k == 2:
-        return float(np.linalg.norm(centroids[ids[0]] - centroids[ids[1]]))
-    best = np.inf
-    for seq in itertools.product(range(k), repeat=k - 2):
-        degree = [1] * k
-        for s in seq:
-            degree[s] += 1
-        seq_list = list(seq)
-        total = 0.0
-        deg = degree[:]
-        leaves = sorted(i for i in range(k) if deg[i] == 1)
-        for s in seq_list:
-            leaf = leaves.pop(0)
-            total += float(np.linalg.norm(centroids[ids[leaf]] - centroids[ids[s]]))
-            deg[s] -= 1
-            if deg[s] == 1:
-                import bisect
-                bisect.insort(leaves, s)
-        total += float(np.linalg.norm(centroids[ids[leaves[0]]] - centroids[ids[leaves[1]]]))
-        best = min(best, total)
-    return best
 
 
 class TestClusterMst:

@@ -1,9 +1,11 @@
 import hashlib
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 
 import mapflock.outputs as outputs
+from mapflock.cli import cli_main
 from mapflock.control import MODE_BRIDGE, MODE_DYNAMIC, MODE_STATIC
 from mapflock.outputs import (
     TRAJECTORY_ROW,
@@ -195,6 +197,17 @@ class TestSvg:
                                  "flat": [0.5] * 25}, x_label="t [s]")
         assert hashlib.sha256(path.read_bytes()).hexdigest() \
             == "ecffcecb89f7b125d2df52891d57991b7cd0ec121badc237a8d485f1fd3f2fff"
+
+    def test_markup_in_column_names_is_escaped(self, tmp_path):
+        """`mapflock plot` of a CSV whose column names hold XML markup writes a
+        well-formed SVG that shows the names as written."""
+        csv = tmp_path / "amp.csv"
+        csv.write_text("t,a&b,c<d\n0,1,2\n1,3,4\n")
+        out = tmp_path / "amp.svg"
+        assert cli_main(["plot", str(csv), "--out", str(out)]) == 0
+        texts = minidom.parse(str(out)).getElementsByTagName("text")
+        labels = {node.firstChild.data for node in texts}
+        assert {"t", "a&b", "c<d"} <= labels
 
 
 class TestTrajectoryRows:

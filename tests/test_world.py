@@ -1,10 +1,10 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from mapflock.control import MODE_DYNAMIC, ControlParams
+from mapflock.control import MODE_DYNAMIC, ControlParams, ModeThresholds
 from mapflock.sim import run
 from mapflock.world import (
     ConfigError,
@@ -285,6 +285,31 @@ class TestConfigFiles:
     def test_defaults_apply_for_missing_keys(self):
         cfg = config_from_lines(["seed = 4"])
         assert cfg == ScenarioConfig(seed=4)
+
+    def test_keys_are_the_config_fields_in_declaration_order(self):
+        names = [f.name for cls in (ScenarioConfig, ControlParams, ModeThresholds)
+                 for f in fields(cls) if f.type in (int, float, tuple)]
+        assert [line.split(" = ")[0] for line in config_to_lines(ScenarioConfig())] == names
+
+    def test_each_key_round_trips_a_value_off_its_default(self):
+        pairs = {"cluster_centers": ((1.0, 2.0), (50.0, -3.5)),
+                 "map_spawn_center": (-7.25, 8.0), "failures": ((2.5, 0.25),)}
+        base = ScenarioConfig()
+        for owner in (None, "control", "thresholds"):
+            part = getattr(base, owner) if owner else base
+            for f in fields(part):
+                if f.name in pairs:
+                    value = pairs[f.name]
+                elif f.type in (int, float):
+                    default = getattr(part, f.name)
+                    value = default + 1 if f.type is int else default * 1.01
+                else:
+                    continue
+                changed = replace(part, **{f.name: value})
+                cfg = replace(base, **{owner: changed}) if owner else changed
+                (line,) = [line for line in config_to_lines(cfg)
+                           if line.startswith(f"{f.name} = ")]
+                assert cfg != base and config_from_lines([line]) == cfg, line
 
 
 class TestConfigFormatPinned:
