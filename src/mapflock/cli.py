@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .outputs import fmt, read_csv, write_line_svg, write_run_outputs
+from .outputs import fmt, read_csv, write_line_svg, write_lines, write_run_outputs
 from .sim import SimulationDiverged, run
 from .world import ConfigError, load_config
 
@@ -33,34 +33,39 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="mapflock",
                                      description="Flocking-based aerial coverage simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("config")
+    scenario.add_argument("--seed", type=int, default=None,
+                          help="override the config seed (a sweep's first replicate seed)")
+    scenario.add_argument("--out-dir", default="out")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[scenario])
+    sweep.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
 
-    p_run = sub.add_parser("run", help="execute one scenario")
-    p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_run.add_argument("--out-dir", default="out")
+    p_run = sub.add_parser("run", parents=[scenario], help="execute one scenario")
     p_run.add_argument("--trajectories", action="store_true",
                        help="also write a per-step trajectory CSV")
+    p_run.set_defaults(handler=_cmd_run)
 
-    p_maps = sub.add_parser("sweep-maps", help="coverage/connectivity vs fleet size")
-    p_maps.add_argument("config")
+    p_maps = sub.add_parser("sweep-maps", parents=[sweep],
+                            help="coverage/connectivity vs fleet size")
     p_maps.add_argument("--counts", type=int, nargs="+", required=True)
-    p_maps.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
-    p_maps.add_argument("--seed", type=int, default=None, help="base replicate seed")
-    p_maps.add_argument("--out-dir", default="out")
+    p_maps.set_defaults(handler=lambda args: _sweep(
+        args, "maps", args.counts,
+        lambda base, count, seed: replace(base, map_count=count, seed=seed)))
 
-    p_fail = sub.add_parser("sweep-failure", help="resilience vs failure ratio")
-    p_fail.add_argument("config")
+    p_fail = sub.add_parser("sweep-failure", parents=[sweep], help="resilience vs failure ratio")
     p_fail.add_argument("--fractions", type=float, nargs="+", required=True)
     p_fail.add_argument("--at", type=float, required=True, help="injection time [s]")
-    p_fail.add_argument("--replicates", type=int, default=DEFAULT_REPLICATES)
-    p_fail.add_argument("--seed", type=int, default=None)
-    p_fail.add_argument("--out-dir", default="out")
+    p_fail.set_defaults(handler=lambda args: _sweep(
+        args, "failure", args.fractions,
+        lambda base, frac, seed: replace(base, seed=seed, failures=((args.at, frac),))))
 
     p_plot = sub.add_parser("plot", help="render CSV columns as an SVG line chart")
     p_plot.add_argument("csv")
     p_plot.add_argument("--out", required=True)
     p_plot.add_argument("--cols", default=None,
                         help="comma-separated column names (default: all but t)")
+    p_plot.set_defaults(handler=_cmd_plot)
     return parser
 
 
@@ -89,8 +94,7 @@ def _sweep(args, label, values, make_config):
         lines.append(f"{name}.mean_final_fiedler = {fmt(np.mean(finals_lam))}")
         lines.append(f"{name}.seeds = {','.join(str(s) for s in seeds)}")
     path = os.path.join(args.out_dir, "sweep_summary.txt")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
     print(f"sweep summary -> {path}")
     return 0
 
@@ -122,18 +126,6 @@ def _cmd_plot(args):
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep-maps": lambda args: _sweep(
-        args, "maps", args.counts,
-        lambda base, count, seed: replace(base, map_count=count, seed=seed)),
-    "sweep-failure": lambda args: _sweep(
-        args, "failure", args.fractions,
-        lambda base, frac, seed: replace(base, seed=seed, failures=((args.at, frac),))),
-    "plot": _cmd_plot,
-}
-
-
 def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -144,7 +136,7 @@ def cli_main(argv=None) -> int:
         print(f"error: --replicates must be at least 1, got {args.replicates}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (OSError, ValueError, SimulationDiverged, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

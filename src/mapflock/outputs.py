@@ -24,13 +24,10 @@ def metrics_header(n_clusters):
 def write_metrics_csv(path, result):
     """One row per sample: time, global metrics, per-cluster coverage."""
     n_clusters = len(result.samples[0].cluster_coverage)
-    lines = [metrics_header(n_clusters)]
-    for s in result.samples:
-        row = [fmt(s.t), fmt(s.coverage_ratio), fmt(s.fiedler),
-               str(s.alive_count), *(str(c) for c in s.mode_counts),
-               *(fmt(c) for c in s.cluster_coverage)]
-        lines.append(",".join(row))
-    _write_lines(path, lines)
+    row = "%.6g,%.6g,%.6g,%d,%d,%d,%d" + ",%.6g" * n_clusters   # "%.6g" formats as fmt does
+    rows = (row % (s.t, s.coverage_ratio, s.fiedler, s.alive_count, *s.mode_counts,
+                   *s.cluster_coverage.tolist()) for s in result.samples)
+    write_lines(path, [metrics_header(n_clusters), *rows])
 
 
 # one trajectory row; "%.6g" formats a float as fmt does
@@ -74,7 +71,7 @@ def write_summary(path, result):
     for k, cov in enumerate(final.cluster_coverage):
         lines.append(f"final_rg_{k} = {fmt(cov)}")
     lines.extend("config." + line for line in config_to_lines(result.config))
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 def config_from_summary(path) -> ScenarioConfig:
@@ -183,10 +180,10 @@ def write_line_svg(path, x, series, x_label="t"):
         parts.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
                      f'font-size="12" fill="{color}">{name.translate(_XML_TEXT)}</text>')
     parts.append("</svg>")
-    _write_lines(path, parts)
+    write_lines(path, parts)
 
 
-def _write_lines(path, lines):
+def write_lines(path, lines):
     _write_chunks(path, ["\n".join(lines), "\n"])
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mapflock
-from mapflock.cli import cli_main
+from mapflock.cli import _build_parser, cli_main
 from mapflock.outputs import config_from_summary, read_csv
 from mapflock.sim import SimulationDiverged
 from mapflock.world import ScenarioConfig, save_config
@@ -58,6 +58,7 @@ class TestRunCommand:
     def test_job_leaves_no_argparse_cycles(self, config_path, tmp_path):
         # the parser is built once per process, so a job leaves none of its
         # reference cycles for the cyclic collector
+        _build_parser()
         gc.collect()
         gc.disable()
         try:
@@ -178,6 +179,51 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
 
+class TestParser:
+    """Each subcommand's options and their defaults."""
+
+    @staticmethod
+    def options(argv):
+        args = vars(_build_parser().parse_args(argv))
+        del args["command"]
+        args.pop("handler", None)
+        return args
+
+    @pytest.mark.parametrize("argv, want", [
+        (["run", "cfg"], dict(config="cfg", seed=None, out_dir="out", trajectories=False)),
+        (["run", "cfg", "--seed", "3", "--out-dir", "o", "--trajectories"],
+         dict(config="cfg", seed=3, out_dir="o", trajectories=True)),
+        (["sweep-maps", "cfg", "--counts", "8", "12"],
+         dict(config="cfg", counts=[8, 12], replicates=5, seed=None, out_dir="out")),
+        (["sweep-maps", "cfg", "--counts", "8", "--replicates", "2", "--seed", "3",
+          "--out-dir", "o"], dict(config="cfg", counts=[8], replicates=2, seed=3, out_dir="o")),
+        (["sweep-failure", "cfg", "--fractions", "0.5", "--at", "1"],
+         dict(config="cfg", fractions=[0.5], at=1.0, replicates=5, seed=None, out_dir="out")),
+        (["sweep-failure", "cfg", "--fractions", "0.1", "0.2", "--at", "3", "--replicates", "2",
+          "--seed", "7", "--out-dir", "o"],
+         dict(config="cfg", fractions=[0.1, 0.2], at=3.0, replicates=2, seed=7, out_dir="o")),
+        (["plot", "a.csv", "--out", "b"], dict(csv="a.csv", out="b", cols=None)),
+        (["plot", "a.csv", "--out", "b", "--cols", "t,fiedler"],
+         dict(csv="a.csv", out="b", cols="t,fiedler")),
+    ])
+    def test_options_and_defaults(self, argv, want):
+        assert self.options(argv) == want
+
+    @pytest.mark.parametrize("command", ["run", "sweep-maps", "sweep-failure", "plot"])
+    def test_help(self, command, capsys):
+        assert cli_main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: mapflock {command} ")
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "cfg", "--replicates", "2"],
+        ["plot", "a.csv", "--out", "b", "--seed", "1"],
+        ["sweep-maps", "cfg", "--counts", "8", "--trajectories"],
+    ])
+    def test_another_commands_option(self, argv, capsys):
+        assert cli_main(argv) == 2
+        assert "unrecognized arguments: " in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert cli_main([]) == 2
@@ -261,6 +307,16 @@ class TestSweeps:
         assert cfg.failures == ((1.0, 0.5),)
         _, cols = read_csv(out / "failure_0.5" / "seed_5" / "metrics.csv")
         assert cols["alive"][-1] == 6   # half of 12 removed
+
+    def test_unwritable_summary_is_one_line_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        (out / "sweep_summary.txt").mkdir(parents=True)
+        code = cli_main(["sweep-maps", config_path, "--counts", "8",
+                         "--replicates", "1", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write {out / 'sweep_summary.txt'}: ")
+        assert err.count("\n") == 1
 
 
 class TestPlot:

@@ -1,4 +1,5 @@
 import hashlib
+from types import SimpleNamespace
 from xml.dom import minidom
 
 import numpy as np
@@ -19,7 +20,7 @@ from mapflock.outputs import (
     write_summary,
     write_trajectories_csv,
 )
-from mapflock.sim import run
+from mapflock.sim import MetricsSample, run
 from mapflock.world import ScenarioConfig
 
 
@@ -79,6 +80,26 @@ class TestMetricsCsv:
         write_metrics_csv(a, result)
         write_metrics_csv(b, result)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n_clusters", [1, 6])
+    def test_edge_values_match_fmt_and_str(self, tmp_path, n_clusters):
+        # each float cell takes each edge value once, its neighbours others
+        values = TestTrajectoryRows.VALUES
+        samples = []
+        for k in range(len(values)):
+            cells = [values[(k + j) % len(values)] for j in range(3 + n_clusters)]
+            samples.append(MetricsSample(t=cells[0], coverage_ratio=cells[1], fiedler=cells[2],
+                                         cluster_coverage=np.array(cells[3:]),
+                                         alive_count=80 - k, mode_counts=(k, 2 * k, 80 - 4 * k)))
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, SimpleNamespace(samples=samples))
+        lines = path.read_text().split("\n")
+        assert lines[0] == metrics_header(n_clusters) and lines[-1] == ""
+        assert len(lines) == 2 + len(samples)
+        for line, s in zip(lines[1:-1], samples):
+            assert line.split(",") == [fmt(s.t), fmt(s.coverage_ratio), fmt(s.fiedler),
+                                       str(s.alive_count), *map(str, s.mode_counts),
+                                       *map(fmt, s.cluster_coverage)]
 
 
 class TestTrajectoriesCsv:
