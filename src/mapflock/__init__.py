@@ -23,7 +23,6 @@ from .sim import (
     MetricsSample,
     RunResult,
     SimulationDiverged,
-    Trajectory,
     inject_failures,
     measure,
     run,

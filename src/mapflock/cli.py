@@ -19,7 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .outputs import fmt, read_csv, write_line_svg, write_lines, write_run_outputs
+from .outputs import (fmt, make_dirs, open_early, read_csv, write_line_svg,
+                      write_run_outputs, write_trajectories_csv)
 from .sim import SimulationDiverged, run
 from .world import ConfigError, load_config
 
@@ -81,20 +82,19 @@ def _sweep(args, label, values, make_config):
     first = base.seed if args.seed is None else args.seed
     seeds = [first + k for k in range(args.replicates)]
     configs = [[make_config(base, value, seed) for seed in seeds] for value in values]
-    os.makedirs(args.out_dir, exist_ok=True)
-    lines = []
-    for name, point in zip(names, configs):
-        finals_rc, finals_lam = [], []
-        for seed, config in zip(seeds, point):
-            result = run(config)
-            write_run_outputs(result, os.path.join(args.out_dir, name, f"seed_{seed}"))
-            finals_rc.append(result.final.coverage_ratio)
-            finals_lam.append(result.final.fiedler)
-        lines.append(f"{name}.mean_final_coverage_ratio = {fmt(np.mean(finals_rc))}")
-        lines.append(f"{name}.mean_final_fiedler = {fmt(np.mean(finals_lam))}")
-        lines.append(f"{name}.seeds = {','.join(str(s) for s in seeds)}")
+    make_dirs(args.out_dir)
     path = os.path.join(args.out_dir, "sweep_summary.txt")
-    write_lines(path, lines)
+    with open_early(path) as write:
+        for name, point in zip(names, configs):
+            finals_rc, finals_lam = [], []
+            for seed, config in zip(seeds, point):
+                result = run(config)
+                write_run_outputs(result, os.path.join(args.out_dir, name, f"seed_{seed}"))
+                finals_rc.append(result.final.coverage_ratio)
+                finals_lam.append(result.final.fiedler)
+            write(f"{name}.mean_final_coverage_ratio = {fmt(np.mean(finals_rc))}\n"
+                  f"{name}.mean_final_fiedler = {fmt(np.mean(finals_lam))}\n"
+                  f"{name}.seeds = {','.join(str(s) for s in seeds)}\n")
     print(f"sweep summary -> {path}")
     return 0
 
@@ -103,8 +103,13 @@ def _cmd_run(args):
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    result = run(config, record_trajectories=args.trajectories)
-    paths = write_run_outputs(result, args.out_dir)
+    trajectories = [os.path.join(args.out_dir, "trajectories.csv")] if args.trajectories else []
+    if trajectories:
+        make_dirs(args.out_dir)
+        result = write_trajectories_csv(trajectories[0], functools.partial(run, config))
+    else:
+        result = run(config)
+    paths = write_run_outputs(result, args.out_dir) + trajectories
     print(f"final coverage_ratio={fmt(result.final.coverage_ratio)} "
           f"fiedler={fmt(result.final.fiedler)} -> {', '.join(paths)}")
     return 0

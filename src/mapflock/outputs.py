@@ -4,6 +4,8 @@ All numbers are written with 6 significant digits so identical runs
 produce byte-identical files.
 """
 
+import contextlib
+import functools
 import os
 
 import numpy as np
@@ -34,26 +36,24 @@ def write_metrics_csv(path, result):
 TRAJECTORY_ROW = "%.6g,%d,%.6g,%.6g,%.6g,%.6g,%d,%d\n"
 
 
-def write_trajectories_csv(path, result):
-    """One row per agent and sample, written one sample at a time."""
-    traj = result.trajectory
-    if traj is None:
-        raise ValueError("run was executed without trajectory recording")
-    n = traj.pos.shape[1]
+def write_trajectories_csv(path, simulate):
+    """One row per agent and sample, each written as ``simulate(on_sample)``
+    takes it, into a file opened before the first step; returns its result."""
     t_field, agent_fields = TRAJECTORY_ROW.split(",", 1)
-    values = [0] * (7 * n)         # a sample's agent fields, row after row
-    values[0::7] = range(n)
+    with open_early(path) as write:
+        write("t,map_id,x,y,vx,vy,mode,alive\n")
 
-    def samples():
-        yield "t,map_id,x,y,vx,vy,mode,alive\n"
-        for k, t in enumerate(traj.t.tolist()):
-            values[1::7], values[2::7] = traj.pos[k].T.tolist()
-            values[3::7], values[4::7] = traj.vel[k].T.tolist()
-            values[5::7] = traj.mode[k].tolist()
-            values[6::7] = traj.alive[k].tolist()
-            yield ((t_field % t + "," + agent_fields) * n) % tuple(values)
+        def on_sample(k, t, world):
+            n = len(world.alive)
+            values = [0] * (7 * n)         # the sample's agent fields, row after row
+            values[0::7] = range(n)
+            values[1::7], values[2::7] = world.map_pos.T.tolist()
+            values[3::7], values[4::7] = world.map_vel.T.tolist()
+            values[5::7] = world.mode.tolist()
+            values[6::7] = world.alive.tolist()
+            write(((t_field % t + "," + agent_fields) * n) % tuple(values))
 
-    _write_chunks(path, samples())
+        return simulate(on_sample)
 
 
 def write_summary(path, result):
@@ -84,17 +84,12 @@ def config_from_summary(path) -> ScenarioConfig:
 
 def write_run_outputs(result, out_dir):
     """Standard output bundle for one run; returns the file paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    make_dirs(out_dir)
     metrics = os.path.join(out_dir, "metrics.csv")
     summary = os.path.join(out_dir, "summary.txt")
     write_metrics_csv(metrics, result)
     write_summary(summary, result)
-    paths = [metrics, summary]
-    if result.trajectory is not None:
-        traj = os.path.join(out_dir, "trajectories.csv")
-        write_trajectories_csv(traj, result)
-        paths.append(traj)
-    return paths
+    return [metrics, summary]
 
 
 def read_csv(path):
@@ -184,13 +179,33 @@ def write_line_svg(path, x, series, x_label="t"):
 
 
 def write_lines(path, lines):
-    _write_chunks(path, ["\n".join(lines), "\n"])
+    with open_early(path) as write:
+        write("\n".join(lines) + "\n")
 
 
-def _write_chunks(path, chunks):
+def _named(path, call, *args, **kwargs):
+    """``call(*args, **kwargs)``, whose OSError reads ``cannot write <path>: …``."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        return call(*args, **kwargs)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
+
+
+def make_dirs(path):
+    """Make the output directory `path`, and its parents, if missing."""
+    _named(path, os.makedirs, path, exist_ok=True)
+
+
+@contextlib.contextmanager
+def open_early(path):
+    """Open `path` for writing (UTF-8, ``\\n`` newlines) before the work that fills
+    it, and yield a function that writes text to it. An OSError of the file reads
+    ``cannot write <path>: …``; if the work raises, the file is removed."""
+    fh = _named(path, open, path, "w", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield functools.partial(_named, path, fh.write)
+            _named(path, fh.flush)
+    except BaseException:
+        os.remove(path)
+        raise

@@ -31,8 +31,7 @@ import numpy as np
 from . import control as ctl
 from .association import assign_msds, cluster_coverages
 from .netgraph import connected_components, fiedler_value
-from .world import (ConfigError, ScenarioConfig, World, adjacency_matrix, agent_tree,
-                    generate_scenario)
+from .world import ScenarioConfig, World, adjacency_matrix, agent_tree, generate_scenario
 
 # sliding-window convergence criterion (reported, not used for early exit)
 CONVERGENCE_WINDOW_S = 5.0
@@ -43,10 +42,6 @@ CONVERGENCE_COVERAGE_BAND = 0.005
 # diverged; the cap keeps squared pairwise distances, at most 8 * bound^2, finite
 DIVERGED_EXTENTS = 1e6
 MAX_COORDINATE = math.sqrt(np.finfo(float).max / 8)
-
-# a recorded agent state: position and velocity 32 B, mode and alive 1 B each
-TRAJECTORY_STATE_BYTES = 34
-MAX_TRAJECTORY_BYTES = 1 << 30     # a recording run refuses a larger trajectory up front
 
 
 class SimulationDiverged(RuntimeError):
@@ -66,40 +61,12 @@ class MetricsSample:
 
 
 @dataclass
-class Trajectory:
-    """Every agent's state at every sample, in arrays indexed [sample, agent]."""
-
-    t: np.ndarray                  # (S,) sample times
-    pos: np.ndarray                # (S, L, 2)
-    vel: np.ndarray                # (S, L, 2)
-    mode: np.ndarray               # (S, L) int8, see control.MODE_*
-    alive: np.ndarray              # (S, L) bool
-
-    @classmethod
-    def allocate(cls, n_samples, n_agents):
-        return cls(t=np.empty(n_samples),
-                   pos=np.empty((n_samples, n_agents, 2)),
-                   vel=np.empty((n_samples, n_agents, 2)),
-                   mode=np.empty((n_samples, n_agents), dtype=np.int8),
-                   alive=np.empty((n_samples, n_agents), dtype=bool))
-
-    def record(self, k, t, world: World):
-        """Copy the world's agent state into sample `k`."""
-        self.t[k] = t
-        self.pos[k] = world.map_pos
-        self.vel[k] = world.map_vel
-        self.mode[k] = world.mode
-        self.alive[k] = world.alive
-
-
-@dataclass
 class RunResult:
     config: ScenarioConfig
     samples: list                  # list[MetricsSample], one per step plus t=0
     world: World                   # final state
     mode_changes: list             # agents that changed mode, per step
     convergence_time: float | None
-    trajectory: Trajectory | None  # every sample's agent states, if recorded
 
     @property
     def final(self) -> MetricsSample:
@@ -258,33 +225,24 @@ def detect_convergence(samples, mode_changes, dt):
     return None
 
 
-def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
+def run(config: ScenarioConfig, on_sample=None) -> RunResult:
     """Execute a full scenario: generation, stepping, failure schedule.
 
-    A MemoryError during generation or stepping is raised again with a
-    message that names the fleet, the users, the steps and the settings to
-    lower.
+    After each sample, the one at t = 0 included, ``on_sample(k, t, world)``
+    is called, if given, with the world that the run goes on to change. A
+    MemoryError during generation or stepping is raised again with a message
+    that names the fleet, the users, the steps and the settings to lower.
     """
     params, thresholds, dt = config.control, config.thresholds, config.dt
     n_steps = math.ceil(config.t_end / dt - 1e-9)
-    size = (n_steps + 1) * config.map_count * TRAJECTORY_STATE_BYTES
-    if record_trajectories and size > MAX_TRAJECTORY_BYTES:
-        raise ConfigError(f"the trajectory of {n_steps + 1} samples of {config.map_count} agents "
-                          f"needs {size} B, above the limit of {MAX_TRAJECTORY_BYTES} B")
+    on_sample = on_sample or (lambda k, t, world: None)
     try:
         rng = np.random.default_rng(config.seed)
         world = generate_scenario(config, rng)
         pending = sorted(config.failures)
-        trajectory = (Trajectory.allocate(n_steps + 1, config.map_count)
-                      if record_trajectories else None)
-
-        def record(k, t):
-            if trajectory is not None:
-                trajectory.record(k, t, world)
-
         obs = observe(world, params)
         samples = [metrics_sample(world, obs, 0.0)]
-        record(0, 0.0)
+        on_sample(0, 0.0, world)
         mode_changes = []
         for k in range(1, n_steps + 1):
             t_pre = (k - 1) * dt
@@ -294,7 +252,7 @@ def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
             sample, changed, obs = step(world, params, thresholds, dt, k * dt, obs)
             samples.append(sample)
             mode_changes.append(changed)
-            record(k, k * dt)
+            on_sample(k, k * dt, world)
     except MemoryError as exc:
         users = len(config.cluster_centers) * config.msds_per_cluster
         raise MemoryError(f"out of memory running {config.map_count} agents, {users} users and "
@@ -306,5 +264,4 @@ def run(config: ScenarioConfig, record_trajectories: bool = False) -> RunResult:
         world=world,
         mode_changes=mode_changes,
         convergence_time=detect_convergence(samples, mode_changes, dt),
-        trajectory=trajectory,
     )

@@ -9,6 +9,9 @@
   before it calls ``control.mode_switch``; it calls the dense kernels
   below, not the library's pair kernels, and :func:`masked_euler_update`,
   not the library's integrator.
+* :func:`recorded_run` -- ``sim.run`` with an ``on_sample`` hook that
+  copies every sample's agent states into arrays indexed [sample, agent];
+  the library streams each sample to its writer instead.
 * :func:`masked_euler_update` -- semi-implicit Euler by boolean-mask
   gathers and scatters of the alive rows; the library updates in place
   with masked ufuncs.
@@ -59,6 +62,7 @@ import bisect
 import itertools
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,6 +77,7 @@ from mapflock.sim import (
     SimulationDiverged,
     detect_convergence,
     inject_failures,
+    run,
 )
 from mapflock.world import World, generate_scenario
 
@@ -552,5 +557,23 @@ def recompute_run(config):
         world=world,
         mode_changes=mode_changes,
         convergence_time=detect_convergence(samples, mode_changes, dt),
-        trajectory=None,
     )
+
+
+def recorded_run(config, on_sample=None):
+    """``sim.run(config)`` with a hook that copies each sample's agent states
+    and then passes the sample on to `on_sample`, if given. Returns the
+    result and the trajectory: ``t`` (S,), ``pos`` and ``vel`` (S, L, 2),
+    ``mode`` (S, L) int8 and ``alive`` (S, L) bool."""
+    states = {name: [] for name in ("t", "pos", "vel", "mode", "alive")}
+
+    def record(k, t, world):
+        assert k == len(states["t"])
+        for name, value in zip(states, (t, world.map_pos, world.map_vel, world.mode,
+                                        world.alive)):
+            states[name].append(np.copy(value))
+        if on_sample is not None:
+            on_sample(k, t, world)
+
+    result = run(config, record)
+    return result, SimpleNamespace(**{name: np.array(value) for name, value in states.items()})

@@ -11,10 +11,10 @@ import mapflock
 from mapflock.cli import _build_parser, cli_main
 from mapflock.outputs import config_from_summary, read_csv
 from mapflock.sim import SimulationDiverged
-from mapflock.world import ScenarioConfig, save_config
+from mapflock.world import ScenarioConfig, generate_scenario, save_config
 
 
-def run_under_address_limit(cfg, limit, tmp_path, *flags):
+def run_under_address_limit(cfg, limit, tmp_path):
     """``mapflock run`` on `cfg` in a child process whose address space, and
     only its own, is limited to `limit` bytes; outputs go to tmp_path/out."""
     path = tmp_path / "limited.cfg"
@@ -26,8 +26,7 @@ def run_under_address_limit(cfg, limit, tmp_path, *flags):
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     return subprocess.run(
-        [sys.executable, "-m", "mapflock", "run", str(path), *flags,
-         "--out-dir", str(tmp_path / "out")],
+        [sys.executable, "-m", "mapflock", "run", str(path), "--out-dir", str(tmp_path / "out")],
         env=env, preexec_fn=limit_address_space, capture_output=True, text=True, timeout=120)
 
 
@@ -111,7 +110,7 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     def test_diverged_run_is_one_line_error(self, config_path, tmp_path, monkeypatch, capsys):
-        def diverge(config, record_trajectories=False):
+        def diverge(config, on_sample=None):
             raise SimulationDiverged("step 7: non-finite state at t=0.700")
         monkeypatch.setattr("mapflock.cli.run", diverge)
         code = cli_main(["run", config_path, "--out-dir", str(tmp_path / "out")])
@@ -144,28 +143,29 @@ class TestRunCommand:
             "lower map_count, msds_per_cluster or t_end\n")
         assert not any(path.is_file() for path in (tmp_path / "out").rglob("*"))
 
-    def test_out_of_memory_is_one_line_error(self, tmp_path):
-        # a trajectory of 10^9 samples would not fit under a 4 GiB
-        # address-space limit, which only the child process gets; the run
-        # refuses it from the config (see the next test)
-        cfg = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=1000000.0, dt=0.001)
-        proc = run_under_address_limit(cfg, 4 << 30, tmp_path, "--trajectories")
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ")
-        assert proc.stderr.count("\n") == 1
-        assert not (tmp_path / "out").exists()
+    def test_failed_recording_run_leaves_no_trajectory_file(self, config_path, tmp_path,
+                                                             monkeypatch, capsys):
+        out = tmp_path / "out"
+        opened = []
 
-    def test_too_large_trajectory_is_refused_up_front(self, tmp_path):
-        # 10^9 samples: refused from the config before any allocation, so an
-        # address-space limit of 1 GiB, which only the child process gets, is
-        # never reached
-        cfg = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=1000000.0, dt=0.001)
-        proc = run_under_address_limit(cfg, 1 << 30, tmp_path, "--trajectories")
-        assert proc.returncode == 1
-        assert proc.stderr == (f"error: the trajectory of {10**9 + 1} samples of 12 agents "
-                               f"needs {(10**9 + 1) * 12 * 34} B, above the limit of "
-                               f"{1 << 30} B\n")
-        assert not (tmp_path / "out").exists()
+        def diverge_after_one_sample(config, on_sample=None):
+            on_sample(0, 0.0, generate_scenario(config, np.random.default_rng(config.seed)))
+            opened.append((out / "trajectories.csv").is_file())
+            raise SimulationDiverged("step 1: non-finite state at t=0.100")
+        monkeypatch.setattr("mapflock.cli.run", diverge_after_one_sample)
+        code = cli_main(["run", config_path, "--trajectories", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: step 1: non-finite state at t=0.100\n"
+        assert opened == [True]
+        assert not (out / "trajectories.csv").exists()
+
+    def test_out_dir_that_is_a_file_is_one_line_error(self, config_path, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert cli_main(["run", config_path, "--out-dir", str(afile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {afile}: ")
+        assert err.count("\n") == 1
 
     def test_fleet_too_large_for_memory_is_one_line_error(self, tmp_path):
         # two million agents over the default 60 m spawn square: the first
@@ -316,6 +316,18 @@ class TestSweeps:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: cannot write {out / 'sweep_summary.txt'}: ")
+        assert err.count("\n") == 1
+        # the summary is opened before the first run, so no run was made
+        assert not any(path.is_file() for path in out.rglob("*"))
+
+    def test_out_dir_under_a_file_is_one_line_error(self, config_path, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = cli_main(["sweep-maps", config_path, "--counts", "8",
+                         "--replicates", "1", "--out-dir", str(afile / "x")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write {afile / 'x'}: ")
         assert err.count("\n") == 1
 
 

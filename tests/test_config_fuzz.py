@@ -10,8 +10,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapflock.sim import SimulationDiverged, run
+from mapflock.sim import SimulationDiverged
 from mapflock.world import ConfigError, ScenarioConfig, config_from_lines, config_to_lines
+from oracles import recorded_run
 
 DEFAULTS = dict(line.split(" = ", 1) for line in config_to_lines(ScenarioConfig()))
 PAIR_KEYS = ("cluster_centers", "map_spawn_center", "failures")
@@ -76,6 +77,6 @@ def test_config_is_rejected_or_runs_three_steps(lines):
         assert "\n" not in str(exc)
         return
     try:
-        run(replace(config, t_end=3 * config.dt), record_trajectories=True)
+        recorded_run(replace(config, t_end=3 * config.dt))
     except SimulationDiverged:
         pass

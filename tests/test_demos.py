@@ -28,7 +28,7 @@ def mapflock_imports(path):
 PUBLIC_NAMES = [
     "Assignment", "ConfigError", "ControlParams", "MODE_BRIDGE", "MODE_DYNAMIC", "MODE_NAMES",
     "MODE_STATIC", "MetricsSample", "ModeThresholds", "RunResult", "ScenarioConfig",
-    "SimulationDiverged", "Trajectory", "World", "assign_msds", "bump", "cluster_coverages",
+    "SimulationDiverged", "World", "assign_msds", "bump", "cluster_coverages",
     "cluster_mst", "connected_components", "fiedler_value", "flock_accelerations",
     "generate_scenario", "inject_failures", "load_config", "measure", "mode_switch",
     "phi_action", "phi_uneven", "run", "save_config", "select_bridge_edge", "sigma_scalar",

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+from functools import partial
 from types import SimpleNamespace
 from xml.dom import minidom
 
@@ -22,6 +24,9 @@ from mapflock.outputs import (
 )
 from mapflock.sim import MetricsSample, run
 from mapflock.world import ScenarioConfig
+from oracles import recorded_run
+
+CONFIG = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=3.0, seed=5)
 
 
 def rows_one_by_one(trajectory):
@@ -38,8 +43,7 @@ def rows_one_by_one(trajectory):
 
 @pytest.fixture(scope="module")
 def result():
-    cfg = ScenarioConfig(msds_per_cluster=30, map_count=12, t_end=3.0, seed=5)
-    return run(cfg, record_trajectories=True)
+    return run(CONFIG)
 
 
 class TestFormatting:
@@ -103,18 +107,12 @@ class TestMetricsCsv:
 
 
 class TestTrajectoriesCsv:
-    def test_header_and_row_count(self, result, tmp_path):
+    def test_header_and_row_count(self, tmp_path):
         path = tmp_path / "traj.csv"
-        write_trajectories_csv(path, result)
+        result = write_trajectories_csv(path, partial(run, CONFIG))
         lines = path.read_text().splitlines()
         assert lines[0] == "t,map_id,x,y,vx,vy,mode,alive"
         assert len(lines) == 1 + len(result.samples) * len(result.world.map_pos)
-
-    def test_requires_recorded_run(self, tmp_path):
-        cfg = ScenarioConfig(msds_per_cluster=10, map_count=4, t_end=0.5)
-        bare = run(cfg)
-        with pytest.raises(ValueError):
-            write_trajectories_csv(tmp_path / "t.csv", bare)
 
 
 class TestSummary:
@@ -153,7 +151,7 @@ class TestRunBundle:
     def test_standard_files(self, result, tmp_path):
         paths = write_run_outputs(result, tmp_path / "bundle")
         names = sorted(p.split("/")[-1] for p in paths)
-        assert names == ["metrics.csv", "summary.txt", "trajectories.csv"]
+        assert names == ["metrics.csv", "summary.txt"]
         for p in paths:
             assert (tmp_path / "bundle").joinpath(p.split("/")[-1]).exists()
 
@@ -243,33 +241,35 @@ class TestTrajectoryRows:
                         str(row[6]), str(row[7])]
                 assert (TRAJECTORY_ROW % tuple(row)).rstrip("\n").split(",") == want
 
-    def test_chunks_join_to_the_joined_rows(self, result, tmp_path, monkeypatch):
+    def test_chunks_join_to_the_joined_rows(self, tmp_path, monkeypatch):
         chunks = []
-        write_chunks = outputs._write_chunks
+        open_early = outputs.open_early
 
-        def collect(path, parts):
-            chunks.extend(parts)
-            write_chunks(path, chunks)
+        @contextlib.contextmanager
+        def collect(path):
+            with open_early(path) as write:
+                yield lambda chunk: (chunks.append(chunk), write(chunk))
 
-        monkeypatch.setattr(outputs, "_write_chunks", collect)
+        monkeypatch.setattr(outputs, "open_early", collect)
         path = tmp_path / "traj.csv"
-        write_trajectories_csv(path, result)
+        result, traj = write_trajectories_csv(path, partial(recorded_run, CONFIG))
         # the header, then one write per sample
         assert len(chunks) == 1 + len(result.samples)
         assert all(chunk.count("\n") == len(result.world.map_pos) for chunk in chunks[1:])
-        assert path.read_text().split("\n") == [*rows_one_by_one(result.trajectory), ""]
+        assert path.read_text().split("\n") == [*rows_one_by_one(traj), ""]
 
     def test_matches_rows_formatted_one_by_one(self, tmp_path):
         cfg = ScenarioConfig(msds_per_cluster=60, map_count=30, t_end=15.0, seed=1,
                              failures=((8.0, 0.5),))
-        failed = run(cfg, record_trajectories=True)
-        traj = failed.trajectory
+        path = tmp_path / "traj.csv"
+        _, traj = write_trajectories_csv(path, partial(recorded_run, cfg))
         assert set(traj.mode[-1].tolist()) == {MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC}
         assert traj.alive[0].all() and not traj.alive[-1].all()
-        path = tmp_path / "traj.csv"
-        write_trajectories_csv(path, failed)
         assert path.read_text().split("\n") == [*rows_one_by_one(traj), ""]
 
-    def test_unwritable_path(self, result, tmp_path):
+    def test_unwritable_path(self, tmp_path):
+        def unused(on_sample):
+            raise AssertionError("the run started before the file was opened")
+
         with pytest.raises(OSError, match="cannot write"):
-            write_trajectories_csv(tmp_path / "missing" / "traj.csv", result)
+            write_trajectories_csv(tmp_path / "missing" / "traj.csv", unused)

@@ -32,6 +32,7 @@ from oracles import (
     goal_sets,
     kernel_world,
     loop_share_achieved_goals,
+    recorded_run,
     scan_connected_components,
     upper_pairs,
 )
@@ -457,7 +458,7 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
                          msds_per_cluster=60, cluster_sigma=6.0, map_count=24,
                          map_spawn_center=(30.0, 30.0), map_spawn_halfwidth=20.0,
                          t_end=3.0, seed=5, failures=failures)
-    fast = run(cfg, record_trajectories=True)
+    fast, fast_trajectory = recorded_run(cfg)
     for module, name, oracle in (
             (sim, "assign_msds", assign_via_dense),
             (sim, "adjacency_matrix", dense_tree_graph),
@@ -465,9 +466,9 @@ def test_run_identical_to_dense_kernels(monkeypatch, failures):
             (sim, "share_achieved_goals", share_via_loop),
             (control, "flock_accelerations", accelerations_via_dense)):
         monkeypatch.setattr(module, name, oracle)
-    dense = run(cfg, record_trajectories=True)
+    dense, dense_trajectory = recorded_run(cfg)
     for name in ("t", "pos", "vel", "mode", "alive"):
-        assert np.array_equal(getattr(fast.trajectory, name), getattr(dense.trajectory, name))
+        assert np.array_equal(getattr(fast_trajectory, name), getattr(dense_trajectory, name))
     assert fast.mode_changes == dense.mode_changes
     for a, b in zip(fast.samples, dense.samples):
         assert (a.t, a.coverage_ratio, a.fiedler, a.alive_count, a.mode_counts) \

@@ -1,3 +1,4 @@
+import gc
 import re
 import tracemalloc
 from dataclasses import fields
@@ -13,13 +14,9 @@ from mapflock.control import (
     ControlParams,
     flock_accelerations,
 )
-import mapflock.sim as sim
 from mapflock.sim import (
     DIVERGED_EXTENTS,
-    MAX_TRAJECTORY_BYTES,
-    TRAJECTORY_STATE_BYTES,
     MetricsSample,
-    Trajectory,
     SimulationDiverged,
     detect_convergence,
     euler_update,
@@ -36,7 +33,8 @@ from mapflock.world import (
     agent_tree,
     generate_scenario,
 )
-from oracles import attract_repulse, directed_pairs, kernel_world
+from mapflock.outputs import write_trajectories_csv
+from oracles import attract_repulse, directed_pairs, kernel_world, recorded_run
 
 PARAMS = ControlParams()
 
@@ -196,29 +194,25 @@ class TestRun:
         assert not np.array_equal(r1.world.map_pos, r2.world.map_pos)
 
     def test_trajectory_step_consistent_with_velocity(self):
-        res = run(small_config(t_end=2.0), record_trajectories=True)
-        pos, vel = res.trajectory.pos, res.trajectory.vel
+        _, traj = recorded_run(small_config(t_end=2.0))
+        pos, vel = traj.pos, traj.vel
         for k in range(1, len(pos)):
             dq = pos[k] - pos[k - 1]
             np.testing.assert_allclose(dq, vel[k] * 0.1, atol=1e-9)
 
     def test_trajectory_layout(self):
-        res = run(small_config(map_count=20, t_end=2.0, failures=((1.0, 0.5),)),
-                  record_trajectories=True)
-        traj, n_samples, n_agents = res.trajectory, len(res.samples), 20
+        res, traj = recorded_run(small_config(map_count=20, t_end=2.0, failures=((1.0, 0.5),)))
+        n_samples, n_agents = len(res.samples), 20
         assert traj.pos.shape == traj.vel.shape == (n_samples, n_agents, 2)
         assert traj.mode.shape == traj.alive.shape == (n_samples, n_agents)
         # 2 x 16 B of position and velocity, 1 B of mode, 1 B of the alive
         # flag per agent and sample, and 8 B of time per sample
-        nbytes = sum(getattr(traj, f.name).nbytes for f in fields(traj))
+        nbytes = sum(array.nbytes for array in vars(traj).values())
         assert nbytes <= 34 * n_samples * n_agents + 8 * n_samples
         assert traj.t.tolist() == [s.t for s in res.samples]
         assert traj.alive.sum(axis=1).tolist() == [s.alive_count for s in res.samples]
         np.testing.assert_array_equal(traj.pos[-1], res.world.map_pos)
         np.testing.assert_array_equal(traj.mode[-1], res.world.mode)
-
-    def test_trajectory_disabled_by_default(self):
-        assert run(small_config(t_end=1.0)).trajectory is None
 
     def test_failure_schedule_applied(self):
         cfg = small_config(map_count=20, t_end=2.0, failures=((1.0, 0.5),))
@@ -231,12 +225,12 @@ class TestRun:
 
     def test_dead_agents_do_not_move(self):
         cfg = small_config(map_count=20, t_end=2.0, failures=((1.0, 0.5),))
-        res = run(cfg, record_trajectories=True)
+        res, traj = recorded_run(cfg)
         n = 20
         dead = [i for i in range(n) if not res.world.alive[i]]
         assert dead
         for i in dead:
-            tail = res.trajectory.pos[12:, i]
+            tail = traj.pos[12:, i]
             assert (tail == tail[0]).all()
 
     def test_failure_reduces_final_coverage(self):
@@ -250,8 +244,8 @@ class TestRun:
             assert sum(s.mode_counts) == s.alive_count
 
     def test_modes_absorbing_over_run(self):
-        res = run(small_config(map_count=30, t_end=10.0), record_trajectories=True)
-        for modes in res.trajectory.mode.T.tolist():
+        _, traj = recorded_run(small_config(map_count=30, t_end=10.0))
+        for modes in traj.mode.T.tolist():
             # legal histories: M0* then forever M1, or M0* then forever M2
             left = [m for m in modes if m != MODE_DYNAMIC]
             assert all(m == left[0] for m in left) if left else True
@@ -260,35 +254,28 @@ class TestRun:
                 assert all(m == MODE_DYNAMIC for m in modes[:first])
 
 
-class TestTrajectorySize:
-    """A run that records trajectories is refused before it makes the world
-    when (n_steps + 1) x map_count agent states exceed MAX_TRAJECTORY_BYTES."""
+class TestRecordingMemory:
+    """A recorded run streams each sample to the writer: what recording adds
+    to the run's tracemalloc peak does not grow with the samples. A buffer
+    of the whole run, 2001 x 12 agent states of 34 B, would add 816 KB."""
 
-    def test_state_bytes_match_the_trajectory(self):
-        traj = Trajectory.allocate(3, 5)
-        per_state = sum(getattr(traj, name).nbytes for name in ("pos", "vel", "mode", "alive"))
-        assert per_state == 3 * 5 * TRAJECTORY_STATE_BYTES
-
-    def test_too_large_is_refused_before_the_world_is_made(self, monkeypatch):
-        def unused(*args):
-            raise AssertionError("the world was made")
-
-        monkeypatch.setattr(sim, "generate_scenario", unused)
-        with pytest.raises(ConfigError) as info:
-            run(small_config(t_end=1000000.0, dt=0.001), record_trajectories=True)
-        size = (10**9 + 1) * 12 * TRAJECTORY_STATE_BYTES
-        assert str(info.value) == (f"the trajectory of {10**9 + 1} samples of 12 agents needs "
-                                   f"{size} B, above the limit of {MAX_TRAJECTORY_BYTES} B")
-
-    def test_limit_is_inclusive_and_only_for_recorded_runs(self, monkeypatch):
-        cfg = small_config(t_end=0.3)                   # 4 samples of 12 agents
-        size = 4 * 12 * TRAJECTORY_STATE_BYTES
-        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", size)
-        assert run(cfg, record_trajectories=True).trajectory.t.size == 4
-        monkeypatch.setattr(sim, "MAX_TRAJECTORY_BYTES", size - 1)
-        with pytest.raises(ConfigError, match=f"needs {size} B, above the limit of {size - 1} B"):
-            run(cfg, record_trajectories=True)
-        assert len(run(cfg).samples) == 4
+    def test_recording_adds_less_than_64_kib(self, tmp_path):
+        cfg = small_config(t_end=200.0)                 # 2001 samples of 12 agents
+        simulate = partial(run, cfg)
+        peaks = []
+        for call in (simulate, partial(write_trajectories_csv, tmp_path / "t.csv", simulate)):
+            # tracemalloc misses objects reused from the interpreter's free
+            # lists; a full collection empties them, so both runs start alike
+            gc.collect()
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert len((tmp_path / "t.csv").read_text().splitlines()) == 1 + 2001 * 12
+        assert peaks[1] - peaks[0] < 64 * 1024
 
 
 class TestFlockSpacing:
