@@ -82,9 +82,8 @@ def _sweep(args, label, values, make_config):
     first = base.seed if args.seed is None else args.seed
     seeds = [first + k for k in range(args.replicates)]
     configs = [[make_config(base, value, seed) for seed in seeds] for value in values]
-    make_dirs(args.out_dir)
     path = os.path.join(args.out_dir, "sweep_summary.txt")
-    with open_early(path) as write:
+    with make_dirs(args.out_dir), open_early(path) as write:
         for name, point in zip(names, configs):
             finals_rc, finals_lam = [], []
             for seed, config in zip(seeds, point):
@@ -104,12 +103,12 @@ def _cmd_run(args):
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     trajectories = [os.path.join(args.out_dir, "trajectories.csv")] if args.trajectories else []
-    if trajectories:
-        make_dirs(args.out_dir)
-        result = write_trajectories_csv(trajectories[0], functools.partial(run, config))
-    else:
-        result = run(config)
-    paths = write_run_outputs(result, args.out_dir) + trajectories
+    with make_dirs(args.out_dir):
+        if trajectories:
+            result = write_trajectories_csv(trajectories[0], functools.partial(run, config))
+        else:
+            result = run(config)
+        paths = write_run_outputs(result, args.out_dir) + trajectories
     print(f"final coverage_ratio={fmt(result.final.coverage_ratio)} "
           f"fiedler={fmt(result.final.fiedler)} -> {', '.join(paths)}")
     return 0

@@ -107,7 +107,7 @@ class ModeThresholds:
 
 
 # ---------------------------------------------------------------------------
-# vectorized force evaluation (used by the simulation loop)
+# control forces of all agents at once
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)

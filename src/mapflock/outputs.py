@@ -84,11 +84,11 @@ def config_from_summary(path) -> ScenarioConfig:
 
 def write_run_outputs(result, out_dir):
     """Standard output bundle for one run; returns the file paths."""
-    make_dirs(out_dir)
     metrics = os.path.join(out_dir, "metrics.csv")
     summary = os.path.join(out_dir, "summary.txt")
-    write_metrics_csv(metrics, result)
-    write_summary(summary, result)
+    with make_dirs(out_dir):
+        write_metrics_csv(metrics, result)
+        write_summary(summary, result)
     return [metrics, summary]
 
 
@@ -191,9 +191,24 @@ def _named(path, call, *args, **kwargs):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+@contextlib.contextmanager
 def make_dirs(path):
-    """Make the output directory `path`, and its parents, if missing."""
-    _named(path, os.makedirs, path, exist_ok=True)
+    """Make the output directory `path`, and its parents, if missing, before the
+    work that fills it. An OSError of the making reads ``cannot write <path>: …``;
+    if the work raises, the directories made here are removed, innermost first
+    and only if empty, and an error of that removal is ignored."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    try:
+        _named(path, os.makedirs, path, exist_ok=True)
+        yield
+    except BaseException:
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
 
 
 @contextlib.contextmanager

@@ -16,11 +16,13 @@ One step executes, in order:
    then the step-boundary guard,
 6. the observation of the post-step state, and its metrics.
 
-Each world state is observed once: the post-step observation is the next
-step's phase 1, and a failure injection invalidates it, so the step then
-observes the state afresh. Dead agents are frozen and invisible to every
-phase. Runs are deterministic given the seed: randomness is consumed only
-by scenario generation and failure injection, in that order.
+Phases 1 and 6 are :func:`run`'s loop, which observes each world state, the
+one at t = 0 included, once: the post-step observation gives the sample and
+the next step's phase 1, and a failure injection invalidates it, so the loop
+then observes the state afresh. Phases 2 to 5 are :func:`step`. Dead agents
+are frozen and invisible to every phase. Runs are deterministic given the
+seed: randomness is consumed only by scenario generation and failure
+injection, in that order.
 """
 
 import math
@@ -160,18 +162,12 @@ def euler_update(pos, vel, accel, alive, dt):
 
 
 def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds,
-         dt: float, t_next: float, obs: Observation | None = None):
-    """Advance the world by one step.
+         dt: float, k: int, obs: Observation) -> int:
+    """Advance the world by step `k`, phases 2 to 5, from its observation `obs`.
 
-    `obs` is the observation of the current state, as the previous step
-    returned it; None observes the state afresh. The step takes `obs` over
-    and sets the array fields phases 3 to 5 read to None once they are used.
-    Returns (sample, mode_change_count, observation of the new state).
+    The step takes `obs` over and sets the array fields phases 3 to 5 read to
+    None once they are used. Returns the number of agents that changed mode.
     """
-    # 1: observation of the pre-step state
-    if obs is None:
-        obs = observe(world, params)
-
     # 2: idealized information sharing per connected component
     share_achieved_goals(world, obs.labels)
 
@@ -183,7 +179,6 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     accel = ctl.flock_accelerations(world, obs.adjacency, obs.loads, params)
     obs.loads = obs.cluster_coverage = obs.adjacency = None
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
-    del accel
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities
     bound = min(DIVERGED_EXTENTS * (world.user_extent + params.r), MAX_COORDINATE)
@@ -193,13 +188,10 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
         i = escaped[0]
         (x, y), (vx, vy) = world.map_pos[i], world.map_vel[i]
         raise SimulationDiverged(
-            f"step {round(t_next / dt)}: agent {i} in mode {ctl.MODE_NAMES[world.mode[i]]} "
+            f"step {k}: agent {i} in mode {ctl.MODE_NAMES[world.mode[i]]} "
             f"at position ({x:.6g}, {y:.6g}) m with velocity ({vx:.6g}, {vy:.6g}) m/s "
             f"is beyond the bound of {bound:.6g} m")
-
-    # 6: observation of the post-step state, and its metrics
-    obs = observe(world, params)
-    return metrics_sample(world, obs, t_next), changes, obs
+    return changes
 
 
 def inject_failures(world: World, fraction: float, rng: np.random.Generator):
@@ -240,19 +232,18 @@ def run(config: ScenarioConfig, on_sample=None) -> RunResult:
         rng = np.random.default_rng(config.seed)
         world = generate_scenario(config, rng)
         pending = sorted(config.failures)
-        obs = observe(world, params)
-        samples = [metrics_sample(world, obs, 0.0)]
-        on_sample(0, 0.0, world)
-        mode_changes = []
-        for k in range(1, n_steps + 1):
-            t_pre = (k - 1) * dt
-            while pending and pending[0][0] <= t_pre + 1e-9:
+        samples, mode_changes = [], []
+        for k in range(n_steps + 1):
+            obs = observe(world, params)
+            samples.append(metrics_sample(world, obs, k * dt))
+            on_sample(k, k * dt, world)
+            if k == n_steps:
+                break
+            while pending and pending[0][0] <= k * dt + 1e-9:
                 inject_failures(world, pending.pop(0)[1], rng)
                 obs = None             # the observation no longer matches the world
-            sample, changed, obs = step(world, params, thresholds, dt, k * dt, obs)
-            samples.append(sample)
-            mode_changes.append(changed)
-            on_sample(k, k * dt, world)
+            mode_changes.append(step(world, params, thresholds, dt, k + 1,
+                                     obs or observe(world, params)))
     except MemoryError as exc:
         users = len(config.cluster_centers) * config.msds_per_cluster
         raise MemoryError(f"out of memory running {config.map_count} agents, {users} users and "

@@ -158,6 +158,30 @@ class TestRunCommand:
         assert capsys.readouterr().err == "error: step 1: non-finite state at t=0.100\n"
         assert opened == [True]
         assert not (out / "trajectories.csv").exists()
+        assert not out.exists()
+
+    def test_failed_run_keeps_an_existing_out_dir_and_its_files(self, config_path, tmp_path,
+                                                                monkeypatch, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept\n")
+
+        def diverge(config, on_sample=None):
+            raise SimulationDiverged("step 1: non-finite state at t=0.100")
+        monkeypatch.setattr("mapflock.cli.run", diverge)
+        assert cli_main(["run", config_path, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: step 1: non-finite state at t=0.100\n"
+        assert sorted(path.name for path in out.iterdir()) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
+    def test_failed_run_removes_only_the_directories_it_made(self, config_path, tmp_path,
+                                                             monkeypatch):
+        def diverge(config, on_sample=None):
+            raise SimulationDiverged("step 1: non-finite state at t=0.100")
+        monkeypatch.setattr("mapflock.cli.run", diverge)
+        (tmp_path / "a").mkdir()
+        assert cli_main(["run", config_path, "--out-dir", str(tmp_path / "a" / "b" / "c")]) == 1
+        assert sorted(path.name for path in tmp_path.rglob("*")) == ["a", "scenario.cfg"]
 
     def test_out_dir_that_is_a_file_is_one_line_error(self, config_path, tmp_path, capsys):
         afile = tmp_path / "afile"
@@ -166,6 +190,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {afile}: ")
         assert err.count("\n") == 1
+
+    def test_out_dir_that_is_a_file_fails_before_the_run(self, config_path, tmp_path,
+                                                           monkeypatch, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        runs = []
+        monkeypatch.setattr("mapflock.cli.run", lambda config, on_sample=None: runs.append(config))
+        assert cli_main(["run", config_path, "--out-dir", str(afile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {afile}: ")
+        assert err.count("\n") == 1
+        assert runs == []
+        assert afile.is_file()
 
     def test_fleet_too_large_for_memory_is_one_line_error(self, tmp_path):
         # two million agents over the default 60 m spawn square: the first

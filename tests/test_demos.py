@@ -1,8 +1,10 @@
-"""Every name a demo imports from mapflock exists (the demos are not run),
-and the package exports the public names that the demos and the README use."""
+"""Every name a demo or a README code block imports from mapflock exists
+(neither is run), and the package exports the public names that the demos
+and the README use."""
 
 import ast
 import importlib
+import re
 import types
 from pathlib import Path
 
@@ -10,13 +12,15 @@ import pytest
 
 import mapflock
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
-def mapflock_imports(path):
-    """(module, name) for each name imported from mapflock; name None for
-    a plain ``import mapflock...``."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+def mapflock_imports(source, filename):
+    """(module, name) for each name that `source` imports from mapflock; name
+    None for a plain ``import mapflock...``."""
+    for node in ast.walk(ast.parse(source, filename=filename)):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "mapflock":
             yield from ((node.module, alias.name) for alias in node.names)
         elif isinstance(node, ast.Import):
@@ -24,15 +28,11 @@ def mapflock_imports(path):
                         if alias.name.split(".")[0] == "mapflock")
 
 
-# the package's non-underscore attributes other than its submodules
+# the package's non-underscore attributes other than its submodules: the
+# names the README and the demos import
 PUBLIC_NAMES = [
-    "Assignment", "ConfigError", "ControlParams", "MODE_BRIDGE", "MODE_DYNAMIC", "MODE_NAMES",
-    "MODE_STATIC", "MetricsSample", "ModeThresholds", "RunResult", "ScenarioConfig",
-    "SimulationDiverged", "World", "assign_msds", "bump", "cluster_coverages",
-    "cluster_mst", "connected_components", "fiedler_value", "flock_accelerations",
-    "generate_scenario", "inject_failures", "load_config", "measure", "mode_switch",
-    "phi_action", "phi_uneven", "run", "save_config", "select_bridge_edge", "sigma_scalar",
-    "step",
+    "ControlParams", "MODE_NAMES", "ScenarioConfig", "bump", "load_config", "phi_action",
+    "phi_uneven", "run", "save_config", "sigma_scalar",
 ]
 
 
@@ -46,10 +46,9 @@ def test_demos_found():
     assert len(DEMOS) >= 4
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
-def test_demo_imports_resolve(path):
-    imports = list(mapflock_imports(path))
-    assert imports, f"{path.name} imports nothing from mapflock"
+def assert_imports_resolve(source, filename):
+    imports = list(mapflock_imports(source, filename))
+    assert imports, f"{filename} imports nothing from mapflock"
     for module, name in imports:
         mod = importlib.import_module(module)
         if name is None or hasattr(mod, name):
@@ -57,4 +56,17 @@ def test_demo_imports_resolve(path):
         try:
             importlib.import_module(f"{module}.{name}")   # a submodule
         except ImportError:
-            pytest.fail(f"{path.name}: cannot import {name!r} from {module!r}")
+            pytest.fail(f"{filename}: cannot import {name!r} from {module!r}")
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(path):
+    assert_imports_resolve(path.read_text(encoding="utf-8"), path.name)
+
+
+def test_readme_imports_resolve():
+    # every fenced python block of the README, such as its quick start
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    assert_imports_resolve("\n".join(blocks), README.name)

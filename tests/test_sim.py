@@ -35,6 +35,7 @@ from mapflock.world import (
 )
 from mapflock.outputs import write_trajectories_csv
 from oracles import attract_repulse, directed_pairs, kernel_world, recorded_run
+from test_observation import count_calls
 
 PARAMS = ControlParams()
 
@@ -254,6 +255,32 @@ class TestRun:
                 assert all(m == MODE_DYNAMIC for m in modes[:first])
 
 
+class TestSampling:
+    """One loop samples every world state, the one at t = 0 included: each
+    sample and its hook call see the same state, and each state is observed
+    once, plus once after the injections that share one time."""
+
+    CONFIG = small_config(map_count=20, t_end=2.0, failures=((0.5, 0.3), (0.5, 0.2)))
+
+    def test_each_sample_matches_its_hook_call(self):
+        cfg, seen = self.CONFIG, []
+        res = run(cfg, on_sample=lambda k, t, world: seen.append(
+            (k, measure(world, cfg.control, t))))
+        assert [k for k, _ in seen] == list(range(len(res.mode_changes) + 1))
+        for (k, fresh), sample in zip(seen, res.samples):
+            for field in fields(MetricsSample):
+                np.testing.assert_array_equal(getattr(fresh, field.name),
+                                              getattr(sample, field.name), err_msg=field.name)
+        # both injections fired at 0.5 s: 20 - 6, then 14 - 2
+        assert [s.alive_count for s in res.samples[5:7]] == [20, 12]
+
+    def test_each_state_is_observed_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "assign_msds")
+        res = run(self.CONFIG)
+        # the 21 sampled states and the one the two injections leave at 0.5 s
+        assert len(calls) == len(res.mode_changes) + 2 == 22
+
+
 class TestRecordingMemory:
     """A recorded run streams each sample to the writer: what recording adds
     to the run's tracemalloc peak does not grow with the samples. A buffer
@@ -351,9 +378,11 @@ class TestStepMemory:
             tracemalloc.stop()
 
     def test_peak_above_entry_is_bounded(self):
+        # the step and the observation of the state it reaches
         cfg, world, obs = self.world_and_observation()
         peak = self.peak_above_entry(
-            lambda: step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt, obs))
+            lambda: (step(world, cfg.control, cfg.thresholds, cfg.dt, 1, obs),
+                     observe(world, cfg.control)))
         assert peak < 0.105 * 2**20
 
     def test_force_kernel_peak_is_bounded(self):
@@ -364,7 +393,7 @@ class TestStepMemory:
 
     def test_step_releases_the_observation_it_took_over(self):
         cfg, world, obs = self.world_and_observation()
-        step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt, obs)
+        assert isinstance(step(world, cfg.control, cfg.thresholds, cfg.dt, 1, obs), int)
         # only the two scalars are left: the loads, the coverages, the pairs
         # and the labels are released
         assert [f.name for f in fields(obs) if getattr(obs, f.name) is not None] \
@@ -374,9 +403,10 @@ class TestStepMemory:
 class TestStepMemoryAtScale:
     """The step's working memory is linear in the fleet: 100 000 agents over a
     16 km field around four clusters of 2000 users (35 450 pairs after the
-    first step). The second step peaks 5.34 MiB above its entry (5.46 MiB
-    while the graph was held as CSR arrays); one more (L, 2) float copy adds
-    1.5 MiB, and an (L, K) float temporary 3.1 MiB.
+    first step). The second step, with the observation of the state it
+    reaches, peaks 5.34 MiB above its entry (5.46 MiB while the graph was held
+    as CSR arrays); one more (L, 2) float copy adds 1.5 MiB, and an (L, K)
+    float temporary 3.1 MiB.
     An (L, L) or (M, L) array would be 80 GB or 6.4 GB."""
 
     BOUND = 1.25 * 5.46 * 2**20
@@ -387,9 +417,12 @@ class TestStepMemoryAtScale:
                              map_count=100_000, map_spawn_center=(0.0, 0.0),
                              map_spawn_halfwidth=8000.0, seed=1)
         world = generate_scenario(cfg, np.random.default_rng(cfg.seed))
-        _, _, obs = step(world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt)
+        step(world, cfg.control, cfg.thresholds, cfg.dt, 1, observe(world, cfg.control))
+        obs = observe(world, cfg.control)
+        # the second step and the observation of the state it reaches
         peak = TestStepMemory.peak_above_entry(
-            lambda: step(world, cfg.control, cfg.thresholds, cfg.dt, 2 * cfg.dt, obs))
+            lambda: (step(world, cfg.control, cfg.thresholds, cfg.dt, 2, obs),
+                     observe(world, cfg.control)))
         assert peak < self.BOUND
 
 
@@ -445,7 +478,8 @@ class TestDivergenceGuard:
     def step_four(self):
         cfg = self.config
         with pytest.raises(SimulationDiverged) as info:
-            step(self.world, cfg.control, cfg.thresholds, cfg.dt, 4 * cfg.dt)
+            step(self.world, cfg.control, cfg.thresholds, cfg.dt, 4,
+                 observe(self.world, cfg.control))
         return str(info.value)
 
     def test_agent_beyond_the_bound(self):
@@ -484,5 +518,5 @@ class TestDivergenceGuard:
         self.world.map_pos[3] = (2 * self.bound, -7.0)
         self.world.alive[3] = False
         cfg = self.config
-        sample, _, _ = step(self.world, cfg.control, cfg.thresholds, cfg.dt, cfg.dt)
-        assert sample.alive_count == cfg.map_count - 1
+        step(self.world, cfg.control, cfg.thresholds, cfg.dt, 1, observe(self.world, cfg.control))
+        assert measure(self.world, cfg.control, cfg.dt).alive_count == cfg.map_count - 1
