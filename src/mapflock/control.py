@@ -126,28 +126,28 @@ def load_tables(params: ControlParams, size):
     return params.a * (1.0 - bump(excess, 0.0, 1.0)), 1.0 - bump(headroom, 0.0, 1.0)
 
 
-def flock_accelerations(world, adjacency, loads, params: ControlParams):
+def flock_accelerations(world, obs, params: ControlParams):
     """Accelerations u = f + g + h of every agent of `world`; dead agents get +0.0.
 
-    `adjacency` is the alive agents' graph as the int32 pairs ``(rows,
-    cols)``, ``rows < cols``, of :func:`world.adjacency_matrix`, `loads` the
-    users each agent serves; the load coefficients come from one
-    :func:`load_tables`, at the loads clipped to 2 * n_max, past which both
-    are constant. Each pair is taken once, as agent ids i < j: its distance,
-    phi and 1/root serve both its terms. Each agent sums its pushes, then
-    its velocity differences, in neighbour id order, as the per-agent law in
-    ``tests/oracles.py`` does: ``bincount`` over j adds the lower
-    neighbours' terms, negated, then ``add.at`` over i the upper ones'. As
-    (-a)^2 = a^2, (-a) c = -(a c) and a sum from +0.0 absorbs a zero's sign,
-    the result is that law's bit for bit. The goal terms are added last.
-    Each coordinate is summed in its own (n,) array; u is filled from the
+    It takes the state's :class:`sim.Observation` `obs` over: it reads the
+    loads, maps the int32 pairs ``(rows, cols)``, rows < cols, of the graph to
+    agent ids and sets ``obs.adjacency`` to None before any pair temporary. The
+    load coefficients come from one :func:`load_tables`, at the loads clipped
+    to 2 * n_max, past which both are constant. Each pair is taken once, as
+    agent ids i < j: its distance, phi and 1/root serve both its terms. Each
+    agent sums its pushes, then its velocity differences, in neighbour id
+    order, as the per-agent law in ``tests/oracles.py`` does: ``bincount`` over
+    j adds the lower neighbours' terms, negated, then ``add.at`` over i the
+    upper ones'. As (-a)^2 = a^2, (-a) c = -(a c) and a sum from +0.0 absorbs a
+    zero's sign, the result is that law's bit for bit. The goal terms are added
+    last. Each coordinate is summed in its own (n,) array; u is filled from the
     two at the end.
     """
-    positions, velocities = world.map_pos, world.map_vel
+    positions, velocities, loads = world.map_pos, world.map_vel, obs.loads
     n, eps = len(positions), params.epsilon
     ids = world.alive.nonzero()[0]
-    i, j = ids.take(adjacency[0]), ids.take(adjacency[1])
-    del ids
+    i, j = ids.take(obs.adjacency[0]), ids.take(obs.adjacency[1])
+    obs.adjacency = ids = None          # the pairs' last reader
 
     def pair_diff(x):
         """x_j - x_i over the pairs, for a column x of every agent."""
@@ -155,11 +155,14 @@ def flock_accelerations(world, adjacency, loads, params: ControlParams):
         d -= x.take(i)
         return d
 
-    def pair_sums(lower, upper):
-        """Per agent in id order: the `lower` terms of its pairs as j, then the
-        `upper` as i; float, also when there is no pair."""
-        out = np.bincount(j, lower, minlength=n).astype(float, copy=False)
-        np.add.at(out, i, upper)
+    def pair_sums(d, c_ji, c_ij):
+        """Per agent in id order, from the pair differences `d`, which it
+        consumes: -(d c_ji) over its pairs as j, then d c_ij over those as i;
+        float, also when there is no pair."""
+        lower = np.multiply(d, c_ji)
+        out = np.bincount(j, np.negative(lower, out=lower), minlength=n).astype(float, copy=False)
+        del lower
+        np.add.at(out, i, np.multiply(d, c_ij, out=d))
         return out
 
     root = np.sqrt(1.0 + eps * squared_distances(positions, j, positions, i))
@@ -171,21 +174,17 @@ def flock_accelerations(world, adjacency, loads, params: ControlParams):
     last = min(1 << int(loads.max(initial=0)).bit_length(), 2 * params.n_max + 1) - 1
     pull, weight = load_tables(params, last + 1)
     pull = pull.take(loads, mode="clip")
-    c_ij, c_ji = (phi + pull.take(j)) * inv, (phi + pull.take(i)) * inv
-    del phi, pull, inv
-    columns = []
-    for k in range(2):
-        d = pair_diff(positions[:, k])
-        lower = np.multiply(d, c_ji)
-        columns.append(pair_sums(np.negative(lower, out=lower),
-                                 np.multiply(d, c_ij, out=d)))
-        del d, lower
+    c_ij, c_ji = pull.take(j), pull.take(i)
+    for c in (c_ij, c_ji):          # (phi + pull) / root, in the gathered buffer
+        np.multiply(np.add(c, phi, out=c), inv, out=c)
+    del phi, pull, inv, c
+    columns = [pair_sums(pair_diff(positions[:, k]), c_ji, c_ij) for k in range(2)]
     del c_ij, c_ji
+    # the consensus terms are the bare differences: d * 1.0 is d, bit for bit
     gain = weight.take(loads, mode="clip")
     for k, col in enumerate(columns):
-        d = pair_diff(velocities[:, k])
-        col += gain * pair_sums(np.negative(d), d)
-    del i, j, d, gain
+        col += gain * pair_sums(pair_diff(velocities[:, k]), 1.0, 1.0)
+    del i, j, gain
 
     # the goal terms of the alive agents: c1 (c_a - q), or on a bridge
     # k (da sa + db sb) with d = c - q, then the damping - c2 v

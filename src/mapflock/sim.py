@@ -11,7 +11,8 @@ One step executes, in order:
    the OR over its connected component (message passing emulated centrally),
 3. the mode machine, :func:`control.switch_modes`, in id order, for the
    roaming agents whose goal is covered above r0,
-4. control forces for every alive agent from the common pre-step snapshot,
+4. control forces for every alive agent from the common pre-step snapshot;
+   the kernel frees the pairs once read, the step the loads and coverages,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``,
    then the step-boundary guard,
 6. the observation of the post-step state, and its metrics.
@@ -81,8 +82,8 @@ class Observation:
     metrics of the step that reached the state and the next step's phases.
 
     Of the matching it keeps the loads and the coverage, not the per-user
-    owners. The graph's component labels are computed by :meth:`labels`, on
-    the first call, and kept: on most states no phase needs them."""
+    owners. :meth:`labels` computes the component labels on its first call
+    and keeps them; no caller runs it after phase 4, which frees the pairs."""
 
     loads: np.ndarray              # (L,) users served per agent
     coverage_ratio: float          # assigned users / all users
@@ -165,8 +166,8 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
          dt: float, k: int, obs: Observation) -> int:
     """Advance the world by step `k`, phases 2 to 5, from its observation `obs`.
 
-    The step takes `obs` over and sets the array fields phases 3 to 5 read to
-    None once they are used. Returns the number of agents that changed mode.
+    The step takes `obs` over: the force kernel frees its pairs, the step its
+    loads and coverages after phase 4. Returns how many agents changed mode.
     """
     # 2: idealized information sharing per connected component
     share_achieved_goals(world, obs.labels)
@@ -176,8 +177,8 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
 
     # 4-5: forces from the shared pre-step snapshot, then integration; what
     # they consumed is released before the post-step state is observed
-    accel = ctl.flock_accelerations(world, obs.adjacency, obs.loads, params)
-    obs.loads = obs.cluster_coverage = obs.adjacency = None
+    accel = ctl.flock_accelerations(world, obs, params)
+    obs.loads = obs.cluster_coverage = None
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities

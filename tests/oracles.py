@@ -47,9 +47,10 @@
   :func:`closed_form_bump`; the library reads them from tables at integer
   loads. The force oracles below call these, never ``bump`` or
   ``phi_action`` of ``mapflock.potentials``.
-* :func:`kernel_world` -- a ``World`` that holds only the arrays the force
-  kernel reads, so that tests can hand the array oracles' inputs to
-  ``control.flock_accelerations``.
+* :func:`kernel_world` and :func:`kernel_observation` -- a ``World`` that
+  holds only the arrays the force kernel reads, and an ``Observation`` that
+  holds only the graph's pairs and the loads, so that tests can hand the
+  array oracles' inputs to ``control.flock_accelerations``.
 * :func:`control_input` and its terms :func:`attract_repulse`,
   :func:`velocity_consensus`, :func:`goal_term_point` and
   :func:`goal_term_bridge` -- the control law u = f + g + h for one agent,
@@ -73,6 +74,7 @@ from mapflock.netgraph import cluster_mst
 from mapflock.potentials import sigma_grad_scale, sigma_scalar
 from mapflock.sim import (
     MetricsSample,
+    Observation,
     RunResult,
     SimulationDiverged,
     detect_convergence,
@@ -232,6 +234,13 @@ def kernel_world(positions, velocities, alive, modes, goal_a, goal_b, centroids)
                  mode=modes, goal_a=goal_a, goal_b=goal_b,
                  achieved=np.zeros((n, k), dtype=bool), user_table=None,
                  cluster_users=np.zeros(k, int), user_extent=0.0)
+
+
+def kernel_observation(adjacency, loads):
+    """An ``Observation`` of the int32 pairs `adjacency` and the `loads` alone.
+    The force kernel sets its ``adjacency`` to None; the tuple itself is kept."""
+    return Observation(loads=loads, coverage_ratio=math.nan, cluster_coverage=None,
+                       adjacency=adjacency, n_alive=None)
 
 
 def dense_flock_accelerations(positions, velocities, loads, alive, modes,

@@ -32,6 +32,7 @@ from oracles import (
     goal_rows,
     goal_term_bridge,
     goal_term_point,
+    kernel_observation,
     kernel_world,
     velocity_consensus,
 )
@@ -147,7 +148,7 @@ class TestLoadTables:
         load_tables.cache_clear()
         tracemalloc.start()
         try:
-            flock_accelerations(world, adj, loads, params)
+            flock_accelerations(world, kernel_observation(adj, loads), params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -172,8 +173,8 @@ class TestLoadTables:
         dense[ids[rows], ids[cols]] = True
         for loads in (np.zeros(30, int), rng.integers(0, 3 * PARAMS.n_max, 30),
                       rng.choice([0, PARAMS.n_max, 10**12], 30)):
-            got = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent), adj,
-                                      loads, PARAMS)
+            got = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent),
+                                      kernel_observation(adj, loads), PARAMS)
             want = dense_flock_accelerations(pos, vel, loads, alive, modes, ga, gb, cent, dense,
                                              PARAMS)
             np.testing.assert_array_equal(got, want)
@@ -262,8 +263,8 @@ class TestVectorizedAgreement:
             ids = np.flatnonzero(alive)
             rows, cols = directed_pairs(*adj)
             nb = [ids[cols[ids[rows] == i]] for i in range(n)]
-            u = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent), adj,
-                                    loads, PARAMS)
+            u = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent),
+                                    kernel_observation(adj, loads), PARAMS)
             for i in range(n):
                 if not alive[i]:
                     np.testing.assert_array_equal(u[i], 0.0)
@@ -277,13 +278,13 @@ class TestVectorizedAgreement:
         rng = np.random.default_rng(19)
         pos, vel, loads, alive, modes, ga, gb, cent = self.random_state(rng, 12)
         adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
-        u = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent), adj,
-                                loads, PARAMS)
+        u = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent),
+                                kernel_observation(adj, loads), PARAMS)
         shift = np.array([37.5, -12.25])
         moved = pos + shift
         adj2 = adjacency_matrix(agent_tree(moved, alive), PARAMS.r)
         u2 = flock_accelerations(kernel_world(moved, vel, alive, modes, ga, gb, cent + shift),
-                                 adj2, loads, PARAMS)
+                                 kernel_observation(adj2, loads), PARAMS)
         np.testing.assert_allclose(u2, u, atol=1e-9)
 
     def test_dead_agents_fields_are_never_read(self):
@@ -294,15 +295,15 @@ class TestVectorizedAgreement:
             alive[0] = False
             dead = ~alive
             adj = adjacency_matrix(agent_tree(pos, alive), PARAMS.r)
-            want = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent), adj,
-                                       loads, PARAMS)
+            want = flock_accelerations(kernel_world(pos, vel, alive, modes, ga, gb, cent),
+                                       kernel_observation(adj, loads), PARAMS)
             bad_pos, bad_vel, bad_a, bad_b = pos.copy(), vel.copy(), ga.copy(), gb.copy()
             bad_pos[dead] = bad_vel[dead] = np.nan
             bad_a[dead] = bad_b[dead] = len(cent) + 5
             for mode in (MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC):
                 bad = kernel_world(bad_pos, bad_vel, alive, np.where(dead, mode, modes),
                                    bad_a, bad_b, cent)
-                got = flock_accelerations(bad, adj, loads, PARAMS)
+                got = flock_accelerations(bad, kernel_observation(adj, loads), PARAMS)
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
                 assert np.all(got[dead] == 0.0) and not np.any(np.signbit(got[dead]))

@@ -30,6 +30,7 @@ from oracles import (
     directed_pairs,
     goal_rows,
     goal_sets,
+    kernel_observation,
     kernel_world,
     loop_share_achieved_goals,
     recorded_run,
@@ -167,10 +168,11 @@ def share_via_loop(world, labels):
     loop_share_achieved_goals(world, labels())
 
 
-def accelerations_via_dense(world, adjacency, loads, params):
-    return dense_flock_accelerations(world.map_pos, world.map_vel, loads, world.alive,
+def accelerations_via_dense(world, obs, params):
+    return dense_flock_accelerations(world.map_pos, world.map_vel, obs.loads, world.alive,
                                      world.mode, world.goal_a, world.goal_b, world.centroids,
-                                     id_matrix(world.alive, *directed_pairs(*adjacency)), params)
+                                     id_matrix(world.alive, *directed_pairs(*obs.adjacency)),
+                                     params)
 
 
 @pytest.mark.parametrize("name, users, agents, alive", SNAPSHOTS, ids=IDS)
@@ -223,7 +225,8 @@ class TestAgainstDenseOracles:
         agent_state = (alive, rng.choice([MODE_DYNAMIC, MODE_BRIDGE, MODE_STATIC], size=n),
                        rng.integers(0, 2, size=n), np.full(n, 2), centroids)
         graph = adjacency_matrix(agent_tree(agents, alive), params.r)
-        got = flock_accelerations(kernel_world(agents, vel, *agent_state), graph, loads, params)
+        got = flock_accelerations(kernel_world(agents, vel, *agent_state),
+                                  kernel_observation(graph, loads), params)
         want = dense_flock_accelerations(agents, vel, loads, *agent_state,
                                          dense_adjacency_matrix(agents, alive, params.r), params)
         np.testing.assert_array_equal(got, want)
@@ -648,7 +651,8 @@ class TestUndirectedForceKernel:
             pos[dead] = vel[dead] = np.nan
             goal_a[dead] = goal_b[dead] = len(centroids) + 7
             got = flock_accelerations(kernel_world(pos, vel, alive, modes, goal_a, goal_b,
-                                                   centroids), graph, loads, params)
+                                                   centroids),
+                                      kernel_observation(graph, loads), params)
             np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_phi_action_sees_each_pair_once(self, monkeypatch):
@@ -667,5 +671,5 @@ class TestUndirectedForceKernel:
             return phi_action(z, params)
 
         monkeypatch.setattr(control, "phi_action", counted)
-        flock_accelerations(world, obs.adjacency, obs.loads, cfg.control)
+        flock_accelerations(world, kernel_observation(obs.adjacency, obs.loads), cfg.control)
         assert sizes == [obs.adjacency[1].size] == [1346]

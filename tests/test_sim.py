@@ -34,7 +34,13 @@ from mapflock.world import (
     generate_scenario,
 )
 from mapflock.outputs import write_trajectories_csv
-from oracles import attract_repulse, directed_pairs, kernel_world, recorded_run
+from oracles import (
+    attract_repulse,
+    directed_pairs,
+    kernel_observation,
+    kernel_world,
+    recorded_run,
+)
 from test_observation import count_calls
 
 PARAMS = ControlParams()
@@ -348,15 +354,21 @@ class TestMeasure:
 
 class TestStepMemory:
     """The step's working memory on a 1000-agent fleet over an 800 m field,
-    the benchmark's relay_wide scene (1346 pairs at t = 0). The force kernel
-    holds each pair once, as intp ids i < j, and per pair at most the two
-    directed coefficients and one coordinate's difference and terms; it
-    frees the coefficients before the velocity consensus and the pair ids
-    before the goal terms. The step releases the observation it took over
-    once the forces are computed and the accelerations once they are
-    integrated. The post-step observation builds the graph, whose build
-    peaks highest, before the matching, so only the agents' tree is live
-    beside it. Bounds are tracemalloc peaks above the call's entry."""
+    the benchmark's relay_wide scene (1346 pairs at t = 0, 1347 after the
+    first step). The force kernel frees the observation's int32 pairs once
+    it holds them as intp ids i < j, builds the two directed coefficients in
+    their load-pull gathers, and per pair holds at most those two and one
+    coordinate's difference and terms; it frees the coefficients before the
+    velocity consensus and the pair ids before the goal terms. The step
+    releases the loads and coverages once the forces are computed and the
+    accelerations once they are integrated. The post-step observation
+    builds the graph, whose build peaks highest, before the matching, so
+    only the agents' tree is live beside it. Bounds are tracemalloc peaks
+    above the call's entry: the first step with the observation it reaches
+    peaks at 0.0808 MiB, as does the kernel alone, their pairs allocated
+    before the trace; with the pre-step observation traced too, the second
+    step peaks at 0.0869 MiB, and at 0.0974 MiB if the kernel kept the
+    pairs."""
 
     def world_and_observation(self):
         cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (600.0, 0.0), (0.0, 600.0),
@@ -387,9 +399,27 @@ class TestStepMemory:
 
     def test_force_kernel_peak_is_bounded(self):
         cfg, w, obs = self.world_and_observation()     # 1346 pairs at t = 0
-        peak = self.peak_above_entry(
-            lambda: flock_accelerations(w, obs.adjacency, obs.loads, cfg.control))
+        peak = self.peak_above_entry(lambda: flock_accelerations(w, obs, cfg.control))
         assert peak < 0.1 * 2**20
+
+    def test_force_kernel_frees_the_pairs(self):
+        cfg, world, obs = self.world_and_observation()
+        loads = obs.loads
+        flock_accelerations(world, obs, cfg.control)
+        # the kernel is the pairs' last reader; the loads are the step's to free
+        assert obs.adjacency is None and obs.loads is loads
+
+    def test_observed_step_peak_above_entry_is_bounded(self):
+        # the observation of a state, the second step from it and the
+        # observation of the state it reaches, all traced as in a run, so the
+        # pairs the kernel frees lower the peak its pair temporaries reach
+        cfg, world, obs = self.world_and_observation()
+        step(world, cfg.control, cfg.thresholds, cfg.dt, 1, obs)
+
+        def second_step():
+            step(world, cfg.control, cfg.thresholds, cfg.dt, 2, observe(world, cfg.control))
+            observe(world, cfg.control)
+        assert self.peak_above_entry(second_step) < 0.092 * 2**20
 
     def test_step_releases_the_observation_it_took_over(self):
         cfg, world, obs = self.world_and_observation()
@@ -404,9 +434,10 @@ class TestStepMemoryAtScale:
     """The step's working memory is linear in the fleet: 100 000 agents over a
     16 km field around four clusters of 2000 users (35 450 pairs after the
     first step). The second step, with the observation of the state it
-    reaches, peaks 5.34 MiB above its entry (5.46 MiB while the graph was held
-    as CSR arrays); one more (L, 2) float copy adds 1.5 MiB, and an (L, K)
-    float temporary 3.1 MiB.
+    reaches, peaks 5.342 MiB above its entry (5.46 MiB while the graph was
+    held as CSR arrays); that peak lies in the (L,)-sized stages, so the
+    kernel's release of the pairs leaves it where it was. One more (L, 2)
+    float copy adds 1.5 MiB, and an (L, K) float temporary 3.1 MiB.
     An (L, L) or (M, L) array would be 80 GB or 6.4 GB."""
 
     BOUND = 1.25 * 5.46 * 2**20
@@ -441,8 +472,8 @@ class TestLoneAgentStability:
         alive, one = np.ones(1, bool), np.zeros(1, int)
         world = kernel_world(pos, vel, alive, one + MODE_DYNAMIC, one, one - 1, np.zeros((1, 2)))
         for _ in range(steps):
-            accel = flock_accelerations(world, (np.zeros(0, np.int32), np.zeros(0, np.int32)),
-                                        one, PARAMS)
+            no_pairs = (np.zeros(0, np.int32), np.zeros(0, np.int32))
+            accel = flock_accelerations(world, kernel_observation(no_pairs, one), PARAMS)
             euler_update(pos, vel, accel, alive, dt)
         return float(np.hypot(*pos[0]))
 
