@@ -213,37 +213,36 @@ def flock_accelerations(world, obs, params: ControlParams):
 # mode machine
 # ---------------------------------------------------------------------------
 
-def required_relays(edge_length, comm_range):
-    """Relays needed to span an inter-centroid edge: max(0, ceil(len/r) - 1)."""
-    return max(0, math.ceil(edge_length / comm_range) - 1)
+def relay_tree(goals, centroids, comm_range):
+    """:func:`netgraph.cluster_mst`'s tree over the clusters `goals`, in its
+    order, as ``(id_a, id_b, relays)``: the relays needed to span each edge,
+    max(0, ceil(length / comm_range) - 1)."""
+    return [(a, b, max(0, math.ceil(length / comm_range) - 1))
+            for a, b, length in cluster_mst(goals, centroids)]
 
 
-def select_bridge_edge(pos_i, mst_edges, bridge_counts, centroids, comm_range):
-    """Pick the bridge edge an agent should staff: the least
-    ``(-max(deficit, 0), midpoint distance, (id_a, id_b))``.
+def select_bridge_edge(pos_i, tree, staffed, centroids):
+    """Pick the edge of the relay `tree` that an agent at `pos_i` should staff:
+    the least ``(-max(deficit, 0), midpoint distance, (id_a, id_b))``.
 
-    The deficit is the relays an edge requires minus those assigned to it:
-    the largest deficit wins, ties go to the nearest edge midpoint, then to
-    the lower edge id. If no edge is under-staffed, the nearest edge is
-    returned (redundancy is allowed).
+    The deficit is an edge's relays minus those `staffed` on it: the largest
+    deficit wins, ties go to the nearest edge midpoint, then to the lower
+    edge id. If no edge is under-staffed, the nearest edge is returned
+    (redundancy is allowed); an empty tree raises ValueError.
     """
-    if not mst_edges:
-        raise ValueError("cannot select a bridge edge from an empty tree")
-    keys = ((-max(required_relays(length, comm_range) - bridge_counts[ia, ib], 0),
-             float(np.hypot(*(0.5 * (centroids[ia] + centroids[ib]) - pos_i))), (ia, ib))
-            for ia, ib, length in mst_edges)
+    keys = ((-max(relays - staffed[a, b], 0),
+             float(np.hypot(*(0.5 * (centroids[a] + centroids[b]) - pos_i))), (a, b))
+            for a, b, relays in tree)
     return min(keys)[2]
 
 
-def mode_switch(goal_a, n_served, achieved, centroids, pos_i, mst_lookup, bridge_counts,
-                thresholds: ModeThresholds, comm_range):
-    """One mode-machine decision for a roaming agent whose goal is covered above r0.
+def mode_switch(world, i, n_served, tree_of, staffed, thresholds: ModeThresholds):
+    """One mode-machine decision for roaming agent `i`, its goal covered above r0.
 
-    `achieved` is the agent's (K,) bool row of known covered goals, a view
-    into ``World.achieved``; the goal is marked in it before `mst_lookup`,
-    from the sorted tuple of achieved goal ids to their centroid spanning
-    tree, is queried. `bridge_counts` is a ``Counter`` of the relays per
-    edge ``(id_a, id_b)``; the agent is counted on the edge it adopts.
+    The goal is marked in the agent's row of ``World.achieved`` before
+    `tree_of`, from the sorted tuple of achieved goal ids to their
+    :func:`relay_tree`, is queried. `staffed` is a ``Counter`` of the relays
+    per edge ``(id_a, id_b)``; the agent is counted on the edge it adopts.
 
     Returns the new ``(mode, goal_a, goal_b)`` by one rule. A load of n1 or
     more goes Static. A bridge is worthwhile when the tree has an edge and
@@ -253,21 +252,20 @@ def mode_switch(goal_a, n_served, achieved, centroids, pos_i, mst_lookup, bridge
     worthwhile bridge retargets to the nearest one. Otherwise the agent
     bridges if that is worthwhile, and keeps its goal if not.
     """
+    goal_a, achieved, pos_i = int(world.goal_a[i]), world.achieved[i], world.map_pos[i]
     achieved[goal_a] = True
     if n_served >= thresholds.n1:
         return MODE_STATIC, goal_a, -1
-    mst_edges = mst_lookup(tuple(achieved.nonzero()[0].tolist()))
+    tree = tree_of(tuple(achieved.nonzero()[0].tolist()))
     uncovered = (~achieved).nonzero()[0].tolist()
-    bridge = mst_edges and (not uncovered or any(
-        required_relays(length, comm_range) > bridge_counts[ia, ib]
-        for ia, ib, length in mst_edges))
+    bridge = tree and (not uncovered or any(relays > staffed[a, b] for a, b, relays in tree))
     if uncovered and (n_served < thresholds.n0 or not bridge):
-        dists = [float(np.hypot(*(centroids[c] - pos_i))) for c in uncovered]
+        dists = [float(np.hypot(*(world.centroids[c] - pos_i))) for c in uncovered]
         return MODE_DYNAMIC, uncovered[int(np.argmin(dists))], -1
     if bridge:
-        edge = select_bridge_edge(pos_i, mst_edges, bridge_counts, centroids, comm_range)
-        bridge_counts[edge] += 1
-        return MODE_BRIDGE, edge[0], edge[1]
+        edge = select_bridge_edge(pos_i, tree, staffed, world.centroids)
+        staffed[edge] += 1
+        return MODE_BRIDGE, *edge
     return MODE_DYNAMIC, goal_a, -1
 
 
@@ -276,21 +274,20 @@ def switch_modes(world, loads, coverage, thresholds: ModeThresholds, comm_range)
     agents whose goal is covered above r0, in id order; returns the mode changes.
 
     Connectivity and Static are absorbing, and a static agent's goal is
-    already marked in its row. Each adoption is counted before the next
-    agent decides, so simultaneous switchers spread over the edges.
+    already marked in its row. One :func:`relay_tree` serves each set of
+    achieved goals; each adoption is counted before the next agent decides,
+    so simultaneous switchers spread over the edges.
     """
     gated = (world.alive & (world.mode == MODE_DYNAMIC)
              & (coverage.take(world.goal_a) > thresholds.r0)).nonzero()[0]
     if not gated.size:
         return 0
     bridge = world.alive & (world.mode == MODE_BRIDGE)
-    bridge_counts = Counter(zip(world.goal_a[bridge].tolist(), world.goal_b[bridge].tolist()))
-    mst_lookup = cache(partial(cluster_mst, centroids=world.centroids))
+    staffed = Counter(zip(world.goal_a[bridge].tolist(), world.goal_b[bridge].tolist()))
+    tree_of = cache(partial(relay_tree, centroids=world.centroids, comm_range=comm_range))
     changes = 0
     for i in gated:
-        new_mode, ga, gb = mode_switch(
-            int(world.goal_a[i]), int(loads[i]), world.achieved[i], world.centroids,
-            world.map_pos[i], mst_lookup, bridge_counts, thresholds, comm_range)
+        new_mode, ga, gb = mode_switch(world, i, int(loads[i]), tree_of, staffed, thresholds)
         changes += new_mode != MODE_DYNAMIC
         world.mode[i], world.goal_a[i], world.goal_b[i] = new_mode, ga, gb
     return changes

@@ -18,8 +18,8 @@ from scipy.sparse import csgraph, csr_matrix
 
 
 def connected_components(n, rows, cols):
-    """Component label per node: 0..n_components-1, in the order of each
-    component's smallest node.
+    """Component label per node, as scipy's int32: 0..n_components-1, in the
+    order of each component's smallest node.
 
     The graph on nodes 0..n-1 is given by its pairs, as
     ``world.adjacency_matrix`` builds them. Its symmetric CSR form, both
@@ -38,7 +38,7 @@ def connected_components(n, rows, cols):
     indptr = key.searchsorted(np.arange(n + 1) * n).astype(np.int32)
     indices = np.remainder(key, n, out=key).astype(np.int32)
     graph = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-    return csgraph.connected_components(graph, directed=True, connection="strong")[1].astype(int)
+    return csgraph.connected_components(graph, directed=True, connection="strong")[1]
 
 
 def fiedler_value(n, adjacency, labels):

@@ -12,7 +12,7 @@ One step executes, in order:
 3. the mode machine, :func:`control.switch_modes`, in id order, for the
    roaming agents whose goal is covered above r0,
 4. control forces for every alive agent from the common pre-step snapshot;
-   the kernel frees the pairs once read, the step the loads and coverages,
+   the kernel frees the pairs once read, the step the rest it consumed,
 5. semi-implicit (symplectic) Euler integration ``v += u*dt; q += v*dt``,
    then the step-boundary guard,
 6. the observation of the post-step state, and its metrics.
@@ -167,7 +167,7 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     """Advance the world by step `k`, phases 2 to 5, from its observation `obs`.
 
     The step takes `obs` over: the force kernel frees its pairs, the step its
-    loads and coverages after phase 4. Returns how many agents changed mode.
+    loads, coverages and labels after phase 4. Returns how many agents changed mode.
     """
     # 2: idealized information sharing per connected component
     share_achieved_goals(world, obs.labels)
@@ -178,7 +178,7 @@ def step(world: World, params: ctl.ControlParams, thresholds: ctl.ModeThresholds
     # 4-5: forces from the shared pre-step snapshot, then integration; what
     # they consumed is released before the post-step state is observed
     accel = ctl.flock_accelerations(world, obs, params)
-    obs.loads = obs.cluster_coverage = None
+    obs.loads = obs.cluster_coverage = obs.components = None
     euler_update(world.map_pos, world.map_vel, accel, world.alive, dt)
     # the step-boundary guard: q moved with the new v, so bounded positions
     # also mean finite velocities

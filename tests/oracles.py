@@ -70,7 +70,6 @@ import numpy as np
 from mapflock import control as ctl
 from mapflock.association import Assignment, cluster_coverages
 from mapflock.control import MODE_BRIDGE, ControlParams
-from mapflock.netgraph import cluster_mst
 from mapflock.potentials import sigma_grad_scale, sigma_scalar
 from mapflock.sim import (
     MetricsSample,
@@ -507,12 +506,12 @@ def _step(world, params, thresholds, dt, t_next):
     bridge_counts = Counter()
     for i in np.flatnonzero(world.alive & (world.mode == ctl.MODE_BRIDGE)):
         bridge_counts[int(world.goal_a[i]), int(world.goal_b[i])] += 1
-    mst_cache = {}
+    tree_cache = {}
 
-    def mst_lookup(key):
-        if key not in mst_cache:
-            mst_cache[key] = cluster_mst(key, world.centroids)
-        return mst_cache[key]
+    def tree_of(key):
+        if key not in tree_cache:
+            tree_cache[key] = ctl.relay_tree(key, world.centroids, params.r)
+        return tree_cache[key]
 
     # the machine's rule agent by agent: bridge mode is absorbing, a goal covered
     # above r0 is marked, and only a roaming agent decides
@@ -524,9 +523,8 @@ def _step(world, params, thresholds, dt, t_next):
         world.achieved[i, goal_a] = True
         if mode != ctl.MODE_DYNAMIC:
             continue
-        new_mode, ga, gb = ctl.mode_switch(
-            goal_a, int(asg.loads[i]), world.achieved[i], world.centroids,
-            world.map_pos[i], mst_lookup, bridge_counts, thresholds, params.r)
+        new_mode, ga, gb = ctl.mode_switch(world, i, int(asg.loads[i]), tree_of,
+                                           bridge_counts, thresholds)
         if new_mode != mode:
             changes += 1
         world.mode[i], world.goal_a[i], world.goal_b[i] = new_mode, ga, gb

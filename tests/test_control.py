@@ -16,10 +16,11 @@ from mapflock.control import (
     flock_accelerations,
     load_tables,
     mode_switch,
-    required_relays,
+    relay_tree,
     select_bridge_edge,
     switch_modes,
 )
+from mapflock.netgraph import cluster_mst
 from mapflock.world import ScenarioConfig, adjacency_matrix, agent_tree, generate_scenario
 from oracles import (
     attract_repulse,
@@ -317,65 +318,80 @@ class TestVectorizedAgreement:
 
 
 class TestBridgeStaffing:
-    def test_required_relays_examples(self):
-        assert required_relays(150.0, 24.0) == 6
-        assert required_relays(24.0, 24.0) == 0
-        assert required_relays(24.1, 24.0) == 1
-        assert required_relays(10.0, 24.0) == 0
+    @staticmethod
+    def relays(length, r=24.0):
+        """The relays of the one edge of a two-centroid relay tree."""
+        ((a, b, relays),) = relay_tree((0, 1), np.array([[0.0, 0.0], [length, 0.0]]), r)
+        assert (a, b) == (0, 1)
+        return relays
+
+    def test_relay_tree_examples(self):
+        assert self.relays(150.0) == 6
+        assert self.relays(24.0) == 0
+        assert self.relays(24.1) == 1
+        assert self.relays(10.0) == 0
+
+    def test_exact_multiples_of_the_range(self):
+        # k ranges end to end need k - 1 relays between the two endpoints
+        assert self.relays(48.0) == 1
+        assert self.relays(72.0) == 2
+
+    def test_relay_tree_keeps_the_tree_order(self):
+        # the acceptance square: four equal 145 m sides, so every edge needs 6
+        # relays and the tree is cluster_mst's, in its (length, id_a, id_b) order
+        centroids = np.array([[0.0, 0.0], [145.0, 0.0], [0.0, 145.0], [145.0, 145.0]])
+        tree = cluster_mst(range(4), centroids)
+        assert [length for _, _, length in tree] == [145.0] * 3
+        assert relay_tree((0, 1, 2, 3), centroids, 24.0) == [(a, b, 6) for a, b, _ in tree]
+        assert [(a, b) for a, b, _ in tree] == [(0, 1), (0, 2), (1, 3)]
 
     def test_deficit_priority(self):
         centroids = np.array([[0.0, 0.0], [150.0, 0.0], [0.0, 150.0]])
-        edges = [(0, 1, 150.0), (0, 2, 150.0)]
+        tree = [(0, 1, 6), (0, 2, 6)]
         counts = Counter({(0, 1): 6})   # fully staffed; (0, 2) needs all 6
-        pick = select_bridge_edge(np.array([75.0, 0.0]), edges, counts, centroids, 24.0)
+        pick = select_bridge_edge(np.array([75.0, 0.0]), tree, counts, centroids)
         assert pick == (0, 2)
 
     def test_nearest_edge_when_all_staffed(self):
         centroids = np.array([[0.0, 0.0], [150.0, 0.0], [0.0, 150.0]])
-        edges = [(0, 1, 150.0), (0, 2, 150.0)]
+        tree = [(0, 1, 6), (0, 2, 6)]
         counts = Counter({(0, 1): 6, (0, 2): 6})
-        pick = select_bridge_edge(np.array([75.0, 0.0]), edges, counts, centroids, 24.0)
+        pick = select_bridge_edge(np.array([75.0, 0.0]), tree, counts, centroids)
         assert pick == (0, 1)
 
     def test_lexicographic_tie(self):
         centroids = np.array([[0.0, 0.0], [100.0, 0.0], [-100.0, 0.0]])
-        edges = [(0, 1, 100.0), (0, 2, 100.0)]
-        pick = select_bridge_edge(np.zeros(2), edges, Counter(), centroids, 24.0)
+        tree = [(0, 1, 4), (0, 2, 4)]
+        pick = select_bridge_edge(np.zeros(2), tree, Counter(), centroids)
         assert pick == (0, 1)
 
     def test_empty_tree_rejected(self):
         with pytest.raises(ValueError):
-            select_bridge_edge(np.zeros(2), [], Counter(), np.zeros((1, 2)), 24.0)
+            select_bridge_edge(np.zeros(2), [], Counter(), np.zeros((1, 2)))
 
 
 class TestModeSwitch:
     CENTROIDS = np.array([[0.0, 0.0], [150.0, 0.0], [0.0, 150.0], [150.0, 150.0]])
 
-    @classmethod
-    def row(cls, goals):
-        """An agent's achieved row with the given goal ids marked."""
-        return goal_rows([goals], len(cls.CENTROIDS))[0]
-
     def call(self, goal_a, n_served, achieved=(), counts=None, pos=(0.0, 0.0)):
-        """Run the machine, as past the coverage gate, on a fresh row; returns
-        its outcome and the row's goal ids."""
-        row = self.row(achieved)
+        """Run the machine, as past the coverage gate, on a one-agent world;
+        returns its outcome and the agent's goal ids."""
+        world = self.world([(MODE_DYNAMIC, goal_a, -1, achieved, pos)])
         counts = Counter() if counts is None else counts
-        lookup = lambda key: cluster_tree(key, self.CENTROIDS)
-        out = mode_switch(goal_a, n_served, row, self.CENTROIDS, np.asarray(pos, float),
-                          lookup, counts, THRESH, 24.0)
-        return out, goal_ids(row), counts
+        out = mode_switch(world, 0, n_served, lambda key: cluster_tree(key, self.CENTROIDS),
+                          counts, THRESH)
+        return out, goal_ids(world.achieved[0]), counts
 
     @classmethod
-    def world(cls, agents):
-        """A world over CENTROIDS whose agents are ``(mode, goal_a, goal_b,
+    def world(cls, agents, centroids=CENTROIDS):
+        """A world over `centroids` whose agents are ``(mode, goal_a, goal_b,
         achieved goal ids, position)``, one tuple each."""
-        cfg = ScenarioConfig(cluster_centers=tuple(map(tuple, cls.CENTROIDS)),
+        cfg = ScenarioConfig(cluster_centers=tuple(map(tuple, centroids)),
                              msds_per_cluster=5, map_count=len(agents))
         world = generate_scenario(cfg, np.random.default_rng(0))
         for i, (mode, goal_a, goal_b, achieved, pos) in enumerate(agents):
             world.mode[i], world.goal_a[i], world.goal_b[i] = mode, goal_a, goal_b
-            world.achieved[i] = cls.row(achieved)
+            world.achieved[i] = goal_rows([achieved], len(centroids))[0]
             world.map_pos[i] = pos
         return world
 
@@ -461,10 +477,10 @@ class TestModeSwitch:
         for k, achieved, relays, outcomes in table:
             centroids = self.CENTROIDS[:k]
             for load, want in zip((0, 2, 3, 9, 10), outcomes):
+                world = self.world([(MODE_DYNAMIC, 0, -1, achieved, (140.0, 10.0))], centroids)
                 counts = Counter({(0, 1): relays})
-                got = mode_switch(0, load, goal_rows([achieved], k)[0], centroids,
-                                  np.array([140.0, 10.0]), lambda key: cluster_tree(key, centroids),
-                                  counts, THRESH, 24.0)
+                got = mode_switch(world, 0, load, lambda key: cluster_tree(key, centroids),
+                                  counts, THRESH)
                 assert got == want, (k, achieved, relays, load)
                 assert counts == Counter({(0, 1): relays + (want == bridge)})
 
@@ -486,10 +502,10 @@ class TestModeSwitch:
             seen.append(key)
             return cluster_tree(key, self.CENTROIDS)
 
-        achieved = self.row({1})
-        mode_switch(0, 5, achieved, self.CENTROIDS, np.zeros(2), lookup, Counter(), THRESH, 24.0)
+        world = self.world([(MODE_DYNAMIC, 0, -1, {1}, (0.0, 0.0))])
+        mode_switch(world, 0, 5, lookup, Counter(), THRESH)
         assert seen == [(0, 1)]
-        assert goal_ids(achieved) == {0, 1}
+        assert goal_ids(world.achieved[0]) == {0, 1}
 
     def test_single_achieved_goal_has_no_tree(self):
         # mid load, first cluster only: no edges exist yet -> keep roaming
@@ -526,5 +542,4 @@ class TestModeSwitch:
 
 
 def cluster_tree(key, centroids):
-    from mapflock.netgraph import cluster_mst
-    return cluster_mst(key, centroids)
+    return relay_tree(key, centroids, 24.0)

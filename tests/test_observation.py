@@ -98,21 +98,17 @@ class TestModeMachineGate:
     @staticmethod
     def record_calls(monkeypatch):
         """Record each `mode_switch` call's agent mode and goal coverage; the
-        agent is the one whose row of ``World.achieved`` the call marks, and
-        the coverage is the step's observed cluster coverage."""
-        calls, steps = [], []
+        coverage is the step's observed cluster coverage."""
+        calls, coverages = [], []
         switch_modes, mode_switch = control.switch_modes, control.mode_switch
 
         def stepped(world, loads, coverage, *args):
-            steps.append((world, coverage))
+            coverages.append(coverage)
             return switch_modes(world, loads, coverage, *args)
 
-        def recorded(goal_a, n_served, achieved, *rest):
-            world, coverage = steps[-1]
-            (i,) = [i for i in range(len(world.map_pos))
-                    if np.shares_memory(achieved, world.achieved[i])]
-            calls.append((world.mode[i], coverage[goal_a]))
-            return mode_switch(goal_a, n_served, achieved, *rest)
+        def recorded(world, i, *rest):
+            calls.append((world.mode[i], coverages[-1][world.goal_a[i]]))
+            return mode_switch(world, i, *rest)
 
         monkeypatch.setattr(control, "switch_modes", stepped)
         monkeypatch.setattr(control, "mode_switch", recorded)

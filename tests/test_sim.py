@@ -22,6 +22,7 @@ from mapflock.sim import (
     euler_update,
     inject_failures,
     measure,
+    metrics_sample,
     observe,
     run,
     step,
@@ -360,15 +361,15 @@ class TestStepMemory:
     their load-pull gathers, and per pair holds at most those two and one
     coordinate's difference and terms; it frees the coefficients before the
     velocity consensus and the pair ids before the goal terms. The step
-    releases the loads and coverages once the forces are computed and the
-    accelerations once they are integrated. The post-step observation
-    builds the graph, whose build peaks highest, before the matching, so
-    only the agents' tree is live beside it. Bounds are tracemalloc peaks
-    above the call's entry: the first step with the observation it reaches
-    peaks at 0.0808 MiB, as does the kernel alone, their pairs allocated
-    before the trace; with the pre-step observation traced too, the second
-    step peaks at 0.0869 MiB, and at 0.0974 MiB if the kernel kept the
-    pairs."""
+    releases the loads, coverages and labels once the forces are computed
+    and the accelerations once they are integrated. The post-step
+    observation builds the graph, whose build peaks highest, before the
+    matching, so only the agents' tree is live beside it. Bounds are
+    tracemalloc peaks above the call's entry: the first step with the
+    observation it reaches peaks at 0.0808 MiB, as does the kernel alone,
+    their pairs allocated before the trace; with the pre-step observation
+    traced too, the second step peaks at 0.0869 MiB, and at 0.0974 MiB if
+    the kernel kept the pairs."""
 
     def world_and_observation(self):
         cfg = ScenarioConfig(cluster_centers=((0.0, 0.0), (600.0, 0.0), (0.0, 600.0),
@@ -422,12 +423,20 @@ class TestStepMemory:
         assert self.peak_above_entry(second_step) < 0.092 * 2**20
 
     def test_step_releases_the_observation_it_took_over(self):
-        cfg, world, obs = self.world_and_observation()
-        assert isinstance(step(world, cfg.control, cfg.thresholds, cfg.dt, 1, obs), int)
-        # only the two scalars are left: the loads, the coverages, the pairs
-        # and the labels are released
-        assert [f.name for f in fields(obs) if getattr(obs, f.name) is not None] \
-            == ["coverage_ratio", "n_alive"]
+        # the relay scene's first step computes no labels; the failure replay's
+        # (80 agents, seed 1) takes them over from the sample of its state
+        replay = ScenarioConfig(map_count=80, failures=((18.0, 0.5),), t_end=24.0, seed=1)
+        replay_world = generate_scenario(replay, np.random.default_rng(replay.seed))
+        replay_obs = observe(replay_world, replay.control)
+        metrics_sample(replay_world, replay_obs, 0.0)
+        assert replay_obs.components is not None
+        for cfg, world, obs in (self.world_and_observation(),
+                                (replay, replay_world, replay_obs)):
+            assert isinstance(step(world, cfg.control, cfg.thresholds, cfg.dt, 1, obs), int)
+            # only the two scalars are left: the loads, the coverages, the pairs
+            # and the labels are released
+            assert [f.name for f in fields(obs) if getattr(obs, f.name) is not None] \
+                == ["coverage_ratio", "n_alive"]
 
 
 class TestStepMemoryAtScale:
